@@ -13,8 +13,8 @@ integer arithmetic and refuses to return if they disagree.
 
 Norm bands: k * sup_norm(rho) <= 2h holds exactly for every ray (the
 neighbor sum has sup-norm at most 2h), while the lower bound
-(2 - eps) / (k + 2) * h is asymptotic, with eps the largest normalized gap
-between angular neighbors at height h.
+(2 - eps) / (k + 2) * h is asymptotic, with eps = 1/h the largest normalized
+gap between angular neighbors at height h.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .lattice import RayUniverse, RayVec, enumerate_rays, is_primitive, wedge
+from .lattice import RayUniverse, RayVec, _check_height, enumerate_rays, is_primitive, wedge
 
 
 class BlowdownTable(Mapping):
@@ -35,7 +35,7 @@ class BlowdownTable(Mapping):
     Mapping interface: table[ray] -> k, len(table) is the number of rays,
     iteration yields RayVec objects in canonical angular order.  Bulk data
     is exposed as read-only arrays (coords, k_values) aligned with that
-    order, plus the measured gap bound epsilon for the height.
+    order, plus the gap bound epsilon = 1/h for the height.
     """
 
     __slots__ = ("_universe", "_k", "epsilon")
@@ -151,23 +151,22 @@ def ratio_geq(h: int, k: int) -> Fraction:
 def epsilon_of(h: int) -> float:
     """Largest sup-norm gap between normalized angular neighbors at height h.
 
-    Rays are scaled onto the unit sup-norm sphere; the maximum |difference|
-    over adjacent pairs shrinks toward 0 as h grows.  This is the measured
-    eps carried by the lower norm band.
+    Rays are scaled onto the unit sup-norm sphere.  Neighbors a/b, c/d in
+    the first octant are consecutive Farey fractions of order h, so
+    b * d >= h and their gap 1/(b * d) is at most 1/h, reached exactly
+    between (1, 0) and (h, 1); symmetry carries this to the whole circle.
+    The value is therefore exactly 1/h.
     """
-    c = enumerate_rays(h).coords.astype(np.float64)
-    norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
-    unit = c / norms[:, None]
-    step = np.roll(unit, -1, axis=0) - unit
-    return float(np.abs(step).max())
+    return 1.0 / _check_height(h)
 
 
 def band_bounds(h: int, k: int, eps: float) -> tuple[float, Fraction]:
     """Norm band (lower, upper) for rays of blowdown index k at height h.
 
     The upper bound 2h/k is exact (equivalently k * |u| <= 2h in integers);
-    the lower bound (2 - eps)/(k + 2) * h is asymptotic and carries the
-    measured eps, so callers should allow integer rounding slack against it.
+    the lower bound (2 - eps)/(k + 2) * h is asymptotic and carries the gap
+    bound eps (epsilon_of(h) = 1/h), so callers should allow integer
+    rounding slack against it.
     """
     if k < 1:
         raise ValidationError(f"blowdown index must be >= 1, got {k}")

@@ -15,16 +15,18 @@ from .errors import InvariantError, ValidationError
 from .experiments import (
     BLOWDOWN_COLUMNS,
     RATIO_COLUMNS,
+    RAY_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
     PowerSchedule,
-    blowdown_rows,
+    blowdown_array,
     conjecture_report,
     emit,
+    ray_array,
     render,
     run_density_sweep,
     run_threshold_sweep,
-    space_report,
+    space_array,
     spec_from_file,
     sweep_columns,
     sweep_rows_as_dicts,
@@ -53,9 +55,9 @@ def _print_or_write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, rows, columns, default_format: str = "csv") -> None:
+def _emit_rows(args, table, columns, default_format: str = "csv") -> None:
     fmt = getattr(args, "format", None) or default_format
-    text = render(rows, fmt, columns=columns)
+    text = render(table, fmt, columns=columns)
     _print_or_write(args, text)
 
 
@@ -64,9 +66,7 @@ def _dump_json(doc) -> str:
 
 
 def _cmd_rays(args) -> None:
-    universe = enumerate_rays(args.h)
-    rows = [{"x": int(x), "y": int(y)} for x, y in universe.coords]
-    _emit_rows(args, rows, ("x", "y"))
+    _emit_rows(args, ray_array(enumerate_rays(args.h)), RAY_COLUMNS)
 
 
 def _cmd_complete(args) -> None:
@@ -105,7 +105,7 @@ def _cmd_spectrum(args) -> None:
 
 
 def _cmd_blowdown(args) -> None:
-    _emit_rows(args, blowdown_rows(blowdown_table(args.h)), BLOWDOWN_COLUMNS)
+    _emit_rows(args, blowdown_array(blowdown_table(args.h)), BLOWDOWN_COLUMNS)
 
 
 def _cmd_ratios(args) -> None:
@@ -113,7 +113,7 @@ def _cmd_ratios(args) -> None:
 
 
 def _cmd_space(args) -> None:
-    _emit_rows(args, space_report(args.h), SPACE_COLUMNS)
+    _emit_rows(args, space_array(args.h), SPACE_COLUMNS)
 
 
 def _spec_from_args(args) -> ExperimentSpec:

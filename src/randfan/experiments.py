@@ -7,9 +7,13 @@ RNG streams never depend on worker count or scheduling, and rows are emitted
 in grid order with a canonical number format, so a sweep's output is
 byte-identical across runs and thread pools.
 
-Report builders for the deterministic tables (blowdown exports, ratio
-tables, first-quadrant shells) live here too, sharing the same emission
-path.
+Report builders for the deterministic tables (ray and blowdown exports,
+ratio tables, first-quadrant shells) live here too, sharing the same
+emission path.  Tables are emitted column-wise: the large exports hand their
+coordinate, norm and index arrays to render() as one structured array, an
+integer column is formatted in bulk, and row dicts are transposed onto the
+same path.  The byte format (canonical cells, LF newlines, atomic write) is
+the same for every table.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import ValidationError
 from .fans import delta_k
-from .lattice import MAX_H
+from .lattice import MAX_H, RayUniverse, enumerate_rays
 from .sampling import SampleConfig, sample_fan
 
 FORMATS = ("csv", "json")
@@ -255,6 +259,9 @@ def _sweep(spec: ExperimentSpec, workers: int) -> list[SweepRow]:
         if workers == 1:
             records = [one_trial(t) for t in range(spec.trials)]
         else:
+            # build the universe before the threads ask for it: concurrent
+            # cache misses would each build it
+            enumerate_rays(int(h))
             # map() preserves submission order; streams are keyed by trial
             # index, so scheduling cannot leak into the records
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -307,17 +314,33 @@ def sweep_rows_as_dicts(rows, k_list) -> list[dict]:
     return out
 
 
+def _as_dicts(records: np.ndarray) -> list[dict]:
+    names = records.dtype.names
+    return [dict(zip(names, r)) for r in records.tolist()]
+
+
+RAY_COLUMNS = ("x", "y")
+
+
+def ray_array(universe: RayUniverse) -> np.ndarray:
+    """Ray export: one structured record (x, y) per ray, in canonical order."""
+    return np.rec.fromarrays(universe.coords.T, names=RAY_COLUMNS)
+
+
 BLOWDOWN_COLUMNS = ("x", "y", "norm", "k")
 
 
+def blowdown_array(table: BlowdownTable) -> np.ndarray:
+    """Full blowdown-table export: one structured record (x, y, norm, k) per
+    ray, in canonical order."""
+    c = table.coords
+    norms = np.abs(c).max(axis=1)
+    return np.rec.fromarrays([*c.T, norms, table.k_values], names=BLOWDOWN_COLUMNS)
+
+
 def blowdown_rows(table: BlowdownTable) -> list[dict]:
-    """Full blowdown-table export: one row per ray in canonical order."""
-    c, k = table.coords, table.k_values
-    norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
-    return [
-        {"x": int(x), "y": int(y), "norm": int(n), "k": int(kk)}
-        for (x, y), n, kk in zip(c, norms, k)
-    ]
+    """blowdown_array() as one dict per ray."""
+    return _as_dicts(blowdown_array(table))
 
 
 RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
@@ -344,13 +367,19 @@ def conjecture_report(h_values, k_max: int) -> list[dict]:
 SPACE_COLUMNS = ("x", "y", "k")
 
 
-def space_report(h: int) -> list[dict]:
+def space_array(h: int) -> np.ndarray:
     """Blowdown index of every ray in the closed first quadrant, in angular
-    order; the raw material for shell scatter plots."""
+    order, as structured records (x, y, k); the raw material for shell
+    scatter plots."""
     table = blowdown_table(h)
     c, k = table.coords, table.k_values
     sel = (c[:, 0] >= 0) & (c[:, 1] >= 0)
-    return [{"x": int(x), "y": int(y), "k": int(kk)} for (x, y), kk in zip(c[sel], k[sel])]
+    return np.rec.fromarrays([*c[sel].T, k[sel]], names=SPACE_COLUMNS)
+
+
+def space_report(h: int) -> list[dict]:
+    """space_array() as one dict per ray."""
+    return _as_dicts(space_array(h))
 
 
 def format_cell(value) -> str:
@@ -379,18 +408,50 @@ def _json_value(value):
     return value
 
 
-def render(rows, format: str, *, columns) -> str:
-    """Render rows to canonical text: CSV (header + LF lines) or a JSON list."""
+def _json_cell(value) -> str:
+    # nested containers are indented as json.dumps(rows, indent=2) would
+    # place them, two levels deep
+    return json.dumps(_json_value(value), indent=2, ensure_ascii=False).replace("\n", "\n    ")
+
+
+def render(table, format: str, *, columns) -> str:
+    """Render a table to canonical text: CSV (header + LF lines) or a JSON list.
+
+    table is a structured array whose fields include the named columns, or
+    a sequence of row mappings, which is transposed into columns.  Either
+    way each column is encoded once: an integer array in bulk, any other
+    column cell by cell (format_cell for CSV, plain JSON values for JSON).
+    The JSON text is exactly json.dumps(list_of_row_dicts, indent=2,
+    ensure_ascii=False).
+    """
     if format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
     columns = list(columns)
+    if isinstance(table, np.ndarray):
+        cols = [table[c] for c in columns]
+    else:
+        table = list(table)
+        cols = [[row[c] for row in table] for c in columns]
+    encode = format_cell if format == "csv" else _json_cell
+    # every cell in row-major order, filled one column at a time: Python
+    # ints for %d, encoded strings for %s
+    cells = np.empty((len(table), len(columns)), dtype=object)
+    specs = []
+    for j, col in enumerate(cols):
+        if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+            cells[:, j] = col
+            specs.append("%d")
+        else:
+            cells[:, j] = [encode(v) for v in col]
+            specs.append("%s")
+    values = tuple(cells.ravel().tolist())
     if format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(format_cell(row[c]) for c in columns))
-        return "\n".join(lines) + "\n"
-    docs = [{c: _json_value(row[c]) for c in columns} for row in rows]
-    return json.dumps(docs, indent=2, ensure_ascii=False) + "\n"
+        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * len(table)) % values
+    if not len(table):
+        return "[]\n"
+    keys = [json.dumps(c, ensure_ascii=False).replace("%", "%%") for c in columns]
+    row = "  {\n" + ",\n".join(f"    {k}: {spec}" for k, spec in zip(keys, specs)) + "\n  }"
+    return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"
 
 
 def write_text(path, text: str) -> None:

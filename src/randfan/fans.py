@@ -184,9 +184,12 @@ def fan_from_record(record) -> Fan:
     """Rebuild a fan from a record; cones are always recomputed, never trusted."""
     if not isinstance(record, dict) or not isinstance(record.get("rays"), list):
         raise ValidationError("fan record must be a mapping with a 'rays' list")
-    pairs = []
     for r in record["rays"]:
-        if not isinstance(r, (list, tuple)) or len(r) != 2:
-            raise ValidationError(f"malformed ray entry {r!r}; expected [x, y]")
-        pairs.append((int(r[0]), int(r[1])))
-    return complete_fan(pairs)
+        # int() would truncate 1.5 and accept True: only genuine integers pass
+        if (
+            not isinstance(r, (list, tuple))
+            or len(r) != 2
+            or any(not isinstance(v, int) or isinstance(v, bool) for v in r)
+        ):
+            raise ValidationError(f"malformed ray entry {r!r}; expected [x, y] with integer x, y")
+    return complete_fan(record["rays"])

@@ -198,6 +198,17 @@ class RayUniverse:
         raise InvariantError("sorted universe is missing a vector it must contain")
 
 
+def _check_height(h) -> int:
+    if not isinstance(h, (int, np.integer)):
+        raise ValidationError(f"height bound must be an integer, got {h!r}")
+    h = int(h)
+    if h < 1:
+        raise ValidationError(f"height bound must be >= 1, got {h}")
+    if h > MAX_H:
+        raise ValidationError(f"height bound {h} exceeds the supported maximum {MAX_H}")
+    return h
+
+
 @lru_cache(maxsize=4)
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
@@ -207,11 +218,5 @@ def enumerate_rays(h: int) -> RayUniverse:
     is exactly sorted with no comparisons and no floating point.  Universes
     are cached (the enumeration dominates everything built on top of it).
     """
-    if not isinstance(h, (int, np.integer)):
-        raise ValidationError(f"height bound must be an integer, got {h!r}")
-    h = int(h)
-    if h < 1:
-        raise ValidationError(f"height bound must be >= 1, got {h}")
-    if h > MAX_H:
-        raise ValidationError(f"height bound {h} exceeds the supported maximum {MAX_H}")
+    h = _check_height(h)
     return RayUniverse(h, _unfold_full_circle(_first_octant(h)))

@@ -7,7 +7,15 @@ sorting) and the only half-turn gaps are exact antipodes, which the
 completion oracle excludes with an explicit tolerance.
 """
 
+import json
 import math
+from fractions import Fraction
+
+import numpy as np
+
+from randfan.errors import ValidationError
+
+FORMATS = ("csv", "json")
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,3 +89,47 @@ def totients(n):
                 phi[m] -= phi[m] // p
     phi[0] = 0
     return phi
+
+
+def format_cell(value) -> str:
+    """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
+    'null' for missing values, integers verbatim."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating, Fraction)):
+        return format(float(value), ".6g")
+    return str(value)
+
+
+def _json_value(value):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating, Fraction)):
+        return float(value)
+    return value
+
+
+def row_render(rows, format: str, *, columns) -> str:
+    """Render rows to canonical text: CSV (header + LF lines) or a JSON list.
+
+    The per-row renderer the package used before tables were emitted
+    column-wise; the reference its render() must match byte for byte.
+    """
+    if format not in FORMATS:
+        raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
+    columns = list(columns)
+    if format == "csv":
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(format_cell(row[c]) for c in columns))
+        return "\n".join(lines) + "\n"
+    docs = [{c: _json_value(row[c]) for c in columns} for row in rows]
+    return json.dumps(docs, indent=2, ensure_ascii=False) + "\n"

@@ -105,6 +105,11 @@ def test_spectrum_malformed_json_is_validation_error(tmp_path, capsys):
     bad.write_text('{"rays": [[2, 4]]}')
     code, _, _ = run_cli(capsys, "spectrum", "--in", str(bad))
     assert code == 1
+    # coordinates must be JSON integers: no truncation, no booleans
+    for rays in ('[[1.5, 2], [0, 1]]', '[["a", 2], [0, 1]]', '[[true, 0], [0, 1]]'):
+        bad.write_text('{"rays": %s}' % rays)
+        code, out, err = run_cli(capsys, "spectrum", "--in", str(bad))
+        assert code == 1 and out == "" and "error:" in err, rays
 
 
 def test_blowdown_csv_golden(capsys):

@@ -34,6 +34,7 @@ from randfan import (
     sweep_rows_as_dicts,
     wilson_interval,
 )
+from randfan import lattice
 from randfan.sampling import SampleConfig
 
 
@@ -250,6 +251,21 @@ def test_worker_count_does_not_change_results():
     serial = run_threshold_sweep(spec, workers=1)
     threaded = run_threshold_sweep(spec, workers=4)
     assert serial == threaded
+
+
+def test_threaded_sweep_builds_the_universe_once(monkeypatch):
+    # pool threads that all miss the universe cache would each walk the octant
+    walks = []
+    walk = lattice._first_octant
+
+    def counting_walk(h):
+        walks.append(h)
+        return walk(h)
+
+    monkeypatch.setattr(lattice, "_first_octant", counting_walk)
+    lattice.enumerate_rays.cache_clear()
+    run_threshold_sweep(_spec(h_values=[300], q_schedule=[0.5], trials=4), workers=2)
+    assert walks == [300]
 
 
 def test_workers_must_be_positive():

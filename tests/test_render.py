@@ -1,0 +1,90 @@
+"""Column-wise table rendering against the per-row reference renderer.
+
+render() encodes each column once and lays the cells out row by row; the
+oracle renders one dict per row.  Both must give the same bytes for every
+mix of column types, and the table commands must print exactly what the
+oracle prints for their old row dicts.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from randfan import blowdown_table
+from randfan.cli import main
+from randfan.experiments import render
+
+from oracles import brute_rays, row_render
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+#: Cells of the list-valued (object) columns, by kind.
+CELLS = {
+    "int": st.integers(-(10**30), 10**30),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "none": st.none(),
+    "bool": st.booleans(),
+    "numpy_bool": st.booleans().map(np.bool_),
+    "fraction": st.fractions(),
+    "list": st.lists(st.integers(-9, 9), max_size=2),
+}
+CELLS["mixed"] = st.one_of(*CELLS.values())
+
+NAMES = st.text(alphabet="xyk_%\"\\é, 0", min_size=1, max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """(row dicts, the same table as a structured array, column order)."""
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["int64", "float64", *CELLS]))
+        if kind == "int64":
+            columns[name] = np.array(draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64)
+        elif kind == "float64":
+            columns[name] = np.array(draw(st.lists(CELLS["float"], min_size=n, max_size=n)), dtype=np.float64)
+        else:
+            columns[name] = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
+    records = np.empty(n, dtype=[(name, col.dtype if isinstance(col, np.ndarray) else object)
+                                 for name, col in columns.items()])
+    for name, col in columns.items():
+        for i, v in enumerate(col):
+            records[name][i] = v
+    rows = [{name: col[i] for name, col in columns.items()} for i in range(n)]
+    order = draw(st.permutations(names))
+    return rows, records, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sampled_from(["csv", "json"]))
+def test_render_matches_row_oracle(table, fmt):
+    rows, records, order = table
+    expected = row_render(rows, fmt, columns=order)
+    assert render(rows, fmt, columns=order) == expected
+    assert render(records, fmt, columns=order) == expected
+
+
+def _rows(coords, **extra):
+    return [
+        {"x": int(x), "y": int(y), **{name: int(col[i]) for name, col in extra.items()}}
+        for i, (x, y) in enumerate(coords)
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("h", [1, 5, 37])
+def test_table_commands_match_row_oracle(h, fmt, capsys):
+    t = blowdown_table(h)
+    c, k = t.coords, t.k_values
+    quadrant = (c[:, 0] >= 0) & (c[:, 1] >= 0)
+    cases = [
+        ("rays", [{"x": x, "y": y} for x, y in brute_rays(h)], ["x", "y"]),
+        ("blowdown", _rows(c, norm=np.abs(c).max(axis=1), k=k), ["x", "y", "norm", "k"]),
+        ("space", _rows(c[quadrant], k=k[quadrant]), ["x", "y", "k"]),
+    ]
+    for command, rows, columns in cases:
+        assert main([command, "--h", str(h), "--format", fmt]) == 0
+        assert capsys.readouterr().out == row_render(rows, fmt, columns=columns), command
