@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ValidationError, check_int
 from .lattice import RayUniverse, RayVec, _check_height, enumerate_rays, is_primitive, wedge
 
 
@@ -81,8 +81,7 @@ class BlowdownTable(Mapping):
 
     def count_geq(self, k: int) -> int:
         """Number of rays with blowdown index >= k."""
-        if k < 1:
-            raise ValidationError(f"index threshold must be >= 1, got {k}")
+        k = check_int(k, "index threshold", 1)
         return int(np.count_nonzero(self._k >= k))
 
     def ratio_geq(self, k: int) -> Fraction:
@@ -118,7 +117,7 @@ def blowdown_index(h: int, ray) -> int:
     return k
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=2, typed=True)  # typed for the reason given at enumerate_rays
 def blowdown_table(h: int) -> BlowdownTable:
     """Blowdown index of every ray at height h, in one vectorized pass.
 
@@ -168,8 +167,7 @@ def band_bounds(h: int, k: int, eps: float) -> tuple[float, Fraction]:
     bound eps (epsilon_of(h) = 1/h), so callers should allow integer
     rounding slack against it.
     """
-    if k < 1:
-        raise ValidationError(f"blowdown index must be >= 1, got {k}")
+    k = check_int(k, "blowdown index", 1)
     if not 0.0 <= eps < 2.0:
         raise ValidationError(f"eps must be in [0, 2), got {eps!r}")
     return (2.0 - eps) / (k + 2) * h, Fraction(2 * h, k)
@@ -177,16 +175,13 @@ def band_bounds(h: int, k: int, eps: float) -> tuple[float, Fraction]:
 
 def triangular(k: int) -> int:
     """k-th triangular number k(k+1)/2."""
-    if k < 1:
-        raise ValidationError(f"triangular numbers need k >= 1, got {k}")
+    k = check_int(k, "triangular number index", 1)
     return k * (k + 1) // 2
 
 
 def conjectured_ratio(k: int) -> Fraction:
     """Conjectured limiting fraction of rays with blowdown index >= k: 2/T_k."""
-    if k < 2:
-        raise ValidationError(f"the limiting ratio is defined for k >= 2, got {k}")
-    return Fraction(2, triangular(k))
+    return Fraction(2, triangular(check_int(k, "limiting-ratio index", 2)))
 
 
 def smooth_partners(h: int, ray) -> list[RayVec]:

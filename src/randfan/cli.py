@@ -18,15 +18,14 @@ from .experiments import (
     RAY_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
-    PowerSchedule,
     blowdown_array,
     conjecture_report,
     emit,
     ray_array,
     render,
-    run_density_sweep,
     run_threshold_sweep,
     space_array,
+    spec_from_dict,
     spec_from_file,
     sweep_columns,
     sweep_rows_as_dicts,
@@ -80,7 +79,7 @@ def _cmd_sample(args) -> None:
     rec = fan_to_record(
         fan,
         h=args.h,
-        extra={"p": float(args.p), "master_seed": int(args.seed), "trial_index": int(args.trial)},
+        extra={"p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index},
     )
     _print_or_write(args, _dump_json(rec))
 
@@ -127,25 +126,26 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.q:
         if args.c is not None or args.alpha is not None:
             raise ValidationError("give either --q values or --c/--alpha, not both")
-        schedule: "PowerSchedule | list[float]" = [float(v) for v in args.q]
+        schedule = args.q
     elif args.c is not None and args.alpha is not None:
-        schedule = PowerSchedule(args.c, args.alpha)
+        schedule = {"c": args.c, "alpha": args.alpha}
     else:
         raise ValidationError("give one --q per --h, or both --c and --alpha")
-    return ExperimentSpec(
-        h_values=[int(h) for h in args.h],
-        q_schedule=schedule,
-        regime=args.regime,
-        trials=args.trials,
-        k_list=[int(k) for k in args.k] if args.k else [2],
-        c_density=args.c_density,
-        master_seed=args.seed,
-    )
+    doc = {
+        "h_values": args.h,
+        "q_schedule": schedule,
+        "regime": args.regime,
+        "trials": args.trials,
+        "c_density": args.c_density,
+        "master_seed": args.seed,
+        "k_list": args.k or [2],
+    }
+    return spec_from_dict(doc)
 
 
-def _cmd_sweep(args, runner) -> None:
+def _cmd_sweep(args) -> None:
     spec = _spec_from_args(args)
-    rows = sweep_rows_as_dicts(runner(spec, workers=args.workers), spec.k_list)
+    rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=args.workers), spec.k_list)
     cols = sweep_columns(spec.k_list)
     out = args.out or (spec.output or {}).get("path")
     fmt = args.format or (spec.output or {}).get("format") or "csv"
@@ -153,14 +153,6 @@ def _cmd_sweep(args, runner) -> None:
         emit(rows, fmt, out, columns=cols)
     else:
         sys.stdout.write(render(rows, fmt, columns=cols))
-
-
-def _cmd_threshold(args) -> None:
-    _cmd_sweep(args, run_threshold_sweep)
-
-
-def _cmd_density(args) -> None:
-    _cmd_sweep(args, run_density_sweep)
 
 
 def _add_table_output(sub, default_format: str = "csv") -> None:
@@ -211,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_table_output(p)
     p.set_defaults(func=_cmd_space)
 
-    for name, handler, blurb in (
-        ("threshold", _cmd_threshold, "smooth/singular rates over an (h, q) grid"),
-        ("density", _cmd_density, "singular-cone density statistics over an (h, q) grid"),
+    for name, blurb in (
+        ("threshold", "smooth/singular rates over an (h, q) grid"),
+        ("density", "singular-cone density statistics over an (h, q) grid"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--spec", help="JSON experiment spec file")
@@ -229,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", help="write here (atomically) instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -29,28 +29,37 @@ from fractions import Fraction
 import numpy as np
 
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 from .fans import delta_k
-from .lattice import MAX_H, RayUniverse, enumerate_rays
-from .sampling import SampleConfig, sample_fan
+from .lattice import RayUniverse, _check_height, enumerate_rays
+from .sampling import UINT64_MAX, SampleConfig, sample_fan
 
 FORMATS = ("csv", "json")
 
 #: Two-sided 99% normal quantile, fixed for the Wilson interval columns.
 _Z99 = 2.5758293035489004
 
-_UINT64_BOUND = 2**64
-
 
 @dataclass(frozen=True)
 class PowerSchedule:
-    """Drop-probability schedule value c * h**(-alpha), clamped to [0, 1]."""
+    """Drop-probability schedule value c * h**(-alpha), clamped to [0, 1];
+    c is finite and > 0, alpha finite, both stored as floats."""
 
     c: float
     alpha: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "c", check_real(self.c, "schedule coefficient", 0, exclusive=True))
+        object.__setattr__(self, "alpha", check_real(self.alpha, "schedule exponent"))
+
     def value(self, h: int) -> float:
         return min(1.0, self.c * float(h) ** -self.alpha)
+
+
+def _nonempty_list(values, name: str) -> list:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValidationError(f"{name} must be a non-empty list, got {values!r}")
+    return list(values)
 
 
 @dataclass
@@ -62,6 +71,8 @@ class ExperimentSpec:
     whether the schedule value drives the drop probability q directly
     ("q-small") or its complement 1 - q ("q-large", the almost-everything-
     dropped end).  output, when set, is {"path": ..., "format": "csv"|"json"}.
+    Numbers must be of the right kind, never bool or str, and are stored as
+    Python int and float; the sequences are stored as lists.
     """
 
     h_values: list[int]
@@ -74,38 +85,25 @@ class ExperimentSpec:
     output: dict | None = None
 
     def __post_init__(self):
-        if not self.h_values:
-            raise ValidationError("h_values must be non-empty")
-        for h in self.h_values:
-            if not isinstance(h, (int, np.integer)) or not 1 <= h <= MAX_H:
-                raise ValidationError(f"every height must be an integer in [1, {MAX_H}], got {h!r}")
-        if isinstance(self.q_schedule, PowerSchedule):
-            if not (self.q_schedule.c > 0 and math.isfinite(self.q_schedule.c)):
-                raise ValidationError(f"schedule coefficient must be finite and > 0, got {self.q_schedule.c!r}")
-            if not math.isfinite(self.q_schedule.alpha):
-                raise ValidationError(f"schedule exponent must be finite, got {self.q_schedule.alpha!r}")
-        else:
-            if len(self.q_schedule) != len(self.h_values):
+        self.h_values = [_check_height(h) for h in _nonempty_list(self.h_values, "h_values")]
+        if not isinstance(self.q_schedule, PowerSchedule):
+            values = _nonempty_list(self.q_schedule, "explicit q_schedule")
+            if len(values) != len(self.h_values):
                 raise ValidationError(
-                    f"explicit q_schedule has {len(self.q_schedule)} values for {len(self.h_values)} heights"
+                    f"explicit q_schedule has {len(values)} values for {len(self.h_values)} heights"
                 )
-            for v in self.q_schedule:
-                if not isinstance(v, (int, float)) or not math.isfinite(v) or v < 0:
-                    raise ValidationError(f"schedule values must be finite and >= 0, got {v!r}")
+            self.q_schedule = [check_real(v, "schedule value", 0) for v in values]
         if self.regime not in ("q-small", "q-large"):
             raise ValidationError(f"regime must be 'q-small' or 'q-large', got {self.regime!r}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 1:
-            raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not self.k_list or any(not isinstance(k, (int, np.integer)) or k < 1 for k in self.k_list):
-            raise ValidationError(f"k_list must be non-empty integers >= 1, got {self.k_list!r}")
-        if not isinstance(self.c_density, (int, float)) or not 0 < self.c_density < 1:
-            raise ValidationError(f"c_density must lie in (0, 1), got {self.c_density!r}")
-        if not isinstance(self.master_seed, (int, np.integer)) or not 0 <= self.master_seed < _UINT64_BOUND:
-            raise ValidationError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
+        self.trials = check_int(self.trials, "trials", 1)
+        self.k_list = [check_int(k, "k_list entry", 1) for k in _nonempty_list(self.k_list, "k_list")]
+        self.c_density = check_real(self.c_density, "c_density", 0, 1, exclusive=True)
+        self.master_seed = check_int(self.master_seed, "master_seed", 0, UINT64_MAX)
         if self.output is not None:
             if (
                 not isinstance(self.output, dict)
                 or set(self.output) != {"path", "format"}
+                or not isinstance(self.output["path"], (str, os.PathLike))
                 or self.output["format"] not in FORMATS
             ):
                 raise ValidationError("output must be {'path': ..., 'format': 'csv'|'json'}")
@@ -115,7 +113,7 @@ class ExperimentSpec:
         if isinstance(self.q_schedule, PowerSchedule):
             vals = [self.q_schedule.value(h) for h in self.h_values]
         else:
-            vals = [min(1.0, float(v)) for v in self.q_schedule]
+            vals = [min(1.0, v) for v in self.q_schedule]
         return vals if self.regime == "q-small" else [1.0 - v for v in vals]
 
 
@@ -126,7 +124,11 @@ _SPEC_FIELDS = (
 
 
 def spec_from_dict(doc) -> ExperimentSpec:
-    """Build a spec from a plain document whose keys match the field names."""
+    """Build a spec from a plain document whose keys match the field names.
+
+    Only the document's shape is checked here; the values go unconverted to
+    ExperimentSpec and PowerSchedule, which validate them.
+    """
     if not isinstance(doc, dict):
         raise ValidationError("experiment spec must be a mapping")
     unknown = set(doc) - set(_SPEC_FIELDS)
@@ -138,13 +140,10 @@ def spec_from_dict(doc) -> ExperimentSpec:
     if isinstance(sched, dict):
         if set(sched) != {"c", "alpha"}:
             raise ValidationError("power-law q_schedule must be {'c': ..., 'alpha': ...}")
-        schedule: "PowerSchedule | list[float]" = PowerSchedule(float(sched["c"]), float(sched["alpha"]))
-    elif isinstance(sched, list):
-        schedule = [float(v) for v in sched]
-    else:
+        sched = PowerSchedule(sched["c"], sched["alpha"])
+    elif not isinstance(sched, list):
         raise ValidationError("q_schedule must be a list or {'c', 'alpha'}")
-    kwargs = {k: doc[k] for k in _SPEC_FIELDS[2:] if k in doc}
-    return ExperimentSpec(h_values=[int(h) for h in doc["h_values"]], q_schedule=schedule, **kwargs)
+    return ExperimentSpec(**{**doc, "q_schedule": sched})
 
 
 def spec_from_file(path) -> ExperimentSpec:
@@ -230,7 +229,6 @@ def _aggregate(h, q, records, k_list, c_density) -> SweepRow:
     mean_delta = {}
     frac_above = {}
     for k in k_list:
-        k = int(k)
         defined = [r.delta_k[k] for r in records if r.delta_k[k] is not None]
         # exact Fraction mean, floated once at the end
         mean_delta[k] = float(sum(defined) / len(defined)) if defined else None
@@ -248,41 +246,36 @@ def _aggregate(h, q, records, k_list, c_density) -> SweepRow:
     )
 
 
-def _sweep(spec: ExperimentSpec, workers: int) -> list[SweepRow]:
-    if not isinstance(workers, int) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
+    """Smooth/singular rates and singular-cone densities across the spec's (h, q) grid.
+
+    One row per grid cell, in grid order.  Per cell and per k, the row also
+    reports the mean of the defined densities delta_k and the fraction of
+    trials whose density exceeds c_density; cone-free trials count as
+    failures there and are tallied in n_no_cones.  run_density_sweep is the
+    same function.
+    """
+    workers = check_int(workers, "workers", 1)
     rows = []
     for h, q in zip(spec.h_values, spec.q_values()):
         def one_trial(t: int, h=h, q=q) -> TrialRecord:
-            return run_trial(int(h), q, int(spec.master_seed), t, spec.k_list)
+            return run_trial(h, q, spec.master_seed, t, spec.k_list)
 
         if workers == 1:
             records = [one_trial(t) for t in range(spec.trials)]
         else:
             # build the universe before the threads ask for it: concurrent
             # cache misses would each build it
-            enumerate_rays(int(h))
+            enumerate_rays(h)
             # map() preserves submission order; streams are keyed by trial
             # index, so scheduling cannot leak into the records
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(one_trial, range(spec.trials)))
-        rows.append(_aggregate(int(h), q, records, spec.k_list, spec.c_density))
+        rows.append(_aggregate(h, q, records, spec.k_list, spec.c_density))
     return rows
 
 
-def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
-    """Smooth/singular classification rates across the experiment spec's (h, q) grid."""
-    return _sweep(spec, workers)
-
-
-def run_density_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
-    """Singular-cone density statistics across the experiment spec's (h, q) grid.
-
-    Per cell and per k, the row reports the mean of the defined densities
-    delta_k and the fraction of trials whose density exceeds c_density;
-    cone-free trials count as failures there and are tallied in n_no_cones.
-    """
-    return _sweep(spec, workers)
+run_density_sweep = run_threshold_sweep
 
 
 SWEEP_BASE_COLUMNS = (
@@ -349,15 +342,14 @@ RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
 def conjecture_report(h_values, k_max: int) -> list[dict]:
     """Long-form ratio table: measured fraction of rays with blowdown index
     >= k next to the conjectured limit 2/T_k, for k = 2..k_max per height."""
-    if k_max < 2:
-        raise ValidationError(f"k_max must be >= 2, got {k_max}")
+    k_max = check_int(k_max, "k_max", 2)
     rows = []
     for h in h_values:
-        table = blowdown_table(int(h))
+        table = blowdown_table(h)
         n = len(table)
         for k in range(2, k_max + 1):
             rows.append({
-                "h": int(h), "k": k, "count_geq": table.count_geq(k), "n_h": n,
+                "h": table.h, "k": k, "count_geq": table.count_geq(k), "n_h": n,
                 "ratio": float(table.ratio_geq(k)),
                 "conjectured": float(conjectured_ratio(k)),
             })

@@ -20,8 +20,8 @@ from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import ValidationError
-from .lattice import RayUniverse, RayVec, _compare_xy, is_primitive
+from .errors import ValidationError, check_int
+from .lattice import MAX_H, RayUniverse, RayVec, _compare_xy, is_primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +48,7 @@ class Fan:
     exactly sorted (n, 2) int64 coordinate array and freezes it.
     """
 
-    __slots__ = ("_coords", "_cone_starts", "_wedges", "_rays", "_cones")
+    __slots__ = ("_coords", "_cone_starts", "_wedges")
 
     def __init__(self, coords: np.ndarray):
         coords = np.ascontiguousarray(coords, dtype=np.int64).reshape(-1, 2)
@@ -61,15 +61,13 @@ class Fan:
             nxt = np.roll(coords, -1, axis=0)
             w = coords[:, 0] * nxt[:, 1] - coords[:, 1] * nxt[:, 0]
             keep = w > 0  # counter-clockwise gap strictly below a half turn
-            starts = np.nonzero(keep)[0].astype(np.int64)
+            starts = np.nonzero(keep)[0]
             wedges = w[keep]
         starts.flags.writeable = False
         wedges.flags.writeable = False
         self._coords = coords
         self._cone_starts = starts
         self._wedges = wedges
-        self._rays: tuple[RayVec, ...] | None = None
-        self._cones: tuple[Cone2, ...] | None = None
 
     @property
     def coords(self) -> np.ndarray:
@@ -91,18 +89,16 @@ class Fan:
 
     @property
     def rays(self) -> tuple[RayVec, ...]:
-        if self._rays is None:
-            self._rays = tuple(RayVec(int(x), int(y)) for x, y in self._coords)
-        return self._rays
+        """Every ray as a RayVec, built on each call: O(n) Python objects,
+        meant for small fans."""
+        return tuple(RayVec(x, y) for x, y in self._coords.tolist())
 
     @property
     def cones(self) -> tuple[Cone2, ...]:
-        if self._cones is None:
-            n = self.n_rays
-            self._cones = tuple(
-                Cone2(int(i), int((i + 1) % n)) for i in self._cone_starts
-            )
-        return self._cones
+        """Every cone as a Cone2, built on each call: O(n) Python objects,
+        meant for small fans."""
+        n = self.n_rays
+        return tuple(Cone2(a, (a + 1) % n) for a in self._cone_starts.tolist())
 
     def __repr__(self) -> str:
         return f"Fan(n_rays={self.n_rays}, n_cones={self.n_cones})"
@@ -117,14 +113,15 @@ def complete_fan(rays) -> Fan:
 
     Accepts a whole RayUniverse (already sorted; taken as-is) or any iterable
     of rays, as RayVec or (x, y) pairs.  Duplicates collapse; non-primitive
-    vectors are rejected.
+    vectors are rejected, and so are coordinates outside [-MAX_H, MAX_H],
+    the range in which every wedge fits in int64.
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)
     uniq = set()
-    for r in rays:
-        x, y = r
-        x, y = int(x), int(y)
+    for x, y in rays:
+        x = check_int(x, "ray coordinate", -MAX_H, MAX_H)
+        y = check_int(y, "ray coordinate", -MAX_H, MAX_H)
         if not is_primitive(x, y):
             raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
         uniq.add((x, y))
@@ -161,8 +158,7 @@ def delta_k(fan: Fan, k: int) -> Fraction | None:
     None for a fan with no cones: that 0/0 case is kept distinct from 0 so
     degenerate draws are never folded into density statistics.
     """
-    if k < 1:
-        raise ValidationError(f"index threshold must be >= 1, got {k}")
+    k = check_int(k, "index threshold", 1)
     m = fan.n_cones
     if m == 0:
         return None
@@ -185,11 +181,6 @@ def fan_from_record(record) -> Fan:
     if not isinstance(record, dict) or not isinstance(record.get("rays"), list):
         raise ValidationError("fan record must be a mapping with a 'rays' list")
     for r in record["rays"]:
-        # int() would truncate 1.5 and accept True: only genuine integers pass
-        if (
-            not isinstance(r, (list, tuple))
-            or len(r) != 2
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in r)
-        ):
-            raise ValidationError(f"malformed ray entry {r!r}; expected [x, y] with integer x, y")
+        if not isinstance(r, (list, tuple)) or len(r) != 2:
+            raise ValidationError(f"malformed ray entry {r!r}; expected [x, y]")
     return complete_fan(record["rays"])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ValidationError, check_int
 
 #: Largest supported height bound.  Bulk kernels run on int64 arrays; the
 #: largest intermediate is a wedge determinant, bounded by 2*h**2, which for
@@ -136,17 +136,16 @@ class RayUniverse:
     """All primitive rays of sup-norm at most h, in canonical angular order.
 
     Backed by one read-only (n, 2) int64 coordinate array; RayVec objects are
-    materialized on demand so bulk consumers can stay vectorized.  Instances
-    are immutable and safe to share across threads.
+    materialized on demand and never cached, so bulk consumers can stay
+    vectorized.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("h", "coords", "_rays")
+    __slots__ = ("h", "coords")
 
     def __init__(self, h: int, coords: np.ndarray):
         coords.flags.writeable = False
         self.h = h
         self.coords = coords
-        self._rays: tuple[RayVec, ...] | None = None
 
     @property
     def n_rays(self) -> int:
@@ -160,7 +159,8 @@ class RayUniverse:
         return RayVec(int(x), int(y))
 
     def __iter__(self):
-        return iter(self.rays)
+        for x, y in self.coords.tolist():
+            yield RayVec(x, y)
 
     def __contains__(self, ray) -> bool:
         x, y = ray
@@ -172,9 +172,9 @@ class RayUniverse:
 
     @property
     def rays(self) -> tuple[RayVec, ...]:
-        if self._rays is None:
-            self._rays = tuple(RayVec(int(x), int(y)) for x, y in self.coords)
-        return self._rays
+        """Every ray as a RayVec, built on each call: O(n) Python objects,
+        meant for small universes."""
+        return tuple(self)
 
     def index_of(self, ray) -> int:
         """Position of a ray in canonical order, by exact binary search."""
@@ -199,17 +199,10 @@ class RayUniverse:
 
 
 def _check_height(h) -> int:
-    if not isinstance(h, (int, np.integer)):
-        raise ValidationError(f"height bound must be an integer, got {h!r}")
-    h = int(h)
-    if h < 1:
-        raise ValidationError(f"height bound must be >= 1, got {h}")
-    if h > MAX_H:
-        raise ValidationError(f"height bound {h} exceeds the supported maximum {MAX_H}")
-    return h
+    return check_int(h, "height bound", 1, MAX_H)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)  # typed: True or 5.0 must miss, not hit 1 or 5
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
 

@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_int, check_real
 from .fans import Fan
-from .lattice import MAX_H, RayUniverse, RayVec, enumerate_rays
+from .lattice import RayUniverse, RayVec, _check_height, enumerate_rays
 
 #: Identity of the bit generator behind sample_rays / sample_fan.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
 
-_UINT64_BOUND = 2**64
+#: Largest master seed or trial index: each keys Philox as one uint64 word.
+UINT64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,25 +42,22 @@ class SampleConfig:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.h, (int, np.integer)) or not 1 <= self.h <= MAX_H:
-            raise ValidationError(f"height bound must be an integer in [1, {MAX_H}], got {self.h!r}")
-        if not isinstance(self.p, (int, float)) or not 0.0 <= float(self.p) <= 1.0:
-            raise ValidationError(f"inclusion probability must be in [0, 1], got {self.p!r}")
-        if not isinstance(self.master_seed, (int, np.integer)) or not 0 <= self.master_seed < _UINT64_BOUND:
-            raise ValidationError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        if not isinstance(self.trial_index, (int, np.integer)) or not 0 <= self.trial_index < _UINT64_BOUND:
-            raise ValidationError(f"trial_index must be an unsigned 64-bit integer, got {self.trial_index!r}")
+        # stored as Python int and float; the dataclass is frozen
+        object.__setattr__(self, "h", _check_height(self.h))
+        object.__setattr__(self, "p", check_real(self.p, "inclusion probability", 0, 1))
+        object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed", 0, UINT64_MAX))
+        object.__setattr__(self, "trial_index", check_int(self.trial_index, "trial_index", 0, UINT64_MAX))
 
     @property
     def q(self) -> float:
         """Per-ray drop probability 1 - p."""
-        return 1.0 - float(self.p)
+        return 1.0 - self.p
 
 
 def _keep_mask(cfg: SampleConfig, universe: RayUniverse) -> np.ndarray:
     key = np.array([cfg.master_seed, cfg.trial_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(len(universe)) < float(cfg.p)
+    return gen.random(len(universe)) < cfg.p
 
 
 def sample_rays(cfg: SampleConfig) -> set[RayVec]:
@@ -87,9 +85,7 @@ def prob_complete(h: int, q: float) -> tuple[float, float]:
     computed stably as exp(n * log1p(-q)); approx is the surrogate exp(-n*q),
     which exact approaches whenever n * q**2 is small.
     """
-    if not isinstance(q, (int, float)) or not 0.0 <= float(q) <= 1.0:
-        raise ValidationError(f"drop probability must be in [0, 1], got {q!r}")
+    q = check_real(q, "drop probability", 0, 1)
     n = len(enumerate_rays(h))
-    q = float(q)
     exact = 0.0 if q == 1.0 else math.exp(n * math.log1p(-q))
     return exact, math.exp(-n * q)

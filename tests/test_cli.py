@@ -1,14 +1,20 @@
 """End-to-end command-line behavior, including exit codes and file output."""
 
+import copy
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from randfan import blowdown_table, complete_fan, sample_fan, spectrum
+from randfan import MAX_H, blowdown_table, complete_fan, sample_fan, spectrum
 from randfan.cli import main
-from randfan.sampling import SampleConfig
+from randfan.sampling import UINT64_MAX, SampleConfig
 
 RAYS_H1_CSV = "x,y\n1,0\n1,1\n0,1\n-1,1\n-1,0\n-1,-1\n0,-1\n1,-1\n"
 
@@ -105,8 +111,11 @@ def test_spectrum_malformed_json_is_validation_error(tmp_path, capsys):
     bad.write_text('{"rays": [[2, 4]]}')
     code, _, _ = run_cli(capsys, "spectrum", "--in", str(bad))
     assert code == 1
-    # coordinates must be JSON integers: no truncation, no booleans
-    for rays in ('[[1.5, 2], [0, 1]]', '[["a", 2], [0, 1]]', '[[true, 0], [0, 1]]'):
+    # coordinates must be JSON integers (no truncation, no booleans) in
+    # [-MAX_H, MAX_H], where every wedge fits in int64
+    for rays in ('[[1.5, 2], [0, 1]]', '[["a", 2], [0, 1]]', '[[true, 0], [0, 1]]',
+                 '[[1099511627776, 1], [1, 1099511627776], [-1, -1]]',
+                 '[[9223372036854775808, 1], [0, 1]]'):
         bad.write_text('{"rays": %s}' % rays)
         code, out, err = run_cli(capsys, "spectrum", "--in", str(bad))
         assert code == 1 and out == "" and "error:" in err, rays
@@ -205,6 +214,27 @@ def test_sweep_flag_validation(capsys):
         assert "error:" in err
 
 
+def test_inline_flags_and_spec_file_give_identical_output(tmp_path, capsys):
+    cases = [
+        (["--h", "6", "--q", "0.3", "--h", "9", "--q", "0.1", "--k", "2", "--k", "3",
+          "--regime", "q-large", "--c-density", "0.05"],
+         {"h_values": [6, 9], "q_schedule": [0.3, 0.1], "k_list": [2, 3],
+          "regime": "q-large", "c_density": 0.05}),
+        (["--h", "7", "--c", "2", "--alpha", "1.5"],
+         {"h_values": [7], "q_schedule": {"c": 2, "alpha": 1.5}}),
+    ]
+    spec_path = tmp_path / "spec.json"
+    for flags, doc in cases:
+        spec_path.write_text(json.dumps({**doc, "trials": 6, "master_seed": 4}))
+        for fmt in ("csv", "json"):
+            code, inline, _ = run_cli(capsys, "density", *flags, "--trials", "6",
+                                      "--seed", "4", "--format", fmt)
+            code2, from_spec, _ = run_cli(capsys, "density", "--spec", str(spec_path),
+                                          "--format", fmt)
+            assert code == code2 == 0
+            assert inline == from_spec, (flags, fmt)
+
+
 def test_density_reports_requested_thresholds(capsys):
     code, out, _ = run_cli(capsys, "density", "--h", "8", "--q", "0.5",
                            "--trials", "10", "--k", "2", "--k", "3",
@@ -246,3 +276,94 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == RAYS_H1_CSV
+
+
+# --- malformed input at the CLI boundary --------------------------------------
+
+#: Values no numeric field takes: strings, booleans, null and nested lists.
+JUNK = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2).map(lambda v: [v]),
+)
+ANY_FLOAT = st.floats()  # integral floats such as 2.0, and nan and infinities
+#: nan, the infinities, and integers beyond the range of a float.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 2**1024, -(2**1024)])
+NOT_A_LIST = JUNK.filter(lambda v: not isinstance(v, list)) | ANY_FLOAT | st.integers() | st.just([])
+
+
+def bad_int(lo, hi=None):
+    out_of_range = st.integers(max_value=lo - 1)
+    if hi is not None:
+        out_of_range |= st.integers(min_value=hi + 1)
+    return JUNK | ANY_FLOAT | out_of_range
+
+
+SPEC = {"h_values": [3, 8], "q_schedule": [0.2, 0.5], "regime": "q-small", "trials": 3,
+        "k_list": [2, 3], "c_density": 0.01, "master_seed": 1}
+POWER_SPEC = {"h_values": [4], "q_schedule": {"c": 1.0, "alpha": 1.0}, "trials": 2}
+
+
+def _edit(base, path, values):
+    return st.tuples(st.just(base), st.just(path), values)
+
+
+SPEC_EDITS = st.one_of(
+    _edit(SPEC, ("h_values",), NOT_A_LIST),
+    _edit(SPEC, ("h_values", 1), bad_int(1, MAX_H)),
+    _edit(SPEC, ("q_schedule",), JUNK | ANY_FLOAT | st.integers()),
+    _edit(SPEC, ("q_schedule", 0), JUNK | NON_FINITE | st.floats(max_value=-1e-9) | st.integers(max_value=-1)),
+    _edit(POWER_SPEC, ("q_schedule", "c"), JUNK | NON_FINITE | st.floats(max_value=0) | st.integers(max_value=0)),
+    _edit(POWER_SPEC, ("q_schedule", "alpha"), JUNK | NON_FINITE),
+    _edit(SPEC, ("regime",), JUNK | ANY_FLOAT | st.integers()),
+    _edit(SPEC, ("trials",), bad_int(1)),
+    _edit(SPEC, ("k_list",), NOT_A_LIST),
+    _edit(SPEC, ("k_list", 0), bad_int(1)),
+    _edit(SPEC, ("c_density",), JUNK | NON_FINITE | st.floats(max_value=0) | st.floats(min_value=1) | st.integers()),
+    _edit(SPEC, ("master_seed",), bad_int(0, UINT64_MAX)),
+    _edit(SPEC, ("output",), JUNK.filter(lambda v: v is not None) | st.fixed_dictionaries(
+        {"path": JUNK.filter(lambda v: not isinstance(v, str)) | ANY_FLOAT | st.integers(),
+         "format": st.just("csv")})),
+    _edit(SPEC, ("output",), st.fixed_dictionaries(
+        {"path": st.just("no-such-dir/never-written.csv"),
+         "format": JUNK.filter(lambda v: v not in ("csv", "json")) | ANY_FLOAT})),
+)
+
+RECORD = {"rays": [[1, 0], [0, 1], [-1, -1], [2, 1]]}
+RECORD_EDITS = st.one_of(
+    _edit(RECORD, ("rays", 2), JUNK | ANY_FLOAT | st.integers()),
+    _edit(RECORD, ("rays", 3, 0), JUNK | ANY_FLOAT
+          | st.integers(min_value=MAX_H + 1) | st.integers(max_value=-MAX_H - 1)),
+)
+
+
+def _apply(base, path, value):
+    doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edit=st.one_of(
+    st.tuples(st.just("density"), SPEC_EDITS),
+    st.tuples(st.just("spectrum"), RECORD_EDITS),
+))
+def test_malformed_specs_and_records_exit_1(edit, capsys):
+    # main() is called in-process: one malformed field or coordinate in an
+    # otherwise small valid spec or fan record must give exit 1 and an
+    # error line, never a traceback and never output
+    command, (base, path, value) = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "doc.json"
+        doc_path.write_text(json.dumps(_apply(base, path, value)))
+        flag = "--spec" if command == "density" else "--in"
+        code = main([command, flag, str(doc_path)])
+    captured = capsys.readouterr()
+    assert code == 1, (path, value)
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

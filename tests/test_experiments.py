@@ -63,6 +63,12 @@ def test_spec_validation_rejects_bad_fields():
         dict(output={"path": "x.csv"}),
         dict(output={"path": "x.csv", "format": "xml"}),
         dict(output={"path": "x.csv", "format": "csv", "extra": 1}),
+        dict(h_values=[True]),
+        dict(trials=True),
+        dict(k_list=[True]),
+        dict(master_seed=True),
+        dict(q_schedule=[True]),
+        dict(q_schedule=["0.5"]),
     ]
     for overrides in bad:
         with pytest.raises(ValidationError):
@@ -136,6 +142,20 @@ def test_spec_from_dict_rejects_malformed_documents():
         spec_from_dict({**good, "q_schedule": {"c": 1.0, "alpha": 1.0, "z": 0}})
     with pytest.raises(ValidationError):
         spec_from_dict({**good, "q_schedule": "power"})
+    # numbers are never coerced: no int()/float() of strings, floats or bools
+    for overrides in [
+        {"h_values": [1.5]},
+        {"h_values": ["6"]},
+        {"h_values": 6},
+        {"h_values": [None]},
+        {"q_schedule": [None]},
+        {"q_schedule": {"c": "2", "alpha": 1}},
+        {"q_schedule": {"c": "x", "alpha": 1}},
+        {"k_list": 2},
+        {"output": {"path": 5, "format": "csv"}},
+    ]:
+        with pytest.raises(ValidationError):
+            spec_from_dict({**good, **overrides})
 
 
 def test_spec_from_file(tmp_path):

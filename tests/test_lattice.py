@@ -94,7 +94,8 @@ def test_angular_compare_accepts_rayvecs():
 
 
 def test_enumerate_rays_validation():
-    for bad in [0, -3, MAX_H + 1]:
+    enumerate_rays(np.int64(1))  # True must not hit this cache entry
+    for bad in [0, -3, MAX_H + 1, True, "5"]:
         with pytest.raises(ValidationError):
             enumerate_rays(bad)
     with pytest.raises(ValidationError):

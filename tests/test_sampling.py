@@ -101,6 +101,9 @@ def test_config_validation():
         dict(h=5, p=0.5, master_seed=2**64),
         dict(h=5, p=0.5, trial_index=-2),
         dict(h=5, p=0.5, trial_index=2**64),
+        dict(h=True, p=0.5),
+        dict(h=5, p=True),
+        dict(h=5, p=0.5, master_seed=True),
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
