@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
-from .lattice import RayUniverse, RayVec, _check_height, enumerate_rays, is_primitive, wedge
+from .lattice import RayUniverse, RayVec, _check_height, _ray_ints, enumerate_rays, is_primitive, wedge
 
 
 class BlowdownTable(Mapping):
@@ -103,9 +103,8 @@ def blowdown_index(h: int, ray) -> int:
     Cross-checked against |wedge(tau, omega)|; a mismatch raises rather than
     being silently ignored.
     """
-    tau, omega = neighbors(h, ray)
-    x, y = ray
-    x, y = int(x), int(y)
+    x, y = _ray_ints(ray)
+    tau, omega = neighbors(h, (x, y))
     sx, sy = tau.x + omega.x, tau.y + omega.y
     k = sx // x if x != 0 else sy // y
     if k < 1 or (k * x, k * y) != (sx, sy):
@@ -191,8 +190,7 @@ def smooth_partners(h: int, ray) -> list[RayVec]:
     the two lattice lines at distance 1 from the ray's span, which caps each
     side at 2h / sup_norm(ray) + 1 points.  The cap is enforced.
     """
-    x, y = ray
-    x, y = int(x), int(y)
+    x, y = _ray_ints(ray)
     if not is_primitive(x, y):
         raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
     universe = enumerate_rays(h)

@@ -1,11 +1,13 @@
 """Monte Carlo sweeps, report tables, and deterministic CSV/JSON emission.
 
 A sweep is a grid of (height, drop-probability) cells; each cell runs a fixed
-number of seeded trials (one sampled fan per trial, keyed by master_seed and
-the trial index alone) and aggregates them into a single summary row.  Trial
-RNG streams never depend on worker count or scheduling, and rows are emitted
-in grid order with a canonical number format, so a sweep's output is
-byte-identical across runs and thread pools.
+number of seeded trials (one draw per trial, keyed by master_seed and the
+trial index alone) and aggregates them into a single summary row.  A trial is
+classified from its dropped runs: the full fan is smooth, so a draw differs
+from it only where maximal runs of consecutive rays were dropped, and no fan
+is built.  Trial RNG streams never depend on worker count or scheduling, and
+rows are emitted in grid order with a canonical number format, so a sweep's
+output is byte-identical across runs and thread pools.
 
 Report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, sharing the same
@@ -25,14 +27,14 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
-from .errors import ValidationError, check_int, check_real
-from .fans import delta_k
+from .errors import InvariantError, ValidationError, check_int, check_real
 from .lattice import RayUniverse, _check_height, enumerate_rays
-from .sampling import UINT64_MAX, SampleConfig, sample_fan
+from .sampling import UINT64_MAX, SampleConfig, _keep_mask
 
 FORMATS = ("csv", "json")
 
@@ -62,7 +64,7 @@ def _nonempty_list(values, name: str) -> list:
     return list(values)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
     """Configuration of one seeded sweep.
 
@@ -72,7 +74,8 @@ class ExperimentSpec:
     ("q-small") or its complement 1 - q ("q-large", the almost-everything-
     dropped end).  output, when set, is {"path": ..., "format": "csv"|"json"}.
     Numbers must be of the right kind, never bool or str, and are stored as
-    Python int and float; the sequences are stored as lists.
+    Python int and float; the sequences are stored as lists.  The spec is
+    frozen, so no field can skip these checks by a later assignment.
     """
 
     h_values: list[int]
@@ -85,20 +88,23 @@ class ExperimentSpec:
     output: dict | None = None
 
     def __post_init__(self):
-        self.h_values = [_check_height(h) for h in _nonempty_list(self.h_values, "h_values")]
+        # stored normalised; the dataclass is frozen
+        heights = _nonempty_list(self.h_values, "h_values")
+        object.__setattr__(self, "h_values", [_check_height(h) for h in heights])
         if not isinstance(self.q_schedule, PowerSchedule):
             values = _nonempty_list(self.q_schedule, "explicit q_schedule")
             if len(values) != len(self.h_values):
                 raise ValidationError(
                     f"explicit q_schedule has {len(values)} values for {len(self.h_values)} heights"
                 )
-            self.q_schedule = [check_real(v, "schedule value", 0) for v in values]
+            object.__setattr__(self, "q_schedule", [check_real(v, "schedule value", 0) for v in values])
         if self.regime not in ("q-small", "q-large"):
             raise ValidationError(f"regime must be 'q-small' or 'q-large', got {self.regime!r}")
-        self.trials = check_int(self.trials, "trials", 1)
-        self.k_list = [check_int(k, "k_list entry", 1) for k in _nonempty_list(self.k_list, "k_list")]
-        self.c_density = check_real(self.c_density, "c_density", 0, 1, exclusive=True)
-        self.master_seed = check_int(self.master_seed, "master_seed", 0, UINT64_MAX)
+        ks = _nonempty_list(self.k_list, "k_list")
+        object.__setattr__(self, "trials", check_int(self.trials, "trials", 1))
+        object.__setattr__(self, "k_list", [check_int(k, "k_list entry", 1) for k in ks])
+        object.__setattr__(self, "c_density", check_real(self.c_density, "c_density", 0, 1, exclusive=True))
+        object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed", 0, UINT64_MAX))
         if self.output is not None:
             if (
                 not isinstance(self.output, dict)
@@ -192,15 +198,74 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
+@lru_cache(maxsize=4, typed=True)  # typed for the reason given at enumerate_rays
+def _smooth_universe(h: int) -> RayUniverse:
+    """The height-h universe, once checked to form a smooth full fan: every
+    pair of cyclic neighbours has wedge exactly 1.  run_trial relies on it."""
+    universe = enumerate_rays(h)
+    c = universe.coords
+    nxt = np.roll(c, -1, axis=0)
+    w = c[:, 0] * nxt[:, 1] - c[:, 1] * nxt[:, 0]
+    bad = np.flatnonzero(w != 1)
+    if len(bad):
+        i = int(bad[0])
+        j = (i + 1) % len(c)
+        u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
+        raise InvariantError(
+            f"height {h}: neighbouring rays {u} at position {i} and {v} at "
+            f"position {j} have wedge {int(w[i])}, not 1"
+        )
+    return universe
+
+
+def _gap_wedges(coords: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """wedge(previous kept ray, next kept ray) across each maximal run of
+    dropped positions; a run through positions n - 1 and 0 counts once.
+    Needs at least one kept ray."""
+    n = len(coords)
+    cut = np.flatnonzero(np.diff(dropped) != 1) + 1
+    starts = np.concatenate((dropped[:1], dropped[cut]))
+    ends = np.concatenate((dropped[cut - 1], dropped[-1:]))
+    if starts[0] == 0 and ends[-1] == n - 1:  # the last run wraps into the first
+        starts, ends = starts[1:], np.concatenate((ends[1:-1], ends[:1]))
+    before = coords[starts - 1]
+    after = coords[(ends + 1) % n]
+    return before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0]
+
+
 def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> TrialRecord:
-    """One draw at drop probability q, classified and measured."""
+    """One draw at drop probability q, classified from its dropped runs.
+
+    The draw is sample_fan's (the same keep mask), and the record equals
+    the one its Fan would give, but no fan is built.  Every cyclic
+    neighbour pair of the full fan spans a cone of index 1, so kept
+    neighbours with nothing dropped between them give unit cones; across
+    each maximal run of dropped rays the two flanking kept rays span one
+    cone of index wedge(before, after), or none when the gap is at least a
+    half turn (wedge <= 0).  A cone of index >= k >= 2 is therefore a gap
+    cone.
+    """
     cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
-    fan = sample_fan(cfg)
-    m = fan.n_cones
-    max_index = int(fan.cone_indices.max()) if m else 0
-    deltas = {int(k): delta_k(fan, int(k)) for k in k_list}
+    ks = [check_int(k, "index threshold", 1) for k in k_list]
+    universe = _smooth_universe(cfg.h)
+    dropped = np.flatnonzero(~_keep_mask(cfg, universe))
+    kept = len(universe) - len(dropped)
+    if kept < 2:
+        # no cone: nothing kept, or a lone ray whose neighbour is itself
+        unit_cones, gap_cones = 0, np.empty(0, dtype=np.int64)
+    elif len(dropped) == 0:
+        unit_cones, gap_cones = kept, np.empty(0, dtype=np.int64)
+    else:
+        gaps = _gap_wedges(universe.coords, dropped)
+        unit_cones, gap_cones = kept - len(gaps), gaps[gaps > 0]
+    m = unit_cones + len(gap_cones)
+    max_index = int(gap_cones.max()) if len(gap_cones) else (1 if m else 0)
+    deltas = {}
+    for k in ks:
+        at_least = int(np.count_nonzero(gap_cones >= k)) + (unit_cones if k == 1 else 0)
+        deltas[k] = Fraction(at_least, m) if m else None
     return TrialRecord(
-        h=h, q=q, trial_index=trial_index, n_rays_drawn=fan.n_rays,
+        h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,
         n_cones=m, smooth=max_index <= 1, max_index=max_index, delta_k=deltas,
     )
 
@@ -264,9 +329,9 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
         if workers == 1:
             records = [one_trial(t) for t in range(spec.trials)]
         else:
-            # build the universe before the threads ask for it: concurrent
-            # cache misses would each build it
-            enumerate_rays(h)
+            # build and check the universe before the threads ask for it:
+            # concurrent cache misses would each build it
+            _smooth_universe(h)
             # map() preserves submission order; streams are keyed by trial
             # index, so scheduling cannot leak into the records
             with ThreadPoolExecutor(max_workers=workers) as pool:

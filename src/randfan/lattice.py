@@ -60,6 +60,12 @@ def wedge(u, v) -> int:
     return int(ux) * int(vy) - int(uy) * int(vx)
 
 
+def _ray_ints(ray) -> tuple[int, int]:
+    # a ray's (x, y) as Python ints, never truncated from floats
+    x, y = ray
+    return check_int(x, "ray coordinate"), check_int(y, "ray coordinate")
+
+
 def _arc_class(x: int, y: int) -> int:
     # 0..7 counter-clockwise from the positive x-axis; even values are the
     # four axis directions, odd values the open quadrants between them.
@@ -163,8 +169,7 @@ class RayUniverse:
             yield RayVec(x, y)
 
     def __contains__(self, ray) -> bool:
-        x, y = ray
-        x, y = int(x), int(y)
+        x, y = _ray_ints(ray)
         return is_primitive(x, y) and max(abs(x), abs(y)) <= self.h
 
     def __repr__(self) -> str:
@@ -178,8 +183,7 @@ class RayUniverse:
 
     def index_of(self, ray) -> int:
         """Position of a ray in canonical order, by exact binary search."""
-        x, y = ray
-        x, y = int(x), int(y)
+        x, y = _ray_ints(ray)
         if (x, y) not in self:
             raise ValidationError(
                 f"({x}, {y}) is not a primitive vector of sup-norm <= {self.h}"

@@ -133,3 +133,24 @@ def row_render(rows, format: str, *, columns) -> str:
         return "\n".join(lines) + "\n"
     docs = [{c: _json_value(row[c]) for c in columns} for row in rows]
     return json.dumps(docs, indent=2, ensure_ascii=False) + "\n"
+
+
+def fan_trial(h, q, master_seed, trial_index, k_list):
+    """The TrialRecord of one draw, classified through a built Fan.
+
+    The body run_trial had before trials were classified from their dropped
+    runs: sample_fan, then the Fan's cone indices and delta_k.
+    """
+    from randfan.experiments import TrialRecord
+    from randfan.fans import delta_k
+    from randfan.sampling import SampleConfig, sample_fan
+
+    cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
+    fan = sample_fan(cfg)
+    m = fan.n_cones
+    max_index = int(fan.cone_indices.max()) if m else 0
+    deltas = {int(k): delta_k(fan, int(k)) for k in k_list}
+    return TrialRecord(
+        h=h, q=q, trial_index=trial_index, n_rays_drawn=fan.n_rays,
+        n_cones=m, smooth=max_index <= 1, max_index=max_index, delta_k=deltas,
+    )

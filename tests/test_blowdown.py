@@ -46,6 +46,8 @@ def test_neighbors_rejects_outsiders():
         neighbors(5, (6, 1))
     with pytest.raises(ValidationError):
         neighbors(5, (2, 4))
+    with pytest.raises(ValidationError):
+        blowdown_index(3, (1.9, 0))
 
 
 def test_unit_height_indices():
@@ -212,6 +214,8 @@ def test_smooth_partners_accepts_rays_above_height():
                                        if abs(5 * p[1] - 2 * p[0]) == 1}
     with pytest.raises(ValidationError):
         smooth_partners(2, (4, 2))
+    with pytest.raises(ValidationError):
+        smooth_partners(3, (1.2, 0))
 
 
 def test_tampered_table_raises_invariant_error():

@@ -1,5 +1,6 @@
 """Sweep machinery: specs, trials, aggregation, deterministic emission."""
 
+import dataclasses
 import json
 import math
 import os
@@ -73,6 +74,13 @@ def test_spec_validation_rejects_bad_fields():
     for overrides in bad:
         with pytest.raises(ValidationError):
             _spec(**overrides)
+
+
+def test_spec_fields_cannot_be_reassigned():
+    spec = _spec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.trials = True
+    assert spec.trials == 10
 
 
 def test_power_schedule_validation():

@@ -121,6 +121,12 @@ def test_universe_membership_and_indexing():
         u.index_of((8, 1))
     with pytest.raises(ValidationError):
         u.index_of((2, 4))
+    # float coordinates are refused, never truncated onto a ray
+    u3 = enumerate_rays(3)
+    with pytest.raises(ValidationError):
+        (1.5, 0) in u3
+    with pytest.raises(ValidationError):
+        u3.index_of((1.5, 0))
 
 
 def test_universe_iteration_yields_rayvecs_in_order():
