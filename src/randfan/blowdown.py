@@ -8,8 +8,11 @@ smooth, so that index is the unique integer k >= 1 with
     k * u_rho = u_tau + u_omega
 
 for the angular neighbors tau, omega of rho, and it also equals
-|wedge(u_tau, u_omega)|.  Everything here computes both forms in exact
-integer arithmetic and refuses to return if they disagree.
+|wedge(u_tau, u_omega)|.  The table takes each index from the Farey walk
+that enumerates the rays (its step multiplier) and checks it against both
+forms on every ray; blowdown_index solves one ray from its neighbours and
+checks the same.  All of it is exact integer arithmetic, and nothing is
+returned if the forms disagree.
 
 Norm bands: k * sup_norm(rho) <= 2h holds exactly for every ray (the
 neighbor sum has sup-norm at most 2h), while the lower bound
@@ -22,11 +25,24 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
-from .lattice import RayUniverse, RayVec, _check_height, _ray_ints, enumerate_rays, is_primitive, wedge
+from .lattice import (
+    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, _walk, enumerate_rays,
+    is_primitive, wedge,
+)
+
+
+#: Rows per block of the vectorized checks; bounds their temporaries.
+_BLOCK = 1 << 16
+
+
+def _fail(h: int, i: int, ray, tau, omega, what: str) -> NoReturn:
+    ray, tau, omega = (tuple(np.asarray(v).tolist()) for v in (ray, tau, omega))
+    raise InvariantError(f"height {h}: ray {ray} at position {i}, between {tau} and {omega}: {what}")
 
 
 class BlowdownTable(Mapping):
@@ -41,12 +57,22 @@ class BlowdownTable(Mapping):
     __slots__ = ("_universe", "_k", "epsilon")
 
     def __init__(self, universe: RayUniverse, k_values: np.ndarray, epsilon: float):
+        if len(k_values) != len(universe):
+            raise InvariantError(
+                f"height {universe.h}: {len(k_values)} indices for {len(universe)} rays"
+            )
         k_values.flags.writeable = False
-        c = universe.coords
-        norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
         # the upper band holds exactly for every ray: enforce it, never measure it
-        if not bool((k_values * norms <= 2 * universe.h).all()):
-            raise InvariantError("a blowdown index violates k * |ray| <= 2h")
+        h, coords, n = universe.h, universe.coords, len(universe)
+        for lo in range(0, n, _BLOCK):
+            c = coords[lo : lo + _BLOCK]
+            k = k_values[lo : lo + _BLOCK]
+            norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
+            bad = k * norms > 2 * h
+            if bad.any():
+                i = lo + int(np.argmax(bad))
+                _fail(h, i, coords[i], coords[i - 1], coords[(i + 1) % n],
+                      f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
         self._universe = universe
         self._k = k_values
         self.epsilon = epsilon
@@ -118,27 +144,46 @@ def blowdown_index(h: int, ray) -> int:
 
 @lru_cache(maxsize=2, typed=True)  # typed for the reason given at enumerate_rays
 def blowdown_table(h: int) -> BlowdownTable:
-    """Blowdown index of every ray at height h, in one vectorized pass.
+    """Blowdown index of every ray at height h, verified on every ray.
 
-    Solves k * u = u_tau + u_omega for all rays at once and verifies, for
-    every ray, both the componentwise identity and agreement with the
-    neighbor wedge |wedge(tau, omega)|.  Results are cached.
+    The octant walk that enumerates the rays also yields each ray's index
+    (its step multiplier); the indices are unfolded to the whole circle by
+    the symmetries that unfold the rays.  Nothing is solved here: for every
+    ray, k >= 1, k * u == u_tau + u_omega and |wedge(tau, omega)| == k are
+    checked, and the table checks k * |u| <= 2h.  Any failure raises
+    InvariantError naming the height, position, ray, neighbours and values.
+    Results are cached.
     """
     universe = enumerate_rays(h)
     c = universe.coords
-    tau = np.roll(c, 1, axis=0)
-    omega = np.roll(c, -1, axis=0)
-    s = tau + omega
-    # divide by whichever coordinate is nonzero (primitive vectors have one)
-    safe_x = np.where(c[:, 0] != 0, c[:, 0], 1)
-    safe_y = np.where(c[:, 1] != 0, c[:, 1], 1)
-    k = np.where(c[:, 0] != 0, s[:, 0] // safe_x, s[:, 1] // safe_y)
-    if not bool((k >= 1).all()) or not bool((k[:, None] * c == s).all()):
-        raise InvariantError("a neighbor sum is not a positive multiple of its ray")
-    cross = np.abs(tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0])
-    if not bool((cross == k).all()):
-        raise InvariantError("neighbor-sum indices disagree with neighbor wedges")
+    k = _unfold_indices(_walk(universe.h)[1])
+    n = len(c)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        # neighbours by slicing; only the first and last block wrap around
+        tau = c[lo - 1 : hi - 1] if lo else np.concatenate((c[-1:], c[: hi - 1]))
+        omega = c[lo + 1 : hi + 1] if hi < n else np.concatenate((c[lo + 1 :], c[:1]))
+        _verify_rows(universe.h, lo, c[lo:hi], tau, omega, k[lo:hi])
     return BlowdownTable(universe, k, epsilon_of(h))
+
+
+def _verify_rows(h: int, lo: int, u, tau, omega, k) -> None:
+    # rays u at positions lo, lo + 1, ... of the height-h universe, with
+    # their neighbours tau, omega and their indices k, all aligned
+    s_x = tau[:, 0] + omega[:, 0]
+    s_y = tau[:, 1] + omega[:, 1]
+    w = tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0]
+    checks = (
+        (k < 1, "index {k} is below 1"),
+        ((k * u[:, 0] != s_x) | (k * u[:, 1] != s_y),
+         "neighbour sum ({sx}, {sy}) is not {k} times the ray"),
+        (np.abs(w) != k, "index {k} but the neighbours' wedge is {w}"),
+    )
+    bad = checks[0][0] | checks[1][0] | checks[2][0]
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = next(what for failed, what in checks if failed[i])
+        _fail(h, lo + i, u[i], tau[i], omega[i], what.format(k=k[i], sx=s_x[i], sy=s_y[i], w=w[i]))
 
 
 def ratio_geq(h: int, k: int) -> Fraction:
@@ -190,7 +235,7 @@ def smooth_partners(h: int, ray) -> list[RayVec]:
     the two lattice lines at distance 1 from the ray's span, which caps each
     side at 2h / sup_norm(ray) + 1 points.  The cap is enforced.
     """
-    x, y = _ray_ints(ray)
+    x, y = _ray_ints(ray, MAX_H)  # keeps the wedges below in int64
     if not is_primitive(x, y):
         raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
     universe = enumerate_rays(h)

@@ -471,15 +471,19 @@ def _json_cell(value) -> str:
     return json.dumps(_json_value(value), indent=2, ensure_ascii=False).replace("\n", "\n    ")
 
 
+#: Rows rendered per block; bounds the per-cell objects alive at once.
+_RENDER_ROWS = 1 << 14
+
+
 def render(table, format: str, *, columns) -> str:
     """Render a table to canonical text: CSV (header + LF lines) or a JSON list.
 
     table is a structured array whose fields include the named columns, or
     a sequence of row mappings, which is transposed into columns.  Either
-    way each column is encoded once: an integer array in bulk, any other
-    column cell by cell (format_cell for CSV, plain JSON values for JSON).
-    The JSON text is exactly json.dumps(list_of_row_dicts, indent=2,
-    ensure_ascii=False).
+    way each column is encoded once per block of rows: an integer array in
+    bulk, any other column cell by cell (format_cell for CSV, plain JSON
+    values for JSON).  The JSON text is exactly json.dumps(list_of_row_dicts,
+    indent=2, ensure_ascii=False).
     """
     if format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
@@ -489,26 +493,28 @@ def render(table, format: str, *, columns) -> str:
     else:
         table = list(table)
         cols = [[row[c] for row in table] for c in columns]
+    n = len(table)
     encode = format_cell if format == "csv" else _json_cell
-    # every cell in row-major order, filled one column at a time: Python
-    # ints for %d, encoded strings for %s
-    cells = np.empty((len(table), len(columns)), dtype=object)
-    specs = []
-    for j, col in enumerate(cols):
-        if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-            cells[:, j] = col
-            specs.append("%d")
-        else:
-            cells[:, j] = [encode(v) for v in col]
-            specs.append("%s")
-    values = tuple(cells.ravel().tolist())
+    # Python ints for %d, encoded strings for %s
+    specs = ["%d" if isinstance(col, np.ndarray) and col.dtype.kind in "iu" else "%s" for col in cols]
     if format == "csv":
-        return ",".join(columns) + "\n" + ((",".join(specs) + "\n") * len(table)) % values
-    if not len(table):
-        return "[]\n"
-    keys = [json.dumps(c, ensure_ascii=False).replace("%", "%%") for c in columns]
-    row = "  {\n" + ",\n".join(f"    {k}: {spec}" for k, spec in zip(keys, specs)) + "\n  }"
-    return "[\n" + ",\n".join([row] * len(table)) % values + "\n]\n"
+        row, sep = ",".join(specs) + "\n", ""
+    else:
+        keys = [json.dumps(c, ensure_ascii=False).replace("%", "%%") for c in columns]
+        row = "  {\n" + ",\n".join(f"    {k}: {spec}" for k, spec in zip(keys, specs)) + "\n  }"
+        sep = ",\n"
+    blocks = []
+    for lo in range(0, n, _RENDER_ROWS):
+        block = [col[lo : lo + _RENDER_ROWS] for col in cols]
+        m = min(_RENDER_ROWS, n - lo)
+        # every cell of the block in row-major order, filled one column at a time
+        cells = np.empty((m, len(cols)), dtype=object)
+        for j, (col, spec) in enumerate(zip(block, specs)):
+            cells[:, j] = col if spec == "%d" else [encode(v) for v in col]
+        blocks.append(sep.join([row] * m) % tuple(cells.ravel().tolist()))
+    if format == "csv":
+        return ",".join(columns) + "\n" + "".join(blocks)
+    return "[\n" + sep.join(blocks) + "\n]\n" if n else "[]\n"
 
 
 def write_text(path, text: str) -> None:

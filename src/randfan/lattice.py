@@ -5,6 +5,12 @@ represented by its minimal (primitive) integer generator.  Everything that
 decides anything here is exact integer arithmetic: primitivity, the sup-norm,
 the wedge determinant, and the counter-clockwise angular order starting at
 (1, 0).  Floating point appears nowhere in this module.
+
+The rays are enumerated by a Farey walk over the first octant, run as
+numpy lanes in lock step, and unfolded to the circle by symmetry.  The
+walk's step multiplier is the blowdown index of the ray it passes; the
+blowdown module takes those indices and checks each one against both of
+its identities (neighbour sum and neighbour wedge) before using it.
 """
 
 from __future__ import annotations
@@ -60,10 +66,11 @@ def wedge(u, v) -> int:
     return int(ux) * int(vy) - int(uy) * int(vx)
 
 
-def _ray_ints(ray) -> tuple[int, int]:
-    # a ray's (x, y) as Python ints, never truncated from floats
+def _ray_ints(ray, bound=math.inf) -> tuple[int, int]:
+    # a ray's (x, y) as Python ints in [-bound, bound], never truncated from floats
     x, y = ray
-    return check_int(x, "ray coordinate"), check_int(y, "ray coordinate")
+    return (check_int(x, "ray coordinate", -bound, bound),
+            check_int(y, "ray coordinate", -bound, bound))
 
 
 def _arc_class(x: int, y: int) -> int:
@@ -105,37 +112,140 @@ def angular_compare(u, v) -> int:
     return _compare_xy(int(ux), int(uy), int(vx), int(vy))
 
 
-def _first_octant(h: int) -> np.ndarray:
-    # Mediant walk over the ascending fractions y/x in [0, 1] with x <= h:
-    # from neighbors a/b < c/d the next term is (k*c - a)/(k*d - b) with
-    # k = (h + b) // d.  Emits the arc from (1, 0) to (1, 1) already sorted.
-    xs = [1]
-    ys = [0]
-    a, b, c, d = 0, 1, 1, h
-    while (c, d) != (1, 1):
-        xs.append(d)
-        ys.append(c)
+#: Lanes of the octant walk; each lane walks one slice of the Farey sequence.
+_LANES = 1024
+
+#: Refuse a universe whose estimated build exceeds this share of MemAvailable.
+_MEMORY_SHARE = 0.5
+
+
+def _lane_rows(h: int, lanes: int) -> int:
+    # Bound on the fractions of order h in [i/L, (i+1)/L): at most
+    # ceil(q/L) of them have denominator q, summed over q = 1..h.
+    m, r = divmod(h, lanes)
+    return lanes * m * (m + 1) // 2 + r * (m + 1)
+
+
+def _mem_available() -> int | None:
+    """MemAvailable in bytes from /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def _check_memory(h: int) -> None:
+    # the walk buffer (x, y and k per lane and step), the octant it yields
+    # (coordinates and indices) and the unfolded circle (16 B per ray)
+    lanes = min(_LANES, h)
+    n_rays = 2.44 * h * h + 8
+    need = 24 * lanes * _lane_rows(h, lanes) + 24 * n_rays / 8 + 16 * n_rays
+    available = _mem_available()
+    if available is not None and need > _MEMORY_SHARE * available:
+        raise ValidationError(
+            f"height {h} needs about {need / 2**20:.0f} MiB to enumerate its rays, "
+            f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
+        )
+
+
+def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first octant, from (1, 0) to (1, 1) in ascending order, and the
+    blowdown index of each of its rays, as an (m, 2) and an (m,) int64 array.
+
+    The octant's rays (x, y) are the Farey fractions y/x of order h.  From
+    neighbours a/b < c/d the next fraction is (k*c - a)/(k*d - b) with
+    k = (h + b) // d, so k * (d, c) = (b, a) + (next x, next y): k is the
+    blowdown index of (d, c).  L lanes walk in lock step; lane i starts at
+    i/L, whose predecessor a/b has b = c^-1 (mod d), the largest such b <= h
+    (lane 0 starts at 0/1 after -1/h, the ray (h, -1)), and stops at the
+    next lane's start.  (1, 1) closes the arc with index 2h - 1.
+    """
+    _check_memory(h)
+    lanes = min(_LANES, h)
+    i = np.arange(lanes + 1)
+    g = np.gcd(i, lanes)
+    num, den = i // g, lanes // g  # i/L in lowest terms, from 0/1 to 1/1
+    c, d, stop_c, stop_d = num[:-1], den[:-1], num[1:], den[1:]
+    # the predecessor a/b of c/d has b*c - a*d = 1 and h - d < b <= h
+    b = np.array([pow(int(ci), -1, int(di)) if di > 1 else 0 for ci, di in zip(c, d)],
+                 dtype=np.int64)
+    b += (h - b) // d * d
+    a = (b * c - 1) // d
+    rows = _lane_rows(h, lanes)
+    xs = np.empty((rows, lanes), dtype=np.int64)
+    ys = np.empty((rows, lanes), dtype=np.int64)
+    ks = np.empty((rows, lanes), dtype=np.int64)
+    length = np.zeros(lanes, dtype=np.int64)
+    live = np.ones(lanes, dtype=bool)
+    for step in range(rows):
+        # lanes past their stop keep walking the next lane's slice, unread
+        xs[step] = d
+        ys[step] = c
         k = (h + b) // d
+        ks[step] = k
         a, b, c, d = c, d, k * c - a, k * d - b
-    xs.append(1)
-    ys.append(1)
-    out = np.empty((len(xs), 2), dtype=np.int64)
-    out[:, 0] = xs
-    out[:, 1] = ys
-    return out
+        length += live
+        live &= (c != stop_c) | (d != stop_d)
+        if not live.any():
+            break
+    else:
+        raise InvariantError(f"height {h}: the octant walk overran its {rows} rows per lane")
+    taken = np.arange(step + 1) < length[:, None]  # lane-major, like the arc
+    m = int(length.sum()) + 1
+    octant = np.empty((m, 2), dtype=np.int64)
+    octant[:-1, 0] = xs[: step + 1].T[taken]
+    octant[:-1, 1] = ys[: step + 1].T[taken]
+    octant[-1] = 1
+    k = np.empty(m, dtype=np.int64)
+    k[:-1] = ks[: step + 1].T[taken]
+    k[-1] = 2 * h - 1
+    return octant, k
+
+
+@lru_cache(maxsize=4, typed=True)  # typed for the reason given at enumerate_rays
+def _walk(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full circle of rays and the first octant's blowdown indices, from
+    one _farey_walk, computed once per height and read-only."""
+    octant, k = _farey_walk(h)
+    circle = _unfold_full_circle(octant)
+    circle.flags.writeable = False
+    k.flags.writeable = False
+    return circle, k
 
 
 def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
-    # Extend the sorted arc [0, pi/4] to the full circle by symmetry; each
-    # step reuses the previous arc in an order-preserving way, so the result
-    # is exactly sorted without comparing anything.
-    mirror = octant[:-1][::-1, ::-1]  # reflect across y = x: (pi/4, pi/2]
-    quadrant = np.concatenate([octant, mirror])
-    rotated = np.empty_like(quadrant[1:])  # quarter turn: (pi/2, pi]
-    rotated[:, 0] = -quadrant[1:, 1]
-    rotated[:, 1] = quadrant[1:, 0]
-    half = np.concatenate([quadrant, rotated])
-    return np.concatenate([half[:-1], -half[:-1]])  # antipodes: (pi, 2*pi)
+    # Extend the sorted arc [0, pi/4] of m rays to the full circle of
+    # 8(m - 1) by symmetry; each step reuses the previous arc in an
+    # order-preserving way, so the result is exactly sorted without
+    # comparing anything.
+    m = len(octant)
+    q = m - 1
+    out = np.empty((8 * q, 2), dtype=np.int64)
+    out[:m] = octant
+    out[m : 2 * q + 1] = octant[-2::-1, ::-1]  # reflect across y = x: (pi/4, pi/2]
+    out[2 * q + 1 : 4 * q, 0] = -out[1 : 2 * q, 1]  # quarter turn: (pi/2, pi)
+    out[2 * q + 1 : 4 * q, 1] = out[1 : 2 * q, 0]
+    out[4 * q :] = -out[: 4 * q]  # antipodes: [pi, 2*pi)
+    return out
+
+
+def _unfold_indices(k: np.ndarray) -> np.ndarray:
+    """Per-ray values of the first octant (one per ray, from (1, 0) to
+    (1, 1)) carried to the whole circle in canonical order, by the same
+    symmetries that unfold the coordinates.  The square's symmetries keep
+    the lattice and angular adjacency, so a blowdown index is invariant."""
+    m = len(k)
+    q = m - 1
+    out = np.empty(8 * q, dtype=k.dtype)
+    out[:m] = k
+    out[m : 2 * q + 1] = k[-2::-1]
+    out[2 * q + 1 : 4 * q] = out[1 : 2 * q]
+    out[4 * q :] = out[: 4 * q]
+    return out
 
 
 class RayUniverse:
@@ -210,10 +320,13 @@ def _check_height(h) -> int:
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
 
-    The first octant comes out of a mediant walk already in ascending order
-    and the rest of the circle is unfolded from it by symmetry, so the result
-    is exactly sorted with no comparisons and no floating point.  Universes
-    are cached (the enumeration dominates everything built on top of it).
+    The first octant comes out of a lock-step Farey walk already in
+    ascending order and the rest of the circle is unfolded from it by
+    symmetry, so the result is exactly sorted with no comparisons and no
+    floating point.  Universes are cached (the enumeration dominates
+    everything built on top of it).  Heights whose estimated build exceeds
+    half of MemAvailable are refused with ValidationError before anything
+    is allocated.
     """
     h = _check_height(h)
-    return RayUniverse(h, _unfold_full_circle(_first_octant(h)))
+    return RayUniverse(h, _walk(h)[0])

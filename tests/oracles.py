@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from randfan.errors import ValidationError
+from randfan.errors import InvariantError, ValidationError
 
 FORMATS = ("csv", "json")
 
@@ -154,3 +154,63 @@ def fan_trial(h, q, master_seed, trial_index, k_list):
         h=h, q=q, trial_index=trial_index, n_rays_drawn=fan.n_rays,
         n_cones=m, smooth=max_index <= 1, max_index=max_index, delta_k=deltas,
     )
+
+
+def first_octant(h: int) -> np.ndarray:
+    """The first octant, (1, 0) to (1, 1), by the one-lane Python mediant walk.
+
+    The body the package's octant walk had before it ran in numpy lanes.
+    """
+    # Mediant walk over the ascending fractions y/x in [0, 1] with x <= h:
+    # from neighbors a/b < c/d the next term is (k*c - a)/(k*d - b) with
+    # k = (h + b) // d.  Emits the arc from (1, 0) to (1, 1) already sorted.
+    xs = [1]
+    ys = [0]
+    a, b, c, d = 0, 1, 1, h
+    while (c, d) != (1, 1):
+        xs.append(d)
+        ys.append(c)
+        k = (h + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    xs.append(1)
+    ys.append(1)
+    out = np.empty((len(xs), 2), dtype=np.int64)
+    out[:, 0] = xs
+    out[:, 1] = ys
+    return out
+
+
+def concat_unfold(octant: np.ndarray) -> np.ndarray:
+    """The octant carried to the full circle by three concatenations; the
+    unfold the package used before it filled one preallocated array."""
+    # Extend the sorted arc [0, pi/4] to the full circle by symmetry; each
+    # step reuses the previous arc in an order-preserving way, so the result
+    # is exactly sorted without comparing anything.
+    mirror = octant[:-1][::-1, ::-1]  # reflect across y = x: (pi/4, pi/2]
+    quadrant = np.concatenate([octant, mirror])
+    rotated = np.empty_like(quadrant[1:])  # quarter turn: (pi/2, pi]
+    rotated[:, 0] = -quadrant[1:, 1]
+    rotated[:, 1] = quadrant[1:, 0]
+    half = np.concatenate([quadrant, rotated])
+    return np.concatenate([half[:-1], -half[:-1]])  # antipodes: (pi, 2*pi)
+
+
+def division_blowdown(c: np.ndarray) -> np.ndarray:
+    """Blowdown index of every ray of a sorted full circle c, solved from
+    k * u = u_tau + u_omega by division and checked against the wedge.
+
+    The solve blowdown_table did before it took the indices from the walk.
+    """
+    tau = np.roll(c, 1, axis=0)
+    omega = np.roll(c, -1, axis=0)
+    s = tau + omega
+    # divide by whichever coordinate is nonzero (primitive vectors have one)
+    safe_x = np.where(c[:, 0] != 0, c[:, 0], 1)
+    safe_y = np.where(c[:, 1] != 0, c[:, 1], 1)
+    k = np.where(c[:, 0] != 0, s[:, 0] // safe_x, s[:, 1] // safe_y)
+    if not bool((k >= 1).all()) or not bool((k[:, None] * c == s).all()):
+        raise InvariantError("a neighbor sum is not a positive multiple of its ray")
+    cross = np.abs(tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0])
+    if not bool((cross == k).all()):
+        raise InvariantError("neighbor-sum indices disagree with neighbor wedges")
+    return k

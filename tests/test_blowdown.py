@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from randfan import (
+    MAX_H,
     InvariantError,
     RayVec,
     ValidationError,
@@ -73,12 +74,12 @@ def test_table_matches_remove_and_recomplete_oracle(h):
         assert t[ray] == brute_blowdown(h, ray), (h, ray)
 
 
-@pytest.mark.parametrize("h", [1, 3, 7, 20, 60])
+@pytest.mark.parametrize("h", [1, 3, 7, 20, 60, 257, 1100])
 def test_scalar_and_bulk_paths_agree(h):
     t = blowdown_table(h)
     universe = enumerate_rays(h)
     stride = max(1, len(universe) // 50)
-    for ray in universe.rays[::stride]:
+    for ray in universe.coords[::stride].tolist():
         assert blowdown_index(h, ray) == t[ray]
 
 
@@ -216,6 +217,11 @@ def test_smooth_partners_accepts_rays_above_height():
         smooth_partners(2, (4, 2))
     with pytest.raises(ValidationError):
         smooth_partners(3, (1.2, 0))
+    # beyond [-MAX_H, MAX_H] the wedges would leave int64
+    for huge in [(2**70, 1), (2**63 - 1, 1), (1, -(2**63)), (MAX_H + 1, 1)]:
+        with pytest.raises(ValidationError):
+            smooth_partners(3, huge)
+    assert len(smooth_partners(3, (MAX_H, 1))) == 2
 
 
 def test_tampered_table_raises_invariant_error():
@@ -223,8 +229,62 @@ def test_tampered_table_raises_invariant_error():
 
     u = enumerate_rays(2)
     bogus = np.full(len(u), 9, dtype=np.int64)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match=r"height 2: ray \(1, 0\) at position 0, "
+                       r"between \(2, -1\) and \(2, 1\): index 9 times sup-norm 1 exceeds 2h = 4"):
         BlowdownTable(u, bogus, 0.5)
+    k = blowdown_table(2).k_values.copy()
+    k[5] = 4  # (-1, 2), whose index is 1
+    with pytest.raises(InvariantError, match=r"ray \(-1, 2\) at position 5, between "
+                       r"\(0, 1\) and \(-1, 1\): index 4 times sup-norm 2"):
+        BlowdownTable(u, k, 0.5)
+    with pytest.raises(InvariantError, match="height 2: 15 indices for 16 rays"):
+        BlowdownTable(u, k[1:], 0.5)
+
+
+@pytest.mark.parametrize("u,tau,omega,k,message", [
+    ((3, 1), (2, 1), (1, 0), 0, "index 0 is below 1"),
+    ((3, 1), (2, 1), (1, 0), 2, "neighbour sum (3, 1) is not 2 times the ray"),
+    ((1, 0), (1, -2), (1, 2), 2, "index 2 but the neighbours' wedge is 4"),
+])
+def test_each_table_check_names_the_failing_ray(u, tau, omega, k, message):
+    from randfan.blowdown import _verify_rows
+
+    # three rows at positions 40..42; only the middle one is wrong
+    rays, taus, omegas = ([first, v, last] for first, v, last in
+                          zip([(1, 0), (1, -1), (1, 1)], (u, tau, omega), [(0, 1), (1, 1), (-1, 1)]))
+    with pytest.raises(InvariantError) as err:
+        _verify_rows(7, 40, np.array(rays), np.array(taus), np.array(omegas),
+                     np.array([2, k, 2]))
+    assert str(err.value) == f"height 7: ray {u} at position 41, between {tau} and {omega}: {message}"
+
+
+@pytest.mark.parametrize("pos", [0, 1, 9, 30])
+def test_tampered_walk_index_is_refused(monkeypatch, pos):
+    # the walk's index is verified, never trusted: one wrong octant entry
+    # must stop blowdown_table and be named
+    from randfan import lattice
+
+    walk = lattice._farey_walk
+
+    def tampered_walk(h):
+        octant, k = walk(h)
+        k[pos] += 1
+        return octant, k
+
+    def clear():
+        lattice.enumerate_rays.cache_clear()
+        lattice._walk.cache_clear()
+        blowdown_table.cache_clear()
+
+    monkeypatch.setattr(lattice, "_farey_walk", tampered_walk)
+    clear()
+    try:
+        ray = tuple(enumerate_rays(11).coords[pos].tolist())
+        with pytest.raises(InvariantError) as err:
+            blowdown_table(11)
+        assert str(err.value).startswith(f"height 11: ray {ray} at position {pos}, between ")
+    finally:
+        clear()
 
 
 def test_neighbors_march_along_lines_parallel_to_the_ray():

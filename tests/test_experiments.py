@@ -284,14 +284,15 @@ def test_worker_count_does_not_change_results():
 def test_threaded_sweep_builds_the_universe_once(monkeypatch):
     # pool threads that all miss the universe cache would each walk the octant
     walks = []
-    walk = lattice._first_octant
+    walk = lattice._farey_walk
 
     def counting_walk(h):
         walks.append(h)
         return walk(h)
 
-    monkeypatch.setattr(lattice, "_first_octant", counting_walk)
+    monkeypatch.setattr(lattice, "_farey_walk", counting_walk)
     lattice.enumerate_rays.cache_clear()
+    lattice._walk.cache_clear()
     run_threshold_sweep(_spec(h_values=[300], q_schedule=[0.5], trials=4), workers=2)
     assert walks == [300]
 

@@ -13,11 +13,13 @@ from randfan import (
     angular_compare,
     enumerate_rays,
     is_primitive,
+    lattice,
     sup_norm,
     wedge,
 )
+from randfan.cli import main
 
-from oracles import brute_rays, totients
+from oracles import brute_rays, concat_unfold, division_blowdown, first_octant, totients
 
 R1_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 
@@ -197,3 +199,73 @@ def test_angular_compare_agrees_with_atan2_on_random_pairs():
         assert got == (-1 if lhs < rhs else 1)
         checked += 1
     assert checked > 100_000
+
+
+def _walk_matches_oracles(h):
+    octant, k = lattice._farey_walk(h)
+    want = first_octant(h)
+    assert np.array_equal(octant, want), h
+    circle = lattice._unfold_full_circle(octant)
+    assert np.array_equal(circle, concat_unfold(want)), h
+    assert np.array_equal(lattice._unfold_indices(k), division_blowdown(circle)), h
+
+
+def test_lane_walk_matches_mediant_walk_below_the_lane_count():
+    # every h here has min(1024, h) = h lanes, one lane per slice [i/h, (i+1)/h)
+    for h in range(1, 301):
+        _walk_matches_oracles(h)
+
+
+@pytest.mark.parametrize("h", [500, 1000, 1023, 1024, 1025, 2000])
+def test_lane_walk_matches_mediant_walk(h):
+    _walk_matches_oracles(h)
+
+
+def test_walk_endpoints_and_lane_seeds():
+    for h in [1, 2, 3]:
+        octant, k = lattice._farey_walk(h)
+        assert tuple(octant[0]) == (1, 0) and k[0] == 2 * h
+        assert tuple(octant[-1]) == (1, 1) and k[-1] == 2 * h - 1
+    assert lattice._farey_walk(2)[1].tolist() == [4, 1, 3]
+
+
+def _fresh_height():
+    lattice.enumerate_rays.cache_clear()
+    lattice._walk.cache_clear()
+
+
+@pytest.mark.parametrize("available", [10**6, 64 * 2**30])
+def test_memory_guard_refuses_before_allocating(monkeypatch, available):
+    # the estimate is checked before the walk allocates; never test it by allocating
+    monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+    _fresh_height()
+    try:
+        h = 500 if available < 2**30 else MAX_H
+        with pytest.raises(ValidationError, match=f"height {h} needs about"):
+            enumerate_rays(h)
+        assert lattice._walk.cache_info().currsize == 0
+    finally:
+        _fresh_height()
+
+
+def test_memory_guard_is_an_exit_1_on_the_command_line(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 10**6)
+    _fresh_height()
+    try:
+        assert main(["rays", "--h", "300"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: height 300 needs about")
+    finally:
+        _fresh_height()
+
+
+def test_memory_guard_passes_what_fits_and_skips_without_meminfo(monkeypatch):
+    available = lattice._mem_available()
+    assert available is None or available > 0
+    for available in [2**30, None]:  # None: /proc/meminfo could not be read
+        monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+        _fresh_height()
+        try:
+            assert len(enumerate_rays(300)) == 8 * (len(first_octant(300)) - 1)
+        finally:
+            _fresh_height()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randfan import blowdown_table
+from randfan import blowdown_table, experiments
 from randfan.cli import main
 from randfan.experiments import render
 
@@ -65,6 +65,33 @@ def test_render_matches_row_oracle(table, fmt):
     expected = row_render(rows, fmt, columns=order)
     assert render(rows, fmt, columns=order) == expected
     assert render(records, fmt, columns=order) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.sampled_from(["csv", "json"]), st.integers(1, 3))
+def test_render_in_small_blocks_matches_row_oracle(table, fmt, block_rows):
+    # tables of 0..6 rows in blocks of 1..3: empty, one exact block, a short
+    # last block and several blocks all come up
+    rows, records, order = table
+    expected = row_render(rows, fmt, columns=order)
+    saved, experiments._RENDER_ROWS = experiments._RENDER_ROWS, block_rows
+    try:
+        assert render(rows, fmt, columns=order) == expected
+        assert render(records, fmt, columns=order) == expected
+    finally:
+        experiments._RENDER_ROWS = saved
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_render_block_boundaries(monkeypatch, block_rows, fmt):
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    t = blowdown_table(3)
+    for n in [0, 1, block_rows, block_rows + 1, 2 * block_rows, len(t)]:
+        records = experiments.blowdown_array(t)[:n]
+        rows = _rows(t.coords[:n], norm=np.abs(t.coords[:n]).max(axis=1), k=t.k_values[:n])
+        columns = ["x", "y", "norm", "k"]
+        assert render(records, fmt, columns=columns) == row_render(rows, fmt, columns=columns)
 
 
 def _rows(coords, **extra):
