@@ -4,131 +4,47 @@ Exact integer geometry of primitive-ray fans in the plane (enumeration,
 completion, singularity spectra, single-ray blowdowns) together with a
 seeded, reproducible Monte Carlo harness for the random model that keeps
 each ray of sup-norm <= h independently with probability p.
+
+The package exports the names below; everything else is imported from its
+submodule (randfan.lattice, .fans, .blowdown, .sampling, .experiments).
 """
 
-from .blowdown import (
-    BlowdownTable,
-    band_bounds,
-    blowdown_index,
-    blowdown_table,
-    conjectured_ratio,
-    epsilon_of,
-    neighbors,
-    ratio_geq,
-    smooth_partners,
-    triangular,
-)
+from .blowdown import blowdown_table, conjectured_ratio
 from .errors import InvariantError, ValidationError
 from .experiments import (
-    BLOWDOWN_COLUMNS,
-    RATIO_COLUMNS,
-    SPACE_COLUMNS,
     ExperimentSpec,
     PowerSchedule,
-    SweepRow,
-    TrialRecord,
-    blowdown_rows,
-    conjecture_report,
     emit,
-    render,
     run_density_sweep,
     run_threshold_sweep,
-    run_trial,
     space_report,
-    spec_from_dict,
-    spec_from_file,
     sweep_columns,
     sweep_rows_as_dicts,
-    wilson_interval,
-    write_text,
 )
-from .fans import (
-    Cone2,
-    Fan,
-    SingularitySpectrum,
-    complete_fan,
-    cone_index,
-    delta_k,
-    fan_from_record,
-    fan_to_record,
-    is_smooth,
-    spectrum,
-)
-from .lattice import (
-    MAX_H,
-    RayUniverse,
-    RayVec,
-    angular_compare,
-    enumerate_rays,
-    is_primitive,
-    sup_norm,
-    wedge,
-)
-from .sampling import (
-    RNG_ALGORITHM,
-    SampleConfig,
-    prob_complete,
-    sample_fan,
-    sample_rays,
-)
+from .fans import complete_fan, delta_k, is_smooth
+from .lattice import enumerate_rays
+from .sampling import SampleConfig, prob_complete, sample_fan
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLOWDOWN_COLUMNS",
-    "BlowdownTable",
-    "Cone2",
     "ExperimentSpec",
-    "Fan",
     "InvariantError",
-    "MAX_H",
     "PowerSchedule",
-    "RATIO_COLUMNS",
-    "RNG_ALGORITHM",
-    "RayUniverse",
-    "RayVec",
-    "SPACE_COLUMNS",
     "SampleConfig",
-    "SingularitySpectrum",
-    "SweepRow",
-    "TrialRecord",
     "ValidationError",
-    "angular_compare",
-    "band_bounds",
-    "blowdown_index",
-    "blowdown_rows",
     "blowdown_table",
     "complete_fan",
-    "cone_index",
-    "conjecture_report",
     "conjectured_ratio",
     "delta_k",
     "emit",
     "enumerate_rays",
-    "epsilon_of",
-    "fan_from_record",
-    "fan_to_record",
-    "is_primitive",
     "is_smooth",
-    "neighbors",
     "prob_complete",
-    "ratio_geq",
-    "render",
     "run_density_sweep",
     "run_threshold_sweep",
-    "run_trial",
     "sample_fan",
-    "sample_rays",
-    "smooth_partners",
     "space_report",
-    "spec_from_dict",
-    "spec_from_file",
-    "spectrum",
-    "sup_norm",
     "sweep_columns",
     "sweep_rows_as_dicts",
-    "triangular",
-    "wedge",
-    "wilson_interval",
-    "write_text",
 ]

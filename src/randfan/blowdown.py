@@ -9,20 +9,20 @@ smooth, so that index is the unique integer k >= 1 with
 
 for the angular neighbors tau, omega of rho, and it also equals
 |wedge(u_tau, u_omega)|.  The table takes each index from the Farey walk
-that enumerates the rays (its step multiplier) and checks it against both
-forms on every ray; blowdown_index solves one ray from its neighbours and
-checks the same.  All of it is exact integer arithmetic, and nothing is
+that enumerates the rays (its step multiplier, kept by the RayUniverse that
+enumerate_rays returns) and checks it against both forms on every ray;
+blowdown_index takes one ray's index from its neighbours' wedge and checks
+it the same way.  All of it is exact integer arithmetic, and nothing is
 returned if the forms disagree.
 
 Norm bands: k * sup_norm(rho) <= 2h holds exactly for every ray (the
 neighbor sum has sup-norm at most 2h), while the lower bound
-(2 - eps) / (k + 2) * h is asymptotic, with eps = 1/h the largest normalized
-gap between angular neighbors at height h.
+(2 - eps) / (k + 2) * h is asymptotic, with eps = epsilon_of(h) = 1/h the
+largest normalized gap between angular neighbors at height h.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, _walk, enumerate_rays,
-    is_primitive, wedge,
+    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, enumerate_rays,
+    is_primitive,
 )
 
 
@@ -45,18 +45,17 @@ def _fail(h: int, i: int, ray, tau, omega, what: str) -> NoReturn:
     raise InvariantError(f"height {h}: ray {ray} at position {i}, between {tau} and {omega}: {what}")
 
 
-class BlowdownTable(Mapping):
+class BlowdownTable:
     """Blowdown index of every ray of the height-h complete fan.
 
-    Mapping interface: table[ray] -> k, len(table) is the number of rays,
-    iteration yields RayVec objects in canonical angular order.  Bulk data
-    is exposed as read-only arrays (coords, k_values) aligned with that
-    order, plus the gap bound epsilon = 1/h for the height.
+    table[ray] -> k, ray in table, and len(table) is the number of rays.
+    Bulk data is exposed as read-only arrays (coords, k_values) aligned
+    with the canonical angular order, plus the gap bound epsilon = 1/h.
     """
 
-    __slots__ = ("_universe", "_k", "epsilon")
+    __slots__ = ("_universe", "_k")
 
-    def __init__(self, universe: RayUniverse, k_values: np.ndarray, epsilon: float):
+    def __init__(self, universe: RayUniverse, k_values: np.ndarray):
         if len(k_values) != len(universe):
             raise InvariantError(
                 f"height {universe.h}: {len(k_values)} indices for {len(universe)} rays"
@@ -75,7 +74,6 @@ class BlowdownTable(Mapping):
                       f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
         self._universe = universe
         self._k = k_values
-        self.epsilon = epsilon
 
     @property
     def h(self) -> int:
@@ -89,11 +87,15 @@ class BlowdownTable(Mapping):
     def k_values(self) -> np.ndarray:
         return self._k
 
+    @property
+    def epsilon(self) -> float:
+        return epsilon_of(self.h)
+
     def __len__(self) -> int:
         return len(self._k)
 
-    def __iter__(self):
-        return iter(self._universe)
+    def __contains__(self, ray) -> bool:
+        return ray in self._universe
 
     def __getitem__(self, ray) -> int:
         try:
@@ -124,22 +126,16 @@ def neighbors(h: int, ray) -> tuple[RayVec, RayVec]:
 
 
 def blowdown_index(h: int, ray) -> int:
-    """Blowdown index of one ray: the k with k * u = u_tau + u_omega.
-
-    Cross-checked against |wedge(tau, omega)|; a mismatch raises rather than
-    being silently ignored.
+    """Blowdown index of one ray: k = |wedge(tau, omega)| of its neighbours,
+    checked as blowdown_table checks every row (k >= 1 and k * u = tau + omega).
     """
-    x, y = _ray_ints(ray)
-    tau, omega = neighbors(h, (x, y))
-    sx, sy = tau.x + omega.x, tau.y + omega.y
-    k = sx // x if x != 0 else sy // y
-    if k < 1 or (k * x, k * y) != (sx, sy):
-        raise InvariantError(
-            f"neighbor sum ({sx}, {sy}) is not a positive multiple of ({x}, {y})"
-        )
-    if k != abs(wedge(tau, omega)):
-        raise InvariantError("neighbor-sum index disagrees with the neighbor wedge")
-    return k
+    universe = enumerate_rays(h)
+    c = universe.coords
+    i = universe.index_of(ray)
+    tau, u, omega = c[[i - 1, i, (i + 1) % len(c)], None]
+    k = np.abs(tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0])
+    _verify_rows(universe.h, i, u, tau, omega, k)
+    return int(k[0])
 
 
 @lru_cache(maxsize=2, typed=True)  # typed for the reason given at enumerate_rays
@@ -156,7 +152,7 @@ def blowdown_table(h: int) -> BlowdownTable:
     """
     universe = enumerate_rays(h)
     c = universe.coords
-    k = _unfold_indices(_walk(universe.h)[1])
+    k = _unfold_indices(universe._octant_k)
     n = len(c)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
@@ -164,7 +160,7 @@ def blowdown_table(h: int) -> BlowdownTable:
         tau = c[lo - 1 : hi - 1] if lo else np.concatenate((c[-1:], c[: hi - 1]))
         omega = c[lo + 1 : hi + 1] if hi < n else np.concatenate((c[lo + 1 :], c[:1]))
         _verify_rows(universe.h, lo, c[lo:hi], tau, omega, k[lo:hi])
-    return BlowdownTable(universe, k, epsilon_of(h))
+    return BlowdownTable(universe, k)
 
 
 def _verify_rows(h: int, lo: int, u, tau, omega, k) -> None:
@@ -186,11 +182,6 @@ def _verify_rows(h: int, lo: int, u, tau, omega, k) -> None:
         _fail(h, lo + i, u[i], tau[i], omega[i], what.format(k=k[i], sx=s_x[i], sy=s_y[i], w=w[i]))
 
 
-def ratio_geq(h: int, k: int) -> Fraction:
-    """Exact fraction of height-h rays with blowdown index >= k."""
-    return blowdown_table(h).ratio_geq(k)
-
-
 def epsilon_of(h: int) -> float:
     """Largest sup-norm gap between normalized angular neighbors at height h.
 
@@ -203,17 +194,16 @@ def epsilon_of(h: int) -> float:
     return 1.0 / _check_height(h)
 
 
-def band_bounds(h: int, k: int, eps: float) -> tuple[float, Fraction]:
+def band_bounds(h: int, k: int) -> tuple[float, Fraction]:
     """Norm band (lower, upper) for rays of blowdown index k at height h.
 
     The upper bound 2h/k is exact (equivalently k * |u| <= 2h in integers);
     the lower bound (2 - eps)/(k + 2) * h is asymptotic and carries the gap
-    bound eps (epsilon_of(h) = 1/h), so callers should allow integer
+    bound eps = epsilon_of(h) = 1/h, so callers should allow integer
     rounding slack against it.
     """
+    eps = epsilon_of(h)
     k = check_int(k, "blowdown index", 1)
-    if not 0.0 <= eps < 2.0:
-        raise ValidationError(f"eps must be in [0, 2), got {eps!r}")
     return (2.0 - eps) / (k + 2) * h, Fraction(2 * h, k)
 
 
@@ -243,6 +233,8 @@ def smooth_partners(h: int, ray) -> list[RayVec]:
     w = x * c[:, 1] - y * c[:, 0]
     cap = 2 * h // max(abs(x), abs(y)) + 1
     for side in (1, -1):
-        if int(np.count_nonzero(w == side)) > cap:
-            raise InvariantError("smooth partners exceed the per-side line capacity")
+        count = int(np.count_nonzero(w == side))
+        if count > cap:
+            raise InvariantError(f"height {universe.h}: ray ({x}, {y}) has {count} smooth partners "
+                                 f"on side {side}, more than the line capacity {cap}")
     return [RayVec(int(a), int(b)) for a, b in c[np.abs(w) == 1]]

@@ -372,11 +372,6 @@ def sweep_rows_as_dicts(rows, k_list) -> list[dict]:
     return out
 
 
-def _as_dicts(records: np.ndarray) -> list[dict]:
-    names = records.dtype.names
-    return [dict(zip(names, r)) for r in records.tolist()]
-
-
 RAY_COLUMNS = ("x", "y")
 
 
@@ -394,11 +389,6 @@ def blowdown_array(table: BlowdownTable) -> np.ndarray:
     c = table.coords
     norms = np.abs(c).max(axis=1)
     return np.rec.fromarrays([*c.T, norms, table.k_values], names=BLOWDOWN_COLUMNS)
-
-
-def blowdown_rows(table: BlowdownTable) -> list[dict]:
-    """blowdown_array() as one dict per ray."""
-    return _as_dicts(blowdown_array(table))
 
 
 RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
@@ -436,7 +426,7 @@ def space_array(h: int) -> np.ndarray:
 
 def space_report(h: int) -> list[dict]:
     """space_array() as one dict per ray."""
-    return _as_dicts(space_array(h))
+    return [dict(zip(SPACE_COLUMNS, r)) for r in space_array(h).tolist()]
 
 
 def format_cell(value) -> str:

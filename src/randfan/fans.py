@@ -21,7 +21,7 @@ from functools import cmp_to_key
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .lattice import MAX_H, RayUniverse, RayVec, _compare_xy, is_primitive
+from .lattice import MAX_H, RayUniverse, _compare_xy, is_primitive
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,26 +43,39 @@ class SingularitySpectrum:
 class Fan:
     """An angularly sorted ray list plus the 2-cones spanned between neighbors.
 
-    Build instances with complete_fan() or the sampling helpers; the
-    constructor takes ownership of an already deduplicated, primitive and
-    exactly sorted (n, 2) int64 coordinate array and freezes it.
+    Build instances with complete_fan() or the sampling helpers.  The
+    constructor takes an (n, 2) integer coordinate array, checks in O(n)
+    that its rays are primitive, within [-MAX_H, MAX_H] and distinct in
+    strictly canonical angular order (ValidationError otherwise), and
+    freezes it.
     """
 
     __slots__ = ("_coords", "_cone_starts", "_wedges")
 
     def __init__(self, coords: np.ndarray):
+        coords = np.asarray(coords)
+        if coords.size and coords.dtype.kind != "i":
+            raise ValidationError(f"fan coordinates must be integers, got dtype {coords.dtype}")
         coords = np.ascontiguousarray(coords, dtype=np.int64).reshape(-1, 2)
         coords.flags.writeable = False
-        n = len(coords)
-        if n == 0:
-            starts = np.empty(0, dtype=np.int64)
-            wedges = np.empty(0, dtype=np.int64)
-        else:
-            nxt = np.roll(coords, -1, axis=0)
-            w = coords[:, 0] * nxt[:, 1] - coords[:, 1] * nxt[:, 0]
-            keep = w > 0  # counter-clockwise gap strictly below a half turn
-            starts = np.nonzero(keep)[0]
-            wedges = w[keep]
+        x, y = coords[:, 0], coords[:, 1]
+        w = x * np.roll(y, -1) - y * np.roll(x, -1)  # wedge with the next ray
+        s = np.sign(x)
+        arc = np.where(y > 0, 2 - s, np.where(y < 0, 6 + s, 2 - 2 * s))  # lattice._arc_class
+        step = np.append(np.diff(arc), 1)  # class step to the next ray; the last has none
+        for bad, what in (
+            (((coords < -MAX_H) | (coords > MAX_H)).any(axis=1), f"is outside [-{MAX_H}, {MAX_H}]"),
+            (np.gcd(x, y) != 1, "is not primitive"),
+            # canonical order never steps back a class and turns strictly
+            # counter-clockwise within one
+            ((step < 0) | ((step == 0) & (w <= 0)), "does not strictly precede the next ray"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(f"fan ray {tuple(coords[i].tolist())} at position {i} {what}")
+        keep = w > 0  # counter-clockwise gap strictly below a half turn
+        starts = np.flatnonzero(keep)
+        wedges = w[keep]
         starts.flags.writeable = False
         wedges.flags.writeable = False
         self._coords = coords
@@ -86,12 +99,6 @@ class Fan:
     def cone_indices(self) -> np.ndarray:
         """Singularity index of each cone, aligned with .cones (read-only)."""
         return self._wedges
-
-    @property
-    def rays(self) -> tuple[RayVec, ...]:
-        """Every ray as a RayVec, built on each call: O(n) Python objects,
-        meant for small fans."""
-        return tuple(RayVec(x, y) for x, y in self._coords.tolist())
 
     @property
     def cones(self) -> tuple[Cone2, ...]:
@@ -148,7 +155,7 @@ def is_smooth(fan: Fan) -> bool:
 
 def spectrum(fan: Fan) -> SingularitySpectrum:
     """All cone indices in fan order, plus index -> multiplicity counts."""
-    indices = [int(v) for v in fan.cone_indices]
+    indices = fan.cone_indices.tolist()
     return SingularitySpectrum(indices=indices, counts=dict(Counter(indices)))
 
 
@@ -172,7 +179,7 @@ def fan_to_record(fan: Fan, h: int | None = None, extra: dict | None = None) -> 
         rec["h"] = int(h)
     if extra:
         rec.update(extra)
-    rec["rays"] = [[int(x), int(y)] for x, y in fan.coords]
+    rec["rays"] = fan.coords.tolist()
     return rec
 
 

@@ -9,8 +9,8 @@ the wedge determinant, and the counter-clockwise angular order starting at
 The rays are enumerated by a Farey walk over the first octant, run as
 numpy lanes in lock step, and unfolded to the circle by symmetry.  The
 walk's step multiplier is the blowdown index of the ray it passes; the
-blowdown module takes those indices and checks each one against both of
-its identities (neighbour sum and neighbour wedge) before using it.
+universe keeps those octant indices (_octant_k), and the blowdown module
+checks each one against both of its identities before using it.
 """
 
 from __future__ import annotations
@@ -206,17 +206,6 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
     return octant, k
 
 
-@lru_cache(maxsize=4, typed=True)  # typed for the reason given at enumerate_rays
-def _walk(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The full circle of rays and the first octant's blowdown indices, from
-    one _farey_walk, computed once per height and read-only."""
-    octant, k = _farey_walk(h)
-    circle = _unfold_full_circle(octant)
-    circle.flags.writeable = False
-    k.flags.writeable = False
-    return circle, k
-
-
 def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
     # Extend the sorted arc [0, pi/4] of m rays to the full circle of
     # 8(m - 1) by symmetry; each step reuses the previous arc in an
@@ -253,10 +242,11 @@ class RayUniverse:
 
     Backed by one read-only (n, 2) int64 coordinate array; RayVec objects are
     materialized on demand and never cached, so bulk consumers can stay
-    vectorized.  Instances are immutable and safe to share across threads.
+    vectorized; one from enumerate_rays also holds the walk's octant indices.
+    Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("h", "coords")
+    __slots__ = ("h", "coords", "_octant_k")
 
     def __init__(self, h: int, coords: np.ndarray):
         coords.flags.writeable = False
@@ -285,12 +275,6 @@ class RayUniverse:
     def __repr__(self) -> str:
         return f"RayUniverse(h={self.h}, n_rays={len(self)})"
 
-    @property
-    def rays(self) -> tuple[RayVec, ...]:
-        """Every ray as a RayVec, built on each call: O(n) Python objects,
-        meant for small universes."""
-        return tuple(self)
-
     def index_of(self, ray) -> int:
         """Position of a ray in canonical order, by exact binary search."""
         x, y = _ray_ints(ray)
@@ -309,7 +293,7 @@ class RayUniverse:
                 hi = mid
             else:
                 lo = mid + 1
-        raise InvariantError("sorted universe is missing a vector it must contain")
+        raise InvariantError(f"height {self.h}: the sorted universe is missing the ray ({x}, {y})")
 
 
 def _check_height(h) -> int:
@@ -324,9 +308,13 @@ def enumerate_rays(h: int) -> RayUniverse:
     ascending order and the rest of the circle is unfolded from it by
     symmetry, so the result is exactly sorted with no comparisons and no
     floating point.  Universes are cached (the enumeration dominates
-    everything built on top of it).  Heights whose estimated build exceeds
-    half of MemAvailable are refused with ValidationError before anything
-    is allocated.
+    everything built on top of it), each with the walk's octant indices.
+    Heights whose estimated build exceeds half of MemAvailable are refused
+    with ValidationError before anything is allocated.
     """
     h = _check_height(h)
-    return RayUniverse(h, _walk(h)[0])
+    octant, k = _farey_walk(h)
+    k.flags.writeable = False
+    universe = RayUniverse(h, _unfold_full_circle(octant))
+    universe._octant_k = k
+    return universe

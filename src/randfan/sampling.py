@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import check_int, check_real
 from .fans import Fan
-from .lattice import RayUniverse, RayVec, _check_height, enumerate_rays
+from .lattice import RayUniverse, _check_height, enumerate_rays
 
-#: Identity of the bit generator behind sample_rays / sample_fan.
+#: Identity of the bit generator behind sample_fan and the sweep trials.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
 
 #: Largest master seed or trial index: each keys Philox as one uint64 word.
@@ -60,18 +60,12 @@ def _keep_mask(cfg: SampleConfig, universe: RayUniverse) -> np.ndarray:
     return gen.random(len(universe)) < cfg.p
 
 
-def sample_rays(cfg: SampleConfig) -> set[RayVec]:
-    """Draw the ray subset: one Bernoulli(p) decision per universe ray."""
-    universe = enumerate_rays(cfg.h)
-    kept = universe.coords[_keep_mask(cfg, universe)]
-    return {RayVec(int(x), int(y)) for x, y in kept}
-
-
 def sample_fan(cfg: SampleConfig) -> Fan:
-    """Draw a ray subset and complete it to a fan.
+    """Draw a ray subset, one Bernoulli(p) decision per universe ray, and
+    complete it to a fan.
 
-    Agrees with complete_fan(sample_rays(cfg)) but skips re-sorting: the kept
-    rays inherit the universe's canonical order, so a draw costs one uniform
+    Agrees with complete_fan of the kept rays but skips re-sorting: they
+    inherit the universe's canonical order, so a draw costs one uniform
     array plus one boolean mask even at large h.
     """
     universe = enumerate_rays(cfg.h)

@@ -6,26 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import (
-    MAX_H,
-    InvariantError,
-    RayVec,
-    ValidationError,
+from randfan import blowdown, lattice
+from randfan.blowdown import (
     band_bounds,
     blowdown_index,
     blowdown_table,
-    complete_fan,
     conjectured_ratio,
-    enumerate_rays,
     epsilon_of,
     neighbors,
-    ratio_geq,
     smooth_partners,
-    spectrum,
-    sup_norm,
     triangular,
-    wedge,
 )
+from randfan.errors import InvariantError, ValidationError
+from randfan.fans import complete_fan, spectrum
+from randfan.lattice import MAX_H, RayUniverse, enumerate_rays, sup_norm, wedge
 
 from oracles import brute_blowdown, brute_epsilon, brute_rays
 
@@ -100,7 +94,7 @@ def test_removal_spectrum_is_one_merged_cone():
         t = blowdown_table(h)
         full = enumerate_rays(h)
         for ray in full:
-            fan = complete_fan(set(full.rays) - {ray})
+            fan = complete_fan(set(full) - {ray})
             counts = spectrum(fan).counts
             k = t[ray]
             expected = {1: fan.n_cones - 1, k: 1} if k > 1 else {1: fan.n_cones}
@@ -110,15 +104,12 @@ def test_removal_spectrum_is_one_merged_cone():
 def test_mapping_interface():
     t = blowdown_table(4)
     assert len(t) == len(enumerate_rays(4)) == 48
-    assert [tuple(r) for r in t] == brute_rays(4)
-    assert set(t.keys()) == set(enumerate_rays(4).rays)
+    assert [t[ray] for ray in brute_rays(4)] == [int(k) for k in t.k_values]
     assert (1, 1) in t
     assert (5, 1) not in t
     assert (2, 2) not in t
     with pytest.raises(KeyError):
         t[(5, 1)]
-    assert t.get((5, 1), -1) == -1
-    assert sorted(t.values()) == sorted(int(k) for k in t.k_values)
 
 
 def test_table_is_cached_and_frozen():
@@ -130,7 +121,7 @@ def test_table_is_cached_and_frozen():
 
 def test_count_and_ratio_are_exact():
     t = blowdown_table(5)
-    assert ratio_geq(5, 2) == Fraction(t.count_geq(2), 80)
+    assert t.ratio_geq(2) == Fraction(t.count_geq(2), 80)
     assert t.ratio_geq(1) == 1
     brute = sum(1 for ray in brute_rays(5) if brute_blowdown(5, ray) >= 2)
     assert t.count_geq(2) == brute
@@ -139,7 +130,7 @@ def test_count_and_ratio_are_exact():
     with pytest.raises(ValidationError):
         t.count_geq(0)
     with pytest.raises(ValidationError):
-        ratio_geq(5, -1)
+        t.ratio_geq(-1)
 
 
 def test_epsilon_matches_brute_force():
@@ -159,12 +150,12 @@ def test_epsilon_shrinks_with_height():
 @pytest.mark.parametrize("h", [20, 60])
 def test_band_containment(h):
     t = blowdown_table(h)
-    eps = t.epsilon
+    assert t.epsilon == epsilon_of(h)
     c, kv = t.coords, t.k_values
     norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
     assert bool((kv * norms <= 2 * h).all())
     for k in sorted(set(int(v) for v in kv)):
-        low, high = band_bounds(h, k, eps)
+        low, high = band_bounds(h, k)
         sel = kv == k
         assert bool((norms[sel] <= float(high)).all())
         # asymptotic lower bound, with one unit of integer slack
@@ -172,15 +163,15 @@ def test_band_containment(h):
 
 
 def test_band_bounds_values_and_validation():
-    low, high = band_bounds(10, 2, 0.5)
+    low, high = band_bounds(10, 2)
     assert high == Fraction(20, 2) == 10
-    assert low == pytest.approx((2 - 0.5) / 4 * 10)
+    assert low == pytest.approx((2 - 0.1) / 4 * 10)
     with pytest.raises(ValidationError):
-        band_bounds(10, 0, 0.1)
-    with pytest.raises(ValidationError):
-        band_bounds(10, 2, -0.1)
-    with pytest.raises(ValidationError):
-        band_bounds(10, 2, 2.0)
+        band_bounds(10, 0)
+    # the height is checked: eps comes from epsilon_of(h)
+    for h in [0, -5, True]:
+        with pytest.raises(ValidationError):
+            band_bounds(h, 2)
 
 
 def test_triangular_and_conjectured_limits():
@@ -231,14 +222,14 @@ def test_tampered_table_raises_invariant_error():
     bogus = np.full(len(u), 9, dtype=np.int64)
     with pytest.raises(InvariantError, match=r"height 2: ray \(1, 0\) at position 0, "
                        r"between \(2, -1\) and \(2, 1\): index 9 times sup-norm 1 exceeds 2h = 4"):
-        BlowdownTable(u, bogus, 0.5)
+        BlowdownTable(u, bogus)
     k = blowdown_table(2).k_values.copy()
     k[5] = 4  # (-1, 2), whose index is 1
     with pytest.raises(InvariantError, match=r"ray \(-1, 2\) at position 5, between "
                        r"\(0, 1\) and \(-1, 1\): index 4 times sup-norm 2"):
-        BlowdownTable(u, k, 0.5)
+        BlowdownTable(u, k)
     with pytest.raises(InvariantError, match="height 2: 15 indices for 16 rays"):
-        BlowdownTable(u, k[1:], 0.5)
+        BlowdownTable(u, k[1:])
 
 
 @pytest.mark.parametrize("u,tau,omega,k,message", [
@@ -262,8 +253,6 @@ def test_each_table_check_names_the_failing_ray(u, tau, omega, k, message):
 def test_tampered_walk_index_is_refused(monkeypatch, pos):
     # the walk's index is verified, never trusted: one wrong octant entry
     # must stop blowdown_table and be named
-    from randfan import lattice
-
     walk = lattice._farey_walk
 
     def tampered_walk(h):
@@ -273,7 +262,6 @@ def test_tampered_walk_index_is_refused(monkeypatch, pos):
 
     def clear():
         lattice.enumerate_rays.cache_clear()
-        lattice._walk.cache_clear()
         blowdown_table.cache_clear()
 
     monkeypatch.setattr(lattice, "_farey_walk", tampered_walk)
@@ -313,3 +301,34 @@ def test_small_norm_rays_carry_high_indices(h):
 def test_epsilon_landmarks():
     assert epsilon_of(500) < 0.05
     assert epsilon_of(50) < epsilon_of(10) < epsilon_of(2)
+
+
+def test_index_of_names_the_ray_a_tampered_universe_lost():
+    u = enumerate_rays(4)
+    holed = RayUniverse(4, np.delete(u.coords, 7, axis=0))
+    with pytest.raises(InvariantError, match=r"height 4: the sorted universe is missing the ray \(3, 4\)"):
+        holed.index_of((3, 4))
+
+
+def test_smooth_partners_over_capacity_names_height_ray_side_and_cap(monkeypatch):
+    # (1, 0) has 2h + 1 = 7 partners with wedge 1 at h = 3; doubling them
+    # breaks the per-side line capacity
+    u = enumerate_rays(3)
+    side = u.coords[u.coords[:, 1] == 1]
+    padded = RayUniverse(3, np.concatenate((u.coords, side)))
+    monkeypatch.setattr(blowdown, "enumerate_rays", lambda h: padded)
+    with pytest.raises(InvariantError, match=r"height 3: ray \(1, 0\) has 14 smooth partners "
+                       r"on side 1, more than the line capacity 7"):
+        smooth_partners(3, (1, 0))
+
+
+def test_blowdown_index_checks_its_one_row(monkeypatch):
+    # with (1, 1) gone from the universe, (2, 1) sits between (1, 0) and
+    # (1, 2): their wedge 2 is not the index that their sum 2 * (1, 1.5) needs
+    u = enumerate_rays(2)
+    i = u.index_of((1, 1))
+    holed = RayUniverse(2, np.delete(u.coords, i, axis=0))
+    monkeypatch.setattr(blowdown, "enumerate_rays", lambda h: holed)
+    with pytest.raises(InvariantError, match=r"height 2: ray \(2, 1\) at position 1, between "
+                       r"\(1, 0\) and \(1, 2\): neighbour sum \(2, 2\) is not 2 times the ray"):
+        blowdown_index(2, (2, 1))

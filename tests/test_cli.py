@@ -12,9 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randfan import MAX_H, blowdown_table, complete_fan, sample_fan, spectrum
+from randfan.blowdown import blowdown_table
+from randfan.fans import complete_fan, spectrum
+from randfan.lattice import MAX_H
 from randfan.cli import main
-from randfan.sampling import UINT64_MAX, SampleConfig
+from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
 RAYS_H1_CSV = "x,y\n1,0\n1,1\n0,1\n-1,1\n-1,0\n-1,-1\n0,-1\n1,-1\n"
 

@@ -9,25 +9,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import (
+from randfan import lattice
+from randfan.blowdown import blowdown_table, conjectured_ratio
+from randfan.errors import ValidationError
+from randfan.experiments import (
     BLOWDOWN_COLUMNS,
     RATIO_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
     PowerSchedule,
     TrialRecord,
-    ValidationError,
-    blowdown_rows,
-    blowdown_table,
+    blowdown_array,
     conjecture_report,
-    conjectured_ratio,
     emit,
-    prob_complete,
     render,
     run_density_sweep,
     run_threshold_sweep,
     run_trial,
-    sample_fan,
     space_report,
     spec_from_dict,
     spec_from_file,
@@ -35,8 +33,7 @@ from randfan import (
     sweep_rows_as_dicts,
     wilson_interval,
 )
-from randfan import lattice
-from randfan.sampling import SampleConfig
+from randfan.sampling import SampleConfig, prob_complete, sample_fan
 
 
 def _spec(**overrides):
@@ -292,7 +289,6 @@ def test_threaded_sweep_builds_the_universe_once(monkeypatch):
 
     monkeypatch.setattr(lattice, "_farey_walk", counting_walk)
     lattice.enumerate_rays.cache_clear()
-    lattice._walk.cache_clear()
     run_threshold_sweep(_spec(h_values=[300], q_schedule=[0.5], trials=4), workers=2)
     assert walks == [300]
 
@@ -360,8 +356,9 @@ def test_emit_failure_leaves_no_partial_file(tmp_path):
 
 
 def test_blowdown_rows_unit_height():
-    rows = blowdown_rows(blowdown_table(1))
-    assert list(rows[0]) == list(BLOWDOWN_COLUMNS)
+    table = blowdown_array(blowdown_table(1))
+    assert table.dtype.names == BLOWDOWN_COLUMNS
+    rows = [dict(zip(BLOWDOWN_COLUMNS, r)) for r in table.tolist()]
     assert rows == [
         {"x": 1, "y": 0, "norm": 1, "k": 2},
         {"x": 1, "y": 1, "norm": 1, "k": 1},

@@ -6,19 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import (
+from randfan.errors import ValidationError
+from randfan.fans import (
     Cone2,
-    RayVec,
-    ValidationError,
+    Fan,
     complete_fan,
     cone_index,
     delta_k,
-    enumerate_rays,
     fan_from_record,
     fan_to_record,
     is_smooth,
     spectrum,
 )
+from randfan.lattice import MAX_H, RayVec, enumerate_rays
 
 from oracles import naive_completion
 
@@ -85,7 +85,7 @@ def test_input_order_is_irrelevant():
 
 def test_completion_is_idempotent():
     fan = complete_fan([(5, 2), (-1, 3), (0, -1), (1, 1), (-2, -5)])
-    again = complete_fan(fan.rays)
+    again = complete_fan(fan.coords.tolist())
     assert np.array_equal(fan.coords, again.coords)
     assert fan.cones == again.cones
 
@@ -112,7 +112,7 @@ def test_full_fan_height_three_has_32_unimodular_cones():
 
 
 def test_removing_a_ray_concentrates_the_singularity():
-    rays = set(enumerate_rays(5).rays) - {RayVec(1, 1)}
+    rays = set(enumerate_rays(5)) - {RayVec(1, 1)}
     fan = complete_fan(rays)
     sp = spectrum(fan)
     assert fan.n_rays == 79
@@ -206,7 +206,7 @@ def test_fan_coords_are_frozen():
 
 def test_wide_gap_leaves_two_cones_from_three_rays():
     fan = complete_fan({(1, 0), (0, 1), (-1, 1)})
-    assert [tuple(r) for r in fan.rays] == [(1, 0), (0, 1), (-1, 1)]
+    assert fan.coords.tolist() == [[1, 0], [0, 1], [-1, 1]]
     assert fan.n_cones == 2
     got = [
         (tuple(map(int, fan.coords[c.a])), tuple(map(int, fan.coords[c.b])))
@@ -246,3 +246,29 @@ def test_full_fans_have_no_singular_share():
     for h in range(1, 13):
         fan = complete_fan(enumerate_rays(h))
         assert delta_k(fan, 2) == Fraction(0, 1)
+
+
+@pytest.mark.parametrize("coords,message", [
+    ([[1, 0], [-1, 0], [0, 1]], r"\(-1, 0\) at position 1 does not strictly precede"),
+    ([[1, 0], [1, 0], [0, 1]], r"\(1, 0\) at position 0 does not strictly precede"),
+    ([[2, 0], [0, 1]], r"\(2, 0\) at position 0 is not primitive"),
+    ([[2**40, 1], [0, 1]], rf"\({2**40}, 1\) at position 0 is outside \[-{MAX_H}, {MAX_H}\]"),
+    ([[1, 1], [1, 0]], r"\(1, 1\) at position 0 does not strictly precede"),
+    ([[0, 0], [1, 0]], r"\(0, 0\) at position 0 is not primitive"),
+])
+def test_fan_refuses_arrays_that_are_not_canonical(coords, message):
+    with pytest.raises(ValidationError, match=message):
+        Fan(np.array(coords))
+
+
+def test_fan_refuses_non_integer_arrays():
+    for coords in [np.array([[1.5, 0.0]]), np.array([[2**70, 1]], dtype=object)]:
+        with pytest.raises(ValidationError, match="must be integers"):
+            Fan(coords)
+
+
+def test_fan_accepts_the_degenerate_canonical_arrays():
+    for coords in [np.empty((0, 2), dtype=np.int64), [[0, -1]], [[1, 0], [-1, 0]], [[0, 1], [0, -1]]]:
+        assert Fan(np.array(coords, dtype=np.int64)).n_cones == 0
+    universe = enumerate_rays(7)
+    assert np.array_equal(Fan(universe.coords).coords, universe.coords)

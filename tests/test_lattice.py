@@ -6,14 +6,14 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from randfan import (
+from randfan import lattice
+from randfan.errors import ValidationError
+from randfan.lattice import (
     MAX_H,
     RayVec,
-    ValidationError,
     angular_compare,
     enumerate_rays,
     is_primitive,
-    lattice,
     sup_norm,
     wedge,
 )
@@ -231,7 +231,6 @@ def test_walk_endpoints_and_lane_seeds():
 
 def _fresh_height():
     lattice.enumerate_rays.cache_clear()
-    lattice._walk.cache_clear()
 
 
 @pytest.mark.parametrize("available", [10**6, 64 * 2**30])
@@ -243,7 +242,7 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, available):
         h = 500 if available < 2**30 else MAX_H
         with pytest.raises(ValidationError, match=f"height {h} needs about"):
             enumerate_rays(h)
-        assert lattice._walk.cache_info().currsize == 0
+        assert lattice.enumerate_rays.cache_info().currsize == 0
     finally:
         _fresh_height()
 
@@ -269,3 +268,25 @@ def test_memory_guard_passes_what_fits_and_skips_without_meminfo(monkeypatch):
             assert len(enumerate_rays(300)) == 8 * (len(first_octant(300)) - 1)
         finally:
             _fresh_height()
+
+
+def test_cache_clear_drops_the_walk_with_the_universe(monkeypatch):
+    # one cache per height: clearing enumerate_rays must also forget the walk
+    walks = []
+    walk = lattice._farey_walk
+
+    def counting_walk(h):
+        walks.append(h)
+        return walk(h)
+
+    monkeypatch.setattr(lattice, "_farey_walk", counting_walk)
+    _fresh_height()
+    try:
+        first = enumerate_rays(300)
+        assert enumerate_rays(300) is first and walks == [300]
+        enumerate_rays.cache_clear()
+        again = enumerate_rays(300)
+        assert walks == [300, 300]
+        assert np.array_equal(again.coords, first.coords)
+    finally:
+        _fresh_height()

@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from randfan import (
-    RayVec,
-    SampleConfig,
-    ValidationError,
-    angular_compare,
-    complete_fan,
-    enumerate_rays,
-    prob_complete,
-    sample_fan,
-    sample_rays,
-)
+from randfan.errors import ValidationError
+from randfan.fans import complete_fan
+from randfan.lattice import RayVec, angular_compare, enumerate_rays
+from randfan.sampling import SampleConfig, prob_complete, sample_fan
 
 SEED = 20260816
+
+
+def sample_rays(cfg: SampleConfig) -> set[RayVec]:
+    """The draw's kept rays as a set of RayVec (primitivity checked by RayVec)."""
+    return {RayVec(x, y) for x, y in sample_fan(cfg).coords.tolist()}
 
 # frozen draw: h=3, p=0.5, master_seed=SEED, trial 0 (reseeding contract;
 # changes only with a deliberate, documented generator revision)

@@ -8,16 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fan_trial
-from randfan import (
-    ExperimentSpec,
-    InvariantError,
-    RayUniverse,
-    enumerate_rays,
-    run_threshold_sweep,
-    run_trial,
-    wedge,
-)
 from randfan import experiments, sampling
+from randfan.errors import InvariantError
+from randfan.experiments import ExperimentSpec, run_threshold_sweep, run_trial
+from randfan.lattice import RayUniverse, enumerate_rays, wedge
 from randfan.sampling import UINT64_MAX
 
 SEED = 20260816
