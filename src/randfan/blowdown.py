@@ -15,6 +15,22 @@ blowdown_index takes one ray's index from its neighbours' wedge and checks
 it the same way.  All of it is exact integer arithmetic, and nothing is
 returned if the forms disagree.
 
+Counting: the table's counts and ratios, and the ratio report, come from
+lattice.count_geq, which counts without enumerating.  The octant ray after
+consecutive Farey denominators (b, d) of order h has index (h + b) // d, and
+those pairs are the coprime b, d <= h with b + d > h, so
+
+    count_geq(h, k) = 8 * (P - [2h >= k]) + 4 * [2h >= k] + 4 * [2h - 1 >= k],
+    P = sum over e >= 1 of mu(e) * L(h // e, k),
+    L(N, k) = #{1 <= b, d <= N : b + d > N, N + b >= k * d}
+            = D1(D1 + 1)/2 + sum_{d = D1+1}^{D2} (2N + 1 - k * d),
+
+with D1 = min(N, (2N + 1) // (k + 1)) and D2 = min(N, (2N + 1) // k).  This
+is why the fraction of rays with index >= k tends to 2/T_k = 4/(k(k + 1)):
+L(N, k)/N^2 tends to 2/(k(k + 1)), the area of {b + d > 1, b + 1 >= k * d}
+in the unit square, while L(N, 1)/N^2 tends to 1/2, and the same Moebius
+weights sum both, so they cancel in the ratio.
+
 Norm bands: k * sup_norm(rho) <= 2h holds exactly for every ray (the
 neighbor sum has sup-norm at most 2h), while the lower bound
 (2 - eps) / (k + 2) * h is asymptotic, with eps = epsilon_of(h) = 1/h the
@@ -31,8 +47,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, enumerate_rays,
-    is_primitive,
+    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, count_geq,
+    enumerate_rays, is_primitive,
 )
 
 
@@ -108,9 +124,8 @@ class BlowdownTable:
         return f"BlowdownTable(h={self.h}, n_rays={len(self)})"
 
     def count_geq(self, k: int) -> int:
-        """Number of rays with blowdown index >= k."""
-        k = check_int(k, "index threshold", 1)
-        return int(np.count_nonzero(self._k >= k))
+        """Number of rays with blowdown index >= k, by lattice.count_geq."""
+        return count_geq(self.h, k)
 
     def ratio_geq(self, k: int) -> Fraction:
         """Exact fraction of rays with blowdown index >= k."""

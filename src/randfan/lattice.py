@@ -11,6 +11,8 @@ numpy lanes in lock step, and unfolded to the circle by symmetry.  The
 walk's step multiplier is the blowdown index of the ray it passes; the
 universe keeps those octant indices (_octant_k), and the blowdown module
 checks each one against both of its identities before using it.
+count_geq counts the rays of index >= k without the walk, from the coprime
+pairs of denominators that the walk steps through.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ def _check_memory(h: int) -> None:
     # the walk buffer (x, y and k per lane and step), the octant it yields
     # (coordinates and indices) and the unfolded circle (16 B per ray)
     lanes = min(_LANES, h)
-    n_rays = 2.44 * h * h + 8
-    need = 24 * lanes * _lane_rows(h, lanes) + 24 * n_rays / 8 + 16 * n_rays
+    n_rays = count_geq(h, 1)
+    need = 24 * lanes * _lane_rows(h, lanes) + 24 * n_rays // 8 + 16 * n_rays
     available = _mem_available()
     if available is not None and need > _MEMORY_SHARE * available:
         raise ValidationError(
@@ -193,7 +195,12 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
         if not live.any():
             break
     else:
-        raise InvariantError(f"height {h}: the octant walk overran its {rows} rows per lane")
+        lane = int(np.argmax(live))
+        raise InvariantError(
+            f"height {h}: the octant walk overran its {rows} rows per lane; lane {lane} "
+            f"is still live after step {step}, where it wrote the ray "
+            f"({xs[step, lane]}, {ys[step, lane]})"
+        )
     taken = np.arange(step + 1) < length[:, None]  # lane-major, like the arc
     m = int(length.sum()) + 1
     octant = np.empty((m, 2), dtype=np.int64)
@@ -204,6 +211,61 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
     k[:-1] = ks[: step + 1].T[taken]
     k[-1] = 2 * h - 1
     return octant, k
+
+
+def _mertens(n: int) -> np.ndarray:
+    """The Mertens function M(0..n), prefix sums of the Moebius function, as
+    an int64 array.  Each prime p <= sqrt(n) flips the sign of mu at its
+    multiples, zeroes it at the multiples of p*p and is divided out of its
+    multiples once; a squarefree number left above 1 has one more prime
+    factor, above sqrt(n)."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            mu[::p] *= -1
+            mu[:: p * p] = 0
+            rest[::p] //= p
+    mu[rest > 1] *= -1
+    mu[0] = 0
+    return np.cumsum(mu, dtype=np.int64)
+
+
+def _count_geq(h: int, k: int, mertens: np.ndarray) -> int:
+    # count_geq with the Mertens table M(0..m), m >= h, passed in.  P counts
+    # the pairs of index >= k: one per interior octant ray, and the pair
+    # (h, 1) before 1/1, whose formula index 2h is that of (1, 0).  The pairs
+    # with common factor e are e times those of L(h // e, k), so P sums
+    # mu(e) * L(h // e, k) in blocks of equal h // e.  Column d of L holds
+    # d pairs up to D1 and 2N + 1 - k*d from there to D2.
+    k = min(k, 2 * h + 1)  # no index exceeds 2h; keeps every sum in int64
+    s = math.isqrt(h)
+    e = np.arange(1, s + 1)  # e <= s one by one, then e > s in blocks h // e == v
+    v = np.arange(1, h // (s + 1) + 1)
+    n = np.concatenate((h // e, v))
+    weight = np.concatenate((mertens[e] - mertens[e - 1],
+                             mertens[h // v] - mertens[np.maximum(h // (v + 1), s)]))
+    d1 = np.minimum(n, (2 * n + 1) // (k + 1))
+    d2 = np.minimum(n, (2 * n + 1) // k)
+    pairs = d1 * (d1 + 1) // 2 + (d2 - d1) * (2 * n + 1) - k * (d2 * (d2 + 1) - d1 * (d1 + 1)) // 2
+    p = int((weight * pairs).sum())
+    axis, diagonal = 2 * h >= k, 2 * h - 1 >= k
+    return 8 * (p - axis) + 4 * axis + 4 * diagonal
+
+
+def count_geq(h: int, k: int) -> int:
+    """Number of rays of sup-norm <= h whose blowdown index is >= k, counted
+    exactly without enumerating a ray; count_geq(h, 1) is the number of rays.
+
+    The walk gives the octant ray after consecutive Farey denominators
+    (b, d) the index (h + b) // d, and these pairs are the coprime ones
+    with b, d <= h and b + d > h, so the count is a Moebius sum of a closed
+    form (stated in the randfan.blowdown docstring): one sieve up to h and
+    O(sqrt(h)) blocks of integer arithmetic, with no floating point.
+    """
+    h = _check_height(h)
+    k = check_int(k, "index threshold", 1)
+    return _count_geq(h, k, _mertens(h))
 
 
 def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:

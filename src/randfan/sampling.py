@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import check_int, check_real
 from .fans import Fan
-from .lattice import RayUniverse, _check_height, enumerate_rays
+from .lattice import RayUniverse, _check_height, count_geq, enumerate_rays
 
 #: Identity of the bit generator behind sample_fan and the sweep trials.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
@@ -77,9 +77,10 @@ def prob_complete(h: int, q: float) -> tuple[float, float]:
 
     Returns (exact, approx): exact is (1 - q)**n over the n rays at height h,
     computed stably as exp(n * log1p(-q)); approx is the surrogate exp(-n*q),
-    which exact approaches whenever n * q**2 is small.
+    which exact approaches whenever n * q**2 is small.  n is counted, not
+    enumerated, so no height <= MAX_H builds a ray.
     """
     q = check_real(q, "drop probability", 0, 1)
-    n = len(enumerate_rays(h))
+    n = count_geq(h, 1)
     exact = 0.0 if q == 1.0 else math.exp(n * math.log1p(-q))
     return exact, math.exp(-n * q)

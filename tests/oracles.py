@@ -91,6 +91,21 @@ def totients(n):
     return phi
 
 
+def farey_pair_count_geq(h, k):
+    """Rays of sup-norm <= h with blowdown index >= k, by a double loop over
+    consecutive Farey denominators: each coprime pair b, d <= h with
+    b + d > h and d >= 2 gives one interior first-octant ray, of index
+    (h + b) // d, seen 8 times on the circle; the 4 axis rays have index 2h
+    and the 4 diagonal rays 2h - 1."""
+    interior = sum(
+        1
+        for d in range(2, h + 1)
+        for b in range(h + 1 - d, h + 1)
+        if math.gcd(b, d) == 1 and (h + b) // d >= k
+    )
+    return 8 * interior + 4 * (2 * h >= k) + 4 * (2 * h - 1 >= k)
+
+
 def format_cell(value) -> str:
     """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
     'null' for missing values, integers verbatim."""

@@ -1,18 +1,21 @@
 """End-to-end command-line behavior, including exit codes and file output."""
 
 import copy
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randfan.blowdown import blowdown_table
+from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.fans import complete_fan, spectrum
 from randfan.lattice import MAX_H
 from randfan.cli import main
@@ -143,6 +146,19 @@ def test_ratios_table(capsys):
     assert lines[1] == f"5,2,{t5.count_geq(2)},80,0.6,0.666667"
     code, _, err = run_cli(capsys, "ratios", "--h", "5", "--kmax", "1")
     assert code == 1 and "error:" in err
+
+
+def test_ratios_at_the_height_cap(capsys):
+    # counted, not enumerated: 2.4 * 10**12 rays at h = 10**6
+    code, out, _ = run_cli(capsys, "ratios", "--h", "1000000", "--kmax", "7")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["k"]) for r in rows] == list(range(2, 8))
+    for r in rows:
+        n, count = int(r["n_h"]), int(r["count_geq"])
+        assert n == 2_431_708_419_136
+        gap = Fraction(count, n) - conjectured_ratio(int(r["k"]))
+        assert 10**6 * abs(gap) <= Fraction(1, 1000), r
 
 
 def test_space_report(capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import lattice
+from randfan import experiments, lattice
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError
 from randfan.experiments import (
@@ -382,6 +382,31 @@ def test_conjecture_report_is_consistent_with_tables():
         assert row["conjectured"] == pytest.approx(float(conjectured_ratio(row["k"])))
     with pytest.raises(ValidationError):
         conjecture_report([5], 1)
+
+
+def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
+    heights, k_max = [500, 1000, 2000], 7
+    want = []
+    for h in heights:
+        k_values = blowdown_table(h).k_values
+        for k in range(2, k_max + 1):
+            count = int(np.count_nonzero(k_values >= k))
+            want.append({
+                "h": h, "k": k, "count_geq": count, "n_h": len(k_values),
+                "ratio": float(Fraction(count, len(k_values))),
+                "conjectured": float(conjectured_ratio(k)),
+            })
+
+    def refuse(*args):
+        raise AssertionError(f"conjecture_report built rays: {args}")
+
+    for module, name in [(experiments, "enumerate_rays"), (experiments, "blowdown_table"),
+                         (lattice, "_farey_walk")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert conjecture_report(heights, k_max) == want
+    for bad in [[0], [lattice.MAX_H + 1], [5.0], [True]]:
+        with pytest.raises(ValidationError):
+            conjecture_report(bad, 3)
 
 
 def test_space_report_unit_height():

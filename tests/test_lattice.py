@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from randfan import lattice
-from randfan.errors import ValidationError
+from randfan.blowdown import blowdown_table
+from randfan.errors import InvariantError, ValidationError
 from randfan.lattice import (
     MAX_H,
     RayVec,
@@ -19,7 +20,9 @@ from randfan.lattice import (
 )
 from randfan.cli import main
 
-from oracles import brute_rays, concat_unfold, division_blowdown, first_octant, totients
+from oracles import (
+    brute_rays, concat_unfold, division_blowdown, farey_pair_count_geq, first_octant, totients,
+)
 
 R1_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
 
@@ -290,3 +293,60 @@ def test_cache_clear_drops_the_walk_with_the_universe(monkeypatch):
         assert np.array_equal(again.coords, first.coords)
     finally:
         _fresh_height()
+
+
+def test_count_geq_matches_the_farey_pair_oracle():
+    for h in range(1, 61):
+        for k in range(1, 10):
+            assert lattice.count_geq(h, k) == farey_pair_count_geq(h, k), (h, k)
+
+
+def _count_matches_table(h):
+    k_values = blowdown_table(h).k_values
+    for k in range(1, 10):
+        assert lattice.count_geq(h, k) == np.count_nonzero(k_values >= k), (h, k)
+
+
+def test_count_geq_matches_the_table_up_to_300():
+    for h in range(1, 301):
+        _count_matches_table(h)
+
+
+@pytest.mark.parametrize("h", [500, 1000, 1023, 2000])
+def test_count_geq_matches_the_table(h):
+    _count_matches_table(h)
+
+
+def test_count_geq_edges_and_validation():
+    assert lattice.count_geq(2000, 1) == 9_732_704
+    assert lattice.count_geq(5, 10) == 4  # the axes
+    assert lattice.count_geq(5, 9) == 8  # and the diagonals
+    assert lattice.count_geq(5, 11) == lattice.count_geq(5, 10**30) == 0
+    for h, k in [(0, 1), (MAX_H + 1, 1), (True, 1), (5.0, 1), (5, 0), (5, None)]:
+        with pytest.raises(ValidationError):
+            lattice.count_geq(h, k)
+
+
+def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
+    # the estimate is exact in the ray count: 24 B per octant ray and 16 B per ray
+    counted = []
+    count = lattice.count_geq
+
+    def counting(h, k):
+        counted.append((h, k))
+        return count(h, k)
+
+    monkeypatch.setattr(lattice, "count_geq", counting)
+    lattice._check_memory(2000)
+    assert counted == [(2000, 1)]
+
+
+def test_walk_overrun_names_a_live_lane_its_step_and_last_ray(monkeypatch):
+    # lane 0 of h = 50 stops after (1, 0); lane 1 walks (50, 1), (49, 1), ...
+    monkeypatch.setattr(lattice, "_lane_rows", lambda h, lanes: 2)
+    with pytest.raises(InvariantError) as info:
+        lattice._farey_walk(50)
+    assert str(info.value) == (
+        "height 50: the octant walk overran its 2 rows per lane; lane 1 is still live "
+        "after step 1, where it wrote the ray (49, 1)"
+    )

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from randfan import sampling
 from randfan.errors import ValidationError
 from randfan.fans import complete_fan
-from randfan.lattice import RayVec, angular_compare, enumerate_rays
+from randfan.lattice import MAX_H, RayVec, angular_compare, enumerate_rays
 from randfan.sampling import SampleConfig, prob_complete, sample_fan
 
 SEED = 20260816
@@ -133,6 +134,19 @@ def test_prob_complete_limit_regime():
         exact, approx = prob_complete(200, c / n)
         assert approx == pytest.approx(math.exp(-c), rel=1e-12)
         assert abs(exact - approx) / approx < 1e-3
+
+
+def test_prob_complete_counts_the_rays_instead_of_enumerating(monkeypatch):
+    want = {h: len(enumerate_rays(h)) for h in (1, 3, 5, 30, 200)}
+
+    def refuse(h):
+        raise AssertionError(f"prob_complete enumerated height {h}")
+
+    monkeypatch.setattr(sampling, "enumerate_rays", refuse)
+    for h, n in want.items():
+        assert prob_complete(h, 1e-3) == (math.exp(n * math.log1p(-1e-3)), math.exp(-n * 1e-3))
+    n = 2_431_708_419_136  # at h = MAX_H
+    assert prob_complete(MAX_H, 1e-13) == (math.exp(n * math.log1p(-1e-13)), math.exp(-n * 1e-13))
 
 
 def test_sample_rays_returns_rayvecs():
