@@ -5,9 +5,11 @@ number of seeded trials (one draw per trial, keyed by master_seed and the
 trial index alone) and aggregates them into a single summary row.  A trial is
 classified from its dropped runs: the full fan is smooth, so a draw differs
 from it only where maximal runs of consecutive rays were dropped, and no fan
-is built.  Trial RNG streams never depend on worker count or scheduling, and
-rows are emitted in grid order with a canonical number format, so a sweep's
-output is byte-identical across runs and thread pools.
+is built.  Trials are drawn and classified in blocks, and a cell is
+aggregated from count arrays.  Trial RNG streams never depend on block size,
+worker count or scheduling, and rows are emitted in grid order with a
+canonical number format, so a sweep's output is byte-identical across runs
+and thread pools.
 
 Report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, sharing the same
@@ -34,7 +36,7 @@ import numpy as np
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import InvariantError, ValidationError, check_int, check_real
 from .lattice import RayUniverse, _check_height, _count_geq, _mertens, enumerate_rays
-from .sampling import UINT64_MAX, SampleConfig, _keep_mask
+from .sampling import UINT64_MAX, SampleConfig, _keep_mask, _keep_threshold
 
 FORMATS = ("csv", "json")
 
@@ -55,7 +57,13 @@ class PowerSchedule:
         object.__setattr__(self, "alpha", check_real(self.alpha, "schedule exponent"))
 
     def value(self, h: int) -> float:
-        return min(1.0, self.c * float(h) ** -self.alpha)
+        try:
+            return min(1.0, self.c * float(h) ** -self.alpha)
+        except OverflowError:
+            # h**-alpha is past the float range, but c may be as small as
+            # 5e-324: decide in logs
+            log_value = math.log(self.c) - self.alpha * math.log(h)
+            return 1.0 if log_value >= 0 else math.exp(log_value)
 
 
 def _nonempty_list(values, name: str) -> list:
@@ -198,75 +206,127 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
+#: Rays per block of work.  A sweep draws and classifies
+#: max(1, _BLOCK_RAYS // n) trials at a time, and the full fan's smoothness
+#: is checked this many rows at a time, so no temporary scales with h.
+_BLOCK_RAYS = 1 << 16
+
+#: Most worker threads a sweep may be asked for.
+MAX_WORKERS = 64
+
+#: Wedges are at most 2 * MAX_H**2 < 2**62, so a larger k counts as 2**62
+#: and every index comparison stays within int64.
+_K_CAP = 1 << 62
+
+
 @lru_cache(maxsize=4, typed=True)  # typed for the reason given at enumerate_rays
 def _smooth_universe(h: int) -> RayUniverse:
     """The height-h universe, once checked to form a smooth full fan: every
-    pair of cyclic neighbours has wedge exactly 1.  run_trial relies on it."""
+    pair of cyclic neighbours has wedge exactly 1.  The trial classifier
+    relies on it."""
     universe = enumerate_rays(h)
     c = universe.coords
-    nxt = np.roll(c, -1, axis=0)
-    w = c[:, 0] * nxt[:, 1] - c[:, 1] * nxt[:, 0]
-    bad = np.flatnonzero(w != 1)
-    if len(bad):
-        i = int(bad[0])
-        j = (i + 1) % len(c)
-        u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
-        raise InvariantError(
-            f"height {h}: neighbouring rays {u} at position {i} and {v} at "
-            f"position {j} have wedge {int(w[i])}, not 1"
-        )
+    n = len(c)
+    for lo in range(0, n, _BLOCK_RAYS):
+        hi = min(lo + _BLOCK_RAYS, n)
+        nxt = c[lo + 1 : hi + 1]
+        if hi == n:  # the last ray's neighbour is the first
+            nxt = np.concatenate((nxt, c[:1]))
+        w = c[lo:hi, 0] * nxt[:, 1] - c[lo:hi, 1] * nxt[:, 0]
+        bad = np.flatnonzero(w != 1)
+        if len(bad):
+            i = lo + int(bad[0])
+            j = (i + 1) % n
+            u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
+            raise InvariantError(
+                f"height {h}: neighbouring rays {u} at position {i} and {v} at "
+                f"position {j} have wedge {int(w[bad[0]])}, not 1"
+            )
     return universe
 
 
-def _gap_wedges(coords: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """wedge(previous kept ray, next kept ray) across each maximal run of
-    dropped positions; a run through positions n - 1 and 0 counts once.
-    Needs at least one kept ray."""
-    n = len(coords)
-    cut = np.flatnonzero(np.diff(dropped) != 1) + 1
-    starts = np.concatenate((dropped[:1], dropped[cut]))
-    ends = np.concatenate((dropped[cut - 1], dropped[-1:]))
-    if starts[0] == 0 and ends[-1] == n - 1:  # the last run wraps into the first
-        starts, ends = starts[1:], np.concatenate((ends[1:-1], ends[:1]))
-    before = coords[starts - 1]
-    after = coords[(ends + 1) % n]
-    return before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0]
+def _per_row(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """ufunc.reduceat of values over the row segments bounds[i]:bounds[i + 1],
+    and 0 for an empty segment."""
+    out = ufunc.reduceat(np.append(values, 0), bounds[:-1], dtype=np.int64)
+    out[bounds[:-1] == bounds[1:]] = 0
+    return out
+
+
+def _classify(coords: np.ndarray, dropped: np.ndarray, ks) -> tuple[np.ndarray, ...]:
+    """Classify a block of draws over the smooth full fan coords from their
+    (B, n) drop matrix, one draw per row.
+
+    Returns, per row: the kept ray count, the cone count, the largest cone
+    index (0 with no cone), and the count of cones of index >= k for each k
+    in ks, as a (B, len(ks)) matrix.  Every cyclic neighbour pair of the
+    full fan spans a cone of index 1, so kept neighbours with nothing
+    dropped between them give unit cones; across each maximal run of
+    dropped rays the two flanking kept rays span one cone of index
+    wedge(before, after), or none when the gap is at least a half turn
+    (wedge <= 0).  A row with fewer than 2 kept rays has no cone.
+    """
+    b, n = dropped.shape
+    # a kept ray before the block and a kept sentinel column after every
+    # row, so no run crosses into the next row; the runs of the whole block
+    # start and stop where the flat mask changes
+    flat = np.zeros(1 + b * (n + 1), dtype=bool)
+    flat[1:].reshape(b, n + 1)[:, :n] = dropped
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    bounds = np.searchsorted(edges[0::2], np.arange(b + 1) * (n + 1))
+    offset = np.repeat(np.arange(b) * (n + 1), np.diff(bounds))
+    s = edges[0::2] - offset  # first dropped column of each run
+    e = edges[1::2] - offset  # first kept column after it; n at the row's end
+    del flat, edges, offset  # freed before the per-run arrays: they set the sweep's peak memory
+    kept = n - _per_row(np.add, e - s, bounds)
+    # a row's last run through position n - 1 and its first run through 0
+    # are one run across the seam: keep it as the first, from the last's start
+    multi = np.flatnonzero(np.diff(bounds) >= 2)
+    first, last = bounds[multi], bounds[multi + 1] - 1
+    seam = (s[first] == 0) & (e[last] == n)
+    s[first[seam]] = s[last[seam]]
+    s, e = np.delete(s, last[seam]), np.delete(e, last[seam])
+    bounds = bounds - np.searchsorted(last[seam], bounds)
+    before = np.take(coords, s - 1, axis=0, mode="wrap")
+    after = np.take(coords, e, axis=0, mode="wrap")
+    w = before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0]
+    unit = kept - np.diff(bounds)
+    n_cones = unit + _per_row(np.add, w >= 1, bounds)
+    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0), bounds), n_cones > 0)
+    at_least = np.empty((b, len(ks)), dtype=np.int64)
+    for j, k in enumerate(ks):
+        at_least[:, j] = _per_row(np.add, w >= min(k, _K_CAP), bounds) + (unit if k == 1 else 0)
+    few = kept < 2  # nothing kept, or a lone ray whose neighbour is itself
+    n_cones[few] = max_index[few] = at_least[few] = 0
+    return kept, n_cones, max_index, at_least
+
+
+def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks):
+    """Draw trials lo..hi-1 of one cell at the given keep threshold, with
+    one Philox re-keyed for each, and _classify them as one block."""
+    keep = np.empty((hi - lo, len(coords)), dtype=bool)
+    bitgen = np.random.Philox(0)
+    for row, t in enumerate(range(lo, hi)):
+        _keep_mask(bitgen, master_seed, t, threshold, keep[row])
+    return _classify(coords, np.logical_not(keep, out=keep), ks)
 
 
 def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> TrialRecord:
     """One draw at drop probability q, classified from its dropped runs.
 
     The draw is sample_fan's (the same keep mask), and the record equals
-    the one its Fan would give, but no fan is built.  Every cyclic
-    neighbour pair of the full fan spans a cone of index 1, so kept
-    neighbours with nothing dropped between them give unit cones; across
-    each maximal run of dropped rays the two flanking kept rays span one
-    cone of index wedge(before, after), or none when the gap is at least a
-    half turn (wedge <= 0).  A cone of index >= k >= 2 is therefore a gap
-    cone.
+    the one its Fan would give, but no fan is built: this is the sweep's
+    classifier on a block of one trial.
     """
     cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
     ks = [check_int(k, "index threshold", 1) for k in k_list]
-    universe = _smooth_universe(cfg.h)
-    dropped = np.flatnonzero(~_keep_mask(cfg, universe))
-    kept = len(universe) - len(dropped)
-    if kept < 2:
-        # no cone: nothing kept, or a lone ray whose neighbour is itself
-        unit_cones, gap_cones = 0, np.empty(0, dtype=np.int64)
-    elif len(dropped) == 0:
-        unit_cones, gap_cones = kept, np.empty(0, dtype=np.int64)
-    else:
-        gaps = _gap_wedges(universe.coords, dropped)
-        unit_cones, gap_cones = kept - len(gaps), gaps[gaps > 0]
-    m = unit_cones + len(gap_cones)
-    max_index = int(gap_cones.max()) if len(gap_cones) else (1 if m else 0)
-    deltas = {}
-    for k in ks:
-        at_least = int(np.count_nonzero(gap_cones >= k)) + (unit_cones if k == 1 else 0)
-        deltas[k] = Fraction(at_least, m) if m else None
+    coords = _smooth_universe(cfg.h).coords
+    block = _draw_block(coords, _keep_threshold(cfg.p), cfg.master_seed, trial_index, trial_index + 1, ks)
+    kept, m, max_index, at_least = (a[0].tolist() for a in block)
     return TrialRecord(
         h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,
-        n_cones=m, smooth=max_index <= 1, max_index=max_index, delta_k=deltas,
+        n_cones=m, smooth=max_index <= 1, max_index=max_index,
+        delta_k={k: Fraction(a, m) if m else None for k, a in zip(ks, at_least)},
     )
 
 
@@ -286,25 +346,41 @@ def _nearest_rank(sorted_vals, frac: float):
     return sorted_vals[max(0, math.ceil(frac * len(sorted_vals)) - 1)]
 
 
-def _aggregate(h, q, records, k_list, c_density) -> SweepRow:
-    t = len(records)
-    n_smooth = sum(1 for r in records if r.smooth)
+def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRow:
+    """The row of one cell from its trials' cone counts, largest indices
+    and (trials, len(k_list)) counts of cones of index >= k.
+
+    mean_delta is the exact mean of the defined densities at_least / n_cones,
+    floated once: the numerators are summed per denominator, and one
+    Fraction sum runs over the distinct denominators.  A density is above
+    c_density = P/Q exactly when at_least > floor(P * n_cones / Q).
+    """
+    t = len(n_cones)
+    n_smooth = int(np.count_nonzero(max_index <= 1))
     ci_low, ci_high = wilson_interval(n_smooth, t)
-    by_max = sorted(r.max_index for r in records)
+    by_max = np.sort(max_index)
+    defined = n_cones > 0
+    order = np.argsort(n_cones[defined], kind="stable")
+    m = n_cones[defined][order]
+    a = at_least[defined][order]
+    group = np.flatnonzero(np.diff(m, prepend=0))  # m > 0, so row 0 starts a group
+    denominators = m[group].tolist()
+    num, den = c_density.as_integer_ratio()
+    floors = np.repeat([num * d // den for d in denominators], np.diff(group, append=len(m)))
+    above = np.count_nonzero(a > floors[:, None], axis=0).tolist()
+    sums = np.add.reduceat(a, group, axis=0).T.tolist()
     mean_delta = {}
     frac_above = {}
-    for k in k_list:
-        defined = [r.delta_k[k] for r in records if r.delta_k[k] is not None]
-        # exact Fraction mean, floated once at the end
-        mean_delta[k] = float(sum(defined) / len(defined)) if defined else None
-        above = sum(1 for r in records if r.delta_k[k] is not None and r.delta_k[k] > c_density)
-        frac_above[k] = above / t
+    for k, numerators, n_above in zip(k_list, sums, above):
+        total = sum(map(Fraction, numerators, denominators), Fraction(0))
+        mean_delta[k] = float(total / len(m)) if len(m) else None
+        frac_above[k] = n_above / t
     frac_smooth = n_smooth / t
     return SweepRow(
         h=h, q=q, trials=t,
         frac_smooth=frac_smooth, frac_singular=1.0 - frac_smooth,
         wilson_ci_low=ci_low, wilson_ci_high=ci_high,
-        n_no_cones=sum(1 for r in records if r.n_cones == 0),
+        n_no_cones=t - len(m),
         max_index_p50=int(_nearest_rank(by_max, 0.5)),
         max_index_p90=int(_nearest_rank(by_max, 0.9)),
         mean_delta=mean_delta, frac_delta_above_c=frac_above,
@@ -319,24 +395,37 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     trials whose density exceeds c_density; cone-free trials count as
     failures there and are tallied in n_no_cones.  run_density_sweep is the
     same function.
-    """
-    workers = check_int(workers, "workers", 1)
-    rows = []
-    for h, q in zip(spec.h_values, spec.q_values()):
-        def one_trial(t: int, h=h, q=q) -> TrialRecord:
-            return run_trial(h, q, spec.master_seed, t, spec.k_list)
 
-        if workers == 1:
-            records = [one_trial(t) for t in range(spec.trials)]
-        else:
-            # build and check the universe before the threads ask for it:
-            # concurrent cache misses would each build it
-            _smooth_universe(h)
-            # map() preserves submission order; streams are keyed by trial
-            # index, so scheduling cannot leak into the records
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(one_trial, range(spec.trials)))
-        rows.append(_aggregate(h, q, records, spec.k_list, spec.c_density))
+    Work items are blocks of max(1, _BLOCK_RAYS // n) trials of one cell, in
+    grid order.  Every cell's universe is built and checked before the first
+    item runs.  With workers > 1, at most min(workers, items) threads of one
+    pool serve all cells; map() keeps the items in order, and each trial's
+    stream is keyed by its index alone, so scheduling cannot leak into a row.
+    """
+    workers = check_int(workers, "workers", 1, MAX_WORKERS)
+    cells = [(h, q, _smooth_universe(h).coords) for h, q in zip(spec.h_values, spec.q_values())]
+    items, blocks_per_cell = [], []
+    for h, q, coords in cells:
+        per_block = max(1, _BLOCK_RAYS // len(coords))
+        threshold = _keep_threshold(1.0 - q)
+        los = range(0, spec.trials, per_block)
+        items += [
+            (coords, threshold, spec.master_seed, lo, min(lo + per_block, spec.trials), spec.k_list)
+            for lo in los
+        ]
+        blocks_per_cell.append(len(los))
+    threads = min(workers, len(items))
+    if threads == 1:
+        results = [_draw_block(*item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(_draw_block, *zip(*items)))
+    rows = []
+    done = 0
+    for (h, q, _), count in zip(cells, blocks_per_cell):
+        _, n_cones, max_index, at_least = (np.concatenate(a) for a in zip(*results[done : done + count]))
+        done += count
+        rows.append(_aggregate(h, q, n_cones, max_index, at_least, spec.k_list, spec.c_density))
     return rows
 
 

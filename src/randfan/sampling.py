@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import check_int, check_real
 from .fans import Fan
-from .lattice import RayUniverse, _check_height, count_geq, enumerate_rays
+from .lattice import _check_height, count_geq, enumerate_rays
 
 #: Identity of the bit generator behind sample_fan and the sweep trials.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
@@ -54,10 +55,51 @@ class SampleConfig:
         return 1.0 - self.p
 
 
-def _keep_mask(cfg: SampleConfig, universe: RayUniverse) -> np.ndarray:
-    key = np.array([cfg.master_seed, cfg.trial_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(len(universe)) < cfg.p
+#: Raw Philox words drawn per chunk of a keep mask, so a draw at any height
+#: allocates no n-sized float64 or uint64 temporary.
+_MASK_CHUNK = 1 << 16
+
+#: The counter and buffer a new Philox starts with.
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def _keep_threshold(p: float) -> int:
+    """Integer t with (u < p) == (raw < t) for every raw Philox word.
+
+    Generator.random() is (raw >> 11) * 2**-53, so u < p exactly when
+    raw >> 11 < ceil(p * 2**53), that is raw < ceil(p * 2**53) * 2**11.
+    At p = 1 this is 2**64, past every uint64: every ray is kept.
+    """
+    return math.ceil(Fraction(p) * 2**53) << 11
+
+
+def _rekey(bitgen: np.random.Philox, master_seed: int, trial_index: int) -> None:
+    """Put bitgen in the state a new Philox keyed (master_seed, trial_index)
+    starts in, so one generator serves any number of draws without building
+    a new one (and its SeedSequence) for each."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": np.array([master_seed, trial_index], dtype=np.uint64)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+def _keep_mask(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int, out: np.ndarray) -> None:
+    """Write the keep decisions of trial (master_seed, trial_index) into out,
+    re-keying bitgen.
+
+    out[i] is True when the i-th uniform of the trial's stream is below p,
+    threshold being _keep_threshold(p).  The raw words are read in chunks of
+    at most _MASK_CHUNK.
+    """
+    if threshold > UINT64_MAX:
+        out[:] = True
+        return
+    _rekey(bitgen, master_seed, trial_index)
+    threshold = np.uint64(threshold)
+    for lo in range(0, len(out), _MASK_CHUNK):
+        chunk = out[lo : lo + _MASK_CHUNK]
+        np.less(bitgen.random_raw(len(chunk)), threshold, out=chunk)
 
 
 def sample_fan(cfg: SampleConfig) -> Fan:
@@ -65,11 +107,13 @@ def sample_fan(cfg: SampleConfig) -> Fan:
     complete it to a fan.
 
     Agrees with complete_fan of the kept rays but skips re-sorting: they
-    inherit the universe's canonical order, so a draw costs one uniform
-    array plus one boolean mask even at large h.
+    inherit the universe's canonical order, so a draw costs one pass over
+    the raw Philox words plus one boolean mask even at large h.
     """
     universe = enumerate_rays(cfg.h)
-    return Fan(universe.coords[_keep_mask(cfg, universe)])
+    keep = np.empty(len(universe), dtype=bool)
+    _keep_mask(np.random.Philox(0), cfg.master_seed, cfg.trial_index, _keep_threshold(cfg.p), keep)
+    return Fan(universe.coords[keep])
 
 
 def prob_complete(h: int, q: float) -> tuple[float, float]:

@@ -171,6 +171,53 @@ def fan_trial(h, q, master_seed, trial_index, k_list):
     )
 
 
+def fan_counts(h, keep, k_list):
+    """(kept rays, cones, largest cone index, [cones of index >= k per k])
+    of the Fan on the kept rays of the height-h universe; what the trial
+    classifier reports for one row, from a built Fan."""
+    from randfan.fans import Fan
+    from randfan.lattice import enumerate_rays
+
+    fan = Fan(enumerate_rays(h).coords[np.asarray(keep, dtype=bool)])
+    indices = fan.cone_indices.tolist()
+    return fan.n_rays, len(indices), max(indices, default=0), [sum(i >= k for i in indices) for k in k_list]
+
+
+def aggregate_records(h, q, records, k_list, c_density):
+    """The SweepRow of one cell from its TrialRecords: Fraction means and
+    Fraction-to-float comparisons, one record at a time.
+
+    The aggregation sweeps used before they aggregated count arrays.
+    """
+    from randfan.experiments import SweepRow, wilson_interval
+
+    def nearest_rank(sorted_vals, frac):
+        return sorted_vals[max(0, math.ceil(frac * len(sorted_vals)) - 1)]
+
+    t = len(records)
+    n_smooth = sum(1 for r in records if r.smooth)
+    ci_low, ci_high = wilson_interval(n_smooth, t)
+    by_max = sorted(r.max_index for r in records)
+    mean_delta = {}
+    frac_above = {}
+    for k in k_list:
+        defined = [r.delta_k[k] for r in records if r.delta_k[k] is not None]
+        # exact Fraction mean, floated once at the end
+        mean_delta[k] = float(sum(defined) / len(defined)) if defined else None
+        above = sum(1 for r in records if r.delta_k[k] is not None and r.delta_k[k] > c_density)
+        frac_above[k] = above / t
+    frac_smooth = n_smooth / t
+    return SweepRow(
+        h=h, q=q, trials=t,
+        frac_smooth=frac_smooth, frac_singular=1.0 - frac_smooth,
+        wilson_ci_low=ci_low, wilson_ci_high=ci_high,
+        n_no_cones=sum(1 for r in records if r.n_cones == 0),
+        max_index_p50=int(nearest_rank(by_max, 0.5)),
+        max_index_p90=int(nearest_rank(by_max, 0.9)),
+        mean_delta=mean_delta, frac_delta_above_c=frac_above,
+    )
+
+
 def first_octant(h: int) -> np.ndarray:
     """The first octant, (1, 0) to (1, 1), by the one-lane Python mediant walk.
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -225,11 +226,43 @@ def test_sweep_flag_validation(capsys):
         ("density", "--h", "5", "--q", "0.1", "--spec", "whatever.json"),
         ("density", "--h", "5", "--q", "0.1", "--trials", "0"),
         ("density", "--h", "5", "--q", "0.1", "--workers", "0"),
+        ("density", "--h", "5", "--q", "0.1", "--workers", "65"),  # above MAX_WORKERS
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert "error:" in err
+
+
+def test_overflowing_power_law_schedule_drops_every_ray(capsys):
+    # 10**1000 is past the float range; the schedule clamps to q = 1
+    code, out, err = run_cli(capsys, "threshold", "--h", "10", "--c", "1", "--alpha", "-1000", "--trials", "2")
+    assert code == 0 and err == ""
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["h"] == "10" and row["q"] == "1"
+    assert row["n_no_cones"] == "2"
+
+
+#: sha256 of sweep outputs at fixed arguments: the density sweep of the
+#: paper's small heights and a sparse-drop threshold sweep at h = 1000.
+#: Any change to the draws, the classification, the aggregation or the
+#: number format changes these bytes.
+GOLDEN_SWEEPS = [
+    (("density", "--h", "40", "--q", "0.5", "--h", "60", "--q", "0.5", "--h", "80", "--q", "0.2",
+      "--trials", "1000", "--k", "2", "--k", "3", "--seed", "0"),
+     "b7cca0cf6ed37500fb0db006d71704a8c7d324aae90767a612cff7d96208fdaa"),
+    (("threshold", "--h", "1000", "--q", "0.0001", "--trials", "40", "--k", "2", "--seed", "0",
+      "--workers", "2"),
+     "9564475e86805058848405a424774075577077a03e7d0de8e894e9873a200a0b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_SWEEPS, ids=["density", "threshold"])
+def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_inline_flags_and_spec_file_give_identical_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,19 @@ def test_q_values_power_law_and_regimes():
     spec = ExperimentSpec(h_values=[10, 100], q_schedule=PowerSchedule(1.0, 1.0),
                           regime="q-large", trials=1, master_seed=0)
     assert spec.q_values() == pytest.approx([0.9, 0.99])
+
+
+def test_power_schedule_decides_overflowing_powers_in_logs():
+    # where h**-alpha is finite the value is the plain float expression
+    for c, alpha, h in [(1.0, 3.0, 60), (0.7, -2.5, 9), (5e-324, -300.0, 10), (2.0, 1.5, 1000)]:
+        assert PowerSchedule(c, alpha).value(h) == min(1.0, c * float(h) ** -alpha)
+    # past the float range: clamped when log c - alpha log h >= 0 ...
+    assert PowerSchedule(1.0, -1000.0).value(10) == 1.0
+    assert PowerSchedule(5e-324, -1000.0).value(10) == 1.0
+    # ... and exp of that sum when it is negative: c = 5e-324 against 10**310
+    q = PowerSchedule(5e-324, -310.0).value(10)
+    assert q == pytest.approx(math.exp(math.log(5e-324) + 310 * math.log(10)), rel=1e-12)
+    assert 0.0 < q < 1e-13
 
 
 def test_q_values_clamp_to_unit_interval():
@@ -296,6 +310,35 @@ def test_threaded_sweep_builds_the_universe_once(monkeypatch):
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
         run_threshold_sweep(_spec(), workers=0)
+
+
+def test_workers_above_the_bound_are_refused_before_a_pool_exists(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    for workers in (experiments.MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ValidationError, match="workers"):
+            run_threshold_sweep(_spec(), workers=workers)
+
+
+def test_one_pool_starts_at_most_one_thread_per_work_item(monkeypatch):
+    pools = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 1)  # one trial per work item
+    bound = experiments.MAX_WORKERS
+    run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=1), workers=bound)
+    assert pools == []  # one item runs inline
+    run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=2), workers=bound)
+    assert pools == [2]
+    run_threshold_sweep(_spec(h_values=[3, 4], q_schedule=[0.5, 0.5], trials=2), workers=3)
+    assert pools == [2, 3]  # one pool serves both cells
 
 
 def test_sweep_columns_layout():

@@ -46,3 +46,9 @@ def test_library_tour_runs_as_written():
     assert scope["t"][(1, 1)] == 9
     assert scope["t"].ratio_geq(2) == Fraction(3, 5)
     assert len(scope["rows"]) == 1
+
+
+def test_readme_states_the_workers_bound():
+    from randfan.experiments import MAX_WORKERS
+
+    assert f"MAX_WORKERS = {MAX_WORKERS}`" in README.read_text(encoding="utf-8")

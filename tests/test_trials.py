@@ -1,16 +1,30 @@
-"""Trials classified from their dropped runs, against the Fan-building oracle."""
+"""Sweep trials: the block classifier against the Fan-building oracle, the
+integer keep mask against Generator.random, and the array aggregation
+against the record-by-record oracle."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fan_trial
+from oracles import aggregate_records, fan_counts, fan_trial
 from randfan import experiments, sampling
 from randfan.errors import InvariantError
-from randfan.experiments import ExperimentSpec, run_threshold_sweep, run_trial
+from randfan.experiments import (
+    ExperimentSpec,
+    TrialRecord,
+    _aggregate,
+    _classify,
+    _smooth_universe,
+    render,
+    run_threshold_sweep,
+    run_trial,
+    sweep_columns,
+    sweep_rows_as_dicts,
+)
 from randfan.lattice import RayUniverse, enumerate_rays, wedge
 from randfan.sampling import UINT64_MAX
 
@@ -37,66 +51,232 @@ def test_sparse_drop_trial_at_height_1000_matches_fan_oracle(trial):
     assert rec.n_rays_drawn < len(enumerate_rays(1000))
 
 
+def _classified(h, dropped, ks):
+    """_classify on a (B, n) drop matrix, checked row by row against the
+    Fan oracle; the rows as (kept, cones, largest index, [cones >= k])."""
+    kept, n_cones, max_index, at_least = _classify(_smooth_universe(h).coords, dropped, ks)
+    rows = list(zip(kept.tolist(), n_cones.tolist(), max_index.tolist(), at_least.tolist()))
+    for row, drops in zip(rows, dropped):
+        assert row == fan_counts(h, ~drops, ks), np.flatnonzero(~drops)
+    return rows
+
+
+def _only_kept(n, positions):
+    row = np.ones(n, dtype=bool)
+    row[list(positions)] = False
+    return row
+
+
+@st.composite
+def _drop_rows(draw, n):
+    """Rows of a drop matrix over n rays, with the special cases drawn often."""
+    kind = draw(st.sampled_from(["random", "few kept", "all", "none", "seam", "arc"]))
+    if kind == "few kept":  # 0, 1 or 2 kept rays
+        return _only_kept(n, draw(st.sets(st.integers(0, n - 1), max_size=2)))
+    if kind in ("all", "none"):
+        return np.full(n, kind == "all")
+    row = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if kind == "seam":  # one run through positions n - 1 and 0
+        a = draw(st.integers(1, n - 3))
+        b = draw(st.integers(a + 2, n - 1))
+        row[:a] = row[b:] = True
+        row[a] = row[b - 1] = False
+    elif kind == "arc":  # a kept arc of a half turn or more: the gap spans nothing
+        start = draw(st.integers(0, n - 1))
+        arc = (start + np.arange(draw(st.integers(n // 2 + 1, n - 1)))) % n
+        row[:] = True
+        row[arc[[0, -1]]] = False
+        inside = st.lists(st.booleans(), min_size=len(arc) - 2, max_size=len(arc) - 2)
+        row[arc[1:-1]] = np.array(draw(inside), dtype=bool)
+    return row
+
+
+@st.composite
+def _blocks(draw):
+    h = draw(st.sampled_from([1, 2, 3, 5]))
+    n = len(enumerate_rays(h))
+    rows = draw(st.lists(_drop_rows(n), min_size=1, max_size=6))
+    return h, np.array(rows, dtype=bool)
+
+
+_INDEX_THRESHOLDS = st.one_of(st.integers(1, 12), st.sampled_from([2**62, 2**63, 2**64 + 5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=_blocks(), ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
+def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
+    h, dropped = block
+    rows = _classified(h, dropped, ks)
+    assert rows == [_classified(h, d[None], ks)[0] for d in dropped]
+
+
 H = 3  # 32 rays: (1, 0) at 0, (0, 1) at 8, (-1, 0) at 16, (0, -1) at 24
 K_LIST = [1, 2, 3]
 
 
-def _forced_trial(monkeypatch, kept_positions):
-    """run_trial on a draw that keeps exactly the given positions, checked
-    against the oracle on the same draw."""
-    keep = np.zeros(len(enumerate_rays(H)), dtype=bool)
-    keep[list(kept_positions)] = True
-
-    def forced(cfg, universe):
-        return keep.copy()
-
-    monkeypatch.setattr(sampling, "_keep_mask", forced)
-    monkeypatch.setattr(experiments, "_keep_mask", forced)
-    rec = run_trial(H, 0.5, 0, 0, K_LIST)
-    assert rec == fan_trial(H, 0.5, 0, 0, K_LIST)
-    assert rec.n_rays_drawn == len(kept_positions)
-    return rec
+def _cones(kept_positions):
+    """(cones, largest index, [cones >= k]) of the H draw keeping exactly
+    the given positions, checked against the oracle."""
+    ((kept, *cones),) = _classified(H, _only_kept(32, kept_positions)[None], K_LIST)
+    assert kept == len(kept_positions)
+    return tuple(cones)
 
 
-def _cones(rec):
-    return rec.n_cones, rec.max_index, rec.delta_k
+def test_no_kept_ray_gives_no_cone():
+    assert _cones([]) == (0, 0, [0, 0, 0])
 
 
-def test_no_kept_ray_gives_no_cone(monkeypatch):
-    assert _cones(_forced_trial(monkeypatch, [])) == (0, 0, dict.fromkeys(K_LIST))
+def test_one_kept_ray_gives_no_cone():
+    assert _cones([5]) == (0, 0, [0, 0, 0])
 
 
-def test_one_kept_ray_gives_no_cone(monkeypatch):
-    assert _cones(_forced_trial(monkeypatch, [5])) == (0, 0, dict.fromkeys(K_LIST))
-
-
-def test_two_kept_rays(monkeypatch):
+def test_two_kept_rays():
     # antipodes: both gaps are half turns
-    assert _cones(_forced_trial(monkeypatch, [0, 16])) == (0, 0, dict.fromkeys(K_LIST))
+    assert _cones([0, 16]) == (0, 0, [0, 0, 0])
     # (1, 0) and (0, 1): a quarter-turn cone of index 1, no cone across 3/4 turn
-    assert _cones(_forced_trial(monkeypatch, [0, 8])) == (1, 1, {1: 1, 2: 0, 3: 0})
+    assert _cones([0, 8]) == (1, 1, [1, 0, 0])
     # (3, 1) and (0, 1) span a cone of index 3
-    assert _cones(_forced_trial(monkeypatch, [1, 8])) == (1, 3, {1: 1, 2: 1, 3: 1})
+    assert _cones([1, 8]) == (1, 3, [1, 1, 1])
 
 
-def test_no_dropped_ray_gives_the_full_fan(monkeypatch):
-    rec = _forced_trial(monkeypatch, range(32))
-    assert _cones(rec) == (32, 1, {1: 1, 2: 0, 3: 0})
+def test_no_dropped_ray_gives_the_full_fan():
+    assert _cones(range(32)) == (32, 1, [32, 0, 0])
 
 
-def test_run_through_the_seam_counts_once(monkeypatch):
+def test_run_through_the_seam_counts_once():
     # drops 30, 31, 0 and 1: one gap, from (3, -2) at 29 to (2, 1) at 2
-    rec = _forced_trial(monkeypatch, range(2, 30))
     assert wedge((3, -2), (2, 1)) == 7
-    assert _cones(rec) == (28, 7, {1: 1, 2: Fraction(1, 28), 3: Fraction(1, 28)})
+    assert _cones(range(2, 30)) == (28, 7, [28, 1, 1])
 
 
 @pytest.mark.parametrize("last", [8, 16])
-def test_gap_of_at_least_a_half_turn_gives_no_cone(monkeypatch, last):
+def test_gap_of_at_least_a_half_turn_gives_no_cone(last):
     # keep the arc from (1, 0) to (0, 1) or to (-1, 0): unit cones along it,
     # and the closing gap of 3/4 or exactly 1/2 turn spans nothing
-    rec = _forced_trial(monkeypatch, range(last + 1))
-    assert _cones(rec) == (last, 1, {1: 1, 2: 0, 3: 0})
+    assert _cones(range(last + 1)) == (last, 1, [last, 0, 0])
+
+
+def test_special_rows_in_one_block_classify_as_alone():
+    kept = [[], [5], [0, 16], [0, 8], [1, 8], range(32), range(2, 30), range(9), range(17)]
+    dropped = np.array([_only_kept(32, k) for k in kept])
+    assert _classified(H, dropped, K_LIST) == [_classified(H, row[None], K_LIST)[0] for row in dropped]
+
+
+_STEP = 2.0**-53
+
+
+@st.composite
+def _probabilities(draw):
+    """p in [0, 1]: the ends, subnormals, and neighbours of multiples of 2**-53."""
+    near = draw(st.integers(0, 2**53)) * _STEP
+    return draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1.0 - _STEP, 0.5]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2.2250738585072014e-308),
+        st.sampled_from([near, float(np.nextafter(near, 0.0)), min(1.0, float(np.nextafter(near, 2.0)))]),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_probabilities())
+def test_keep_threshold_decides_like_the_uniform(p):
+    # Generator.random() is (raw >> 11) * 2**-53; try the raw words next to
+    # the threshold and next to the uniforms at p
+    t = sampling._keep_threshold(p)
+    m = int(p / _STEP)
+    raws = {0, UINT64_MAX, t - 1, t, t + 1, t - 2048, t + 2047, (m << 11) - 1, m << 11, (m + 1) << 11}
+    for raw in (r for r in raws if 0 <= r <= UINT64_MAX):
+        assert ((raw >> 11) * _STEP < p) == (raw < t), raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=_probabilities(),
+    n=st.integers(0, 300),
+    chunk=st.sampled_from([1, 7, 64, 1 << 16]),
+    seed=st.integers(0, UINT64_MAX),
+    trial=st.integers(0, UINT64_MAX),
+)
+def test_integer_keep_mask_equals_the_uniform_comparison(p, n, chunk, seed, trial):
+    key = np.array([seed, trial], dtype=np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random(n) < p
+    out = np.empty(n, dtype=bool)
+    with mock.patch.object(sampling, "_MASK_CHUNK", chunk):
+        sampling._keep_mask(np.random.Philox(0), seed, trial, sampling._keep_threshold(p), out)
+    assert np.array_equal(out, want)
+
+
+def test_rekeyed_generator_gives_the_fresh_stream():
+    bitgen = np.random.Philox(0)
+    # leave a half-used buffer and a spare 32-bit word behind
+    np.random.Generator(bitgen).integers(0, 2**31, size=3, dtype=np.int32)
+    bitgen.random_raw(5)
+    for seed, trial in [(0, 0), (7, UINT64_MAX), (UINT64_MAX, 3)]:
+        fresh = np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))
+        sampling._rekey(bitgen, seed, trial)
+        assert np.array_equal(bitgen.random_raw(9), fresh.random_raw(9))
+        small = [np.random.Generator(g).integers(0, 2**32, size=5, dtype=np.uint32) for g in (bitgen, fresh)]
+        assert np.array_equal(*small)
+        assert np.array_equal(np.random.Generator(bitgen).random(7), np.random.Generator(fresh).random(7))
+
+
+_K = [1, 2, 3]
+
+#: One trial as (cones, largest index, [cones of index >= k for k in _K]).
+_TRIAL_COUNTS = st.integers(0, 8).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.integers(1, 20) if m else st.just(0),
+    st.lists(st.integers(0, m), min_size=len(_K), max_size=len(_K)),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trials=st.lists(_TRIAL_COUNTS, min_size=1, max_size=40),
+    c_density=st.one_of(
+        st.sampled_from([0.5, 0.25, 0.125, 0.375, 1 / 3, 0.2, 5e-324, 1.0 - _STEP]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+def test_array_aggregation_equals_the_record_oracle(trials, c_density):
+    records = [
+        TrialRecord(h=3, q=0.5, trial_index=t, n_rays_drawn=m, n_cones=m, smooth=top <= 1, max_index=top,
+                    delta_k={k: Fraction(a, m) if m else None for k, a in zip(_K, at_least)})
+        for t, (m, top, at_least) in enumerate(trials)
+    ]
+    n_cones, max_index, at_least = (np.array(column, dtype=np.int64) for column in zip(*trials))
+    want = aggregate_records(3, 0.5, records, _K, c_density)
+    assert _aggregate(3, 0.5, n_cones, max_index, at_least, _K, c_density) == want
+
+
+def test_sweep_rows_equal_the_record_oracle_with_ties_at_c_density():
+    # at h = 1 and 2 most draws have a handful of cones, so delta = 1/2 and
+    # 1/4 occur exactly
+    for c_density in (0.5, 0.25):
+        spec = ExperimentSpec(h_values=[1, 2], q_schedule=[0.4, 0.6], trials=200,
+                              k_list=[1, 2, 3], c_density=c_density, master_seed=SEED)
+        want, ties = [], 0
+        for h, q in zip(spec.h_values, spec.q_values()):
+            records = [run_trial(h, q, SEED, t, spec.k_list) for t in range(spec.trials)]
+            ties += sum(r.delta_k[k] == c_density for r in records for k in spec.k_list)
+            want.append(aggregate_records(h, q, records, spec.k_list, c_density))
+        assert ties > 0
+        assert run_threshold_sweep(spec) == want
+
+
+def _sweep_csv(spec, workers=1):
+    rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=workers), spec.k_list)
+    return render(rows, "csv", columns=sweep_columns(spec.k_list))
+
+
+@pytest.mark.parametrize("budget", [1, 50, 1 << 10, 1 << 20])
+def test_sweep_bytes_do_not_depend_on_block_budget_or_workers(monkeypatch, budget):
+    spec = ExperimentSpec(h_values=[2, 5, 12], q_schedule=[0.3, 0.6, 0.05], trials=23,
+                          k_list=[1, 2, 3], c_density=0.25, master_seed=SEED)
+    want = _sweep_csv(spec)
+    monkeypatch.setattr(experiments, "_BLOCK_RAYS", budget)
+    for workers in (1, 2, 3):
+        assert _sweep_csv(spec, workers) == want
 
 
 def test_tampered_universe_is_refused(monkeypatch):
@@ -117,5 +297,34 @@ def test_tampered_universe_is_refused(monkeypatch):
         spec = ExperimentSpec(h_values=[4], q_schedule=[0.1], trials=4)
         with pytest.raises(InvariantError):
             run_threshold_sweep(spec, workers=2)
+    finally:
+        experiments._smooth_universe.cache_clear()
+
+
+@pytest.mark.parametrize("swap", [0, 6, 13, 45, 46])
+def test_smoothness_check_in_blocks_names_the_first_bad_pair(monkeypatch, swap):
+    # 48 rays checked 7 rows at a time: swaps inside a block, across a block
+    # edge, and in the last block, whose last ray's neighbour is the first
+    c = enumerate_rays(4).coords.copy()
+    n = len(c)
+    c[[swap, swap + 1]] = c[[swap + 1, swap]]
+    first = next(i for i in range(n) if wedge(c[i], c[(i + 1) % n]) != 1)
+    u, v = tuple(c[first].tolist()), tuple(c[(first + 1) % n].tolist())
+    monkeypatch.setattr(experiments, "enumerate_rays", lambda h: RayUniverse(h, c))
+    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 7)
+    experiments._smooth_universe.cache_clear()
+    try:
+        with pytest.raises(InvariantError) as exc:
+            _smooth_universe(4)
+        assert str(exc.value) == (
+            f"height 4: neighbouring rays {u} at position {first} and {v} at "
+            f"position {(first + 1) % n} have wedge {wedge(u, v)}, not 1"
+        )
+        # the smooth universe turned by any number of places passes
+        for shift in (1, 20):
+            experiments._smooth_universe.cache_clear()
+            rolled = np.roll(enumerate_rays(4).coords, shift, axis=0)
+            monkeypatch.setattr(experiments, "enumerate_rays", lambda h: RayUniverse(h, rolled))
+            assert np.array_equal(_smooth_universe(4).coords, rolled)
     finally:
         experiments._smooth_universe.cache_clear()
