@@ -7,13 +7,13 @@ smooth, so that index is the unique integer k >= 1 with
 
     k * u_rho = u_tau + u_omega
 
-for the angular neighbors tau, omega of rho, and it also equals
-|wedge(u_tau, u_omega)|.  The table takes each index from the Farey walk
-that enumerates the rays (its step multiplier, kept by the RayUniverse that
-enumerate_rays returns) and checks it against both forms on every ray;
-blowdown_index takes one ray's index from its neighbours' wedge and checks
-it the same way.  All of it is exact integer arithmetic, and nothing is
-returned if the forms disagree.
+for the angular neighbors tau, omega of rho.  enumerate_rays has checked
+that every pair of angular neighbours has wedge exactly 1, and two unit
+wedges wedge(tau, u) = wedge(u, omega) = 1 give tau + omega = k * u with
+k = wedge(tau, omega) (Fulton, Introduction to Toric Varieties, 2.5).  So
+the table reads every index off its neighbours' wedge in one blocked pass,
+and blowdown_index reads one the same way; the table then checks k >= 1 and
+the band k * |u| <= 2h on every ray.  All of it is exact integer arithmetic.
 
 Counting: the table's counts and ratios, and the ratio report, come from
 lattice.count_geq, which counts without enumerating.  The octant ray after
@@ -47,13 +47,9 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    MAX_H, RayUniverse, RayVec, _check_height, _ray_ints, _unfold_indices, count_geq,
+    _BLOCK, MAX_H, RayUniverse, RayVec, _block_wedges, _check_height, _ray_ints, count_geq,
     enumerate_rays, is_primitive,
 )
-
-
-#: Rows per block of the vectorized checks; bounds their temporaries.
-_BLOCK = 1 << 16
 
 
 def _fail(h: int, i: int, ray, tau, omega, what: str) -> NoReturn:
@@ -77,17 +73,18 @@ class BlowdownTable:
                 f"height {universe.h}: {len(k_values)} indices for {len(universe)} rays"
             )
         k_values.flags.writeable = False
-        # the upper band holds exactly for every ray: enforce it, never measure it
+        # k >= 1 and the upper band hold exactly for every ray: enforce them, never measure them
         h, coords, n = universe.h, universe.coords, len(universe)
         for lo in range(0, n, _BLOCK):
             c = coords[lo : lo + _BLOCK]
             k = k_values[lo : lo + _BLOCK]
             norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
-            bad = k * norms > 2 * h
+            bad = (k < 1) | (k * norms > 2 * h)
             if bad.any():
                 i = lo + int(np.argmax(bad))
-                _fail(h, i, coords[i], coords[i - 1], coords[(i + 1) % n],
-                      f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
+                what = (f"index {k_values[i]} is below 1" if k_values[i] < 1 else
+                        f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
+                _fail(h, i, coords[i], coords[i - 1], coords[(i + 1) % n], what)
         self._universe = universe
         self._k = k_values
 
@@ -141,60 +138,29 @@ def neighbors(h: int, ray) -> tuple[RayVec, RayVec]:
 
 
 def blowdown_index(h: int, ray) -> int:
-    """Blowdown index of one ray: k = |wedge(tau, omega)| of its neighbours,
-    checked as blowdown_table checks every row (k >= 1 and k * u = tau + omega).
-    """
+    """Blowdown index of one ray: k = wedge(tau, omega) of its neighbours."""
     universe = enumerate_rays(h)
-    c = universe.coords
     i = universe.index_of(ray)
-    tau, u, omega = c[[i - 1, i, (i + 1) % len(c)], None]
-    k = np.abs(tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0])
-    _verify_rows(universe.h, i, u, tau, omega, k)
-    return int(k[0])
+    return int(_block_wedges(universe.coords, i, i + 1, -1, 1)[0])
 
 
 @lru_cache(maxsize=2, typed=True)  # typed for the reason given at enumerate_rays
 def blowdown_table(h: int) -> BlowdownTable:
-    """Blowdown index of every ray at height h, verified on every ray.
+    """Blowdown index of every ray at height h.
 
-    The octant walk that enumerates the rays also yields each ray's index
-    (its step multiplier); the indices are unfolded to the whole circle by
-    the symmetries that unfold the rays.  Nothing is solved here: for every
-    ray, k >= 1, k * u == u_tau + u_omega and |wedge(tau, omega)| == k are
-    checked, and the table checks k * |u| <= 2h.  Any failure raises
+    enumerate_rays has checked that the full fan is smooth, so each ray's
+    index is the wedge of its two neighbours, read in blocks of rows; the
+    table checks k >= 1 and k * |u| <= 2h on every ray, and raises
     InvariantError naming the height, position, ray, neighbours and values.
     Results are cached.
     """
     universe = enumerate_rays(h)
     c = universe.coords
-    k = _unfold_indices(universe._octant_k)
-    n = len(c)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        # neighbours by slicing; only the first and last block wrap around
-        tau = c[lo - 1 : hi - 1] if lo else np.concatenate((c[-1:], c[: hi - 1]))
-        omega = c[lo + 1 : hi + 1] if hi < n else np.concatenate((c[lo + 1 :], c[:1]))
-        _verify_rows(universe.h, lo, c[lo:hi], tau, omega, k[lo:hi])
+    k = np.empty(len(c), dtype=np.int64)
+    for lo in range(0, len(c), _BLOCK):
+        hi = min(lo + _BLOCK, len(c))
+        k[lo:hi] = _block_wedges(c, lo, hi, -1, 1)
     return BlowdownTable(universe, k)
-
-
-def _verify_rows(h: int, lo: int, u, tau, omega, k) -> None:
-    # rays u at positions lo, lo + 1, ... of the height-h universe, with
-    # their neighbours tau, omega and their indices k, all aligned
-    s_x = tau[:, 0] + omega[:, 0]
-    s_y = tau[:, 1] + omega[:, 1]
-    w = tau[:, 0] * omega[:, 1] - tau[:, 1] * omega[:, 0]
-    checks = (
-        (k < 1, "index {k} is below 1"),
-        ((k * u[:, 0] != s_x) | (k * u[:, 1] != s_y),
-         "neighbour sum ({sx}, {sy}) is not {k} times the ray"),
-        (np.abs(w) != k, "index {k} but the neighbours' wedge is {w}"),
-    )
-    bad = checks[0][0] | checks[1][0] | checks[2][0]
-    if bad.any():
-        i = int(np.argmax(bad))
-        what = next(what for failed, what in checks if failed[i])
-        _fail(h, lo + i, u[i], tau[i], omega[i], what.format(k=k[i], sx=s_x[i], sy=s_y[i], w=w[i]))
 
 
 def epsilon_of(h: int) -> float:

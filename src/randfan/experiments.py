@@ -3,13 +3,13 @@
 A sweep is a grid of (height, drop-probability) cells; each cell runs a fixed
 number of seeded trials (one draw per trial, keyed by master_seed and the
 trial index alone) and aggregates them into a single summary row.  A trial is
-classified from its dropped runs: the full fan is smooth, so a draw differs
-from it only where maximal runs of consecutive rays were dropped, and no fan
-is built.  Trials are drawn and classified in blocks, and a cell is
-aggregated from count arrays.  Trial RNG streams never depend on block size,
-worker count or scheduling, and rows are emitted in grid order with a
-canonical number format, so a sweep's output is byte-identical across runs
-and thread pools.
+classified from its dropped runs: the full fan is smooth (enumerate_rays
+checks that once per universe), so a draw differs from it only where maximal
+runs of consecutive rays were dropped, and no fan is built.  Trials are
+drawn and classified in blocks, and a cell is aggregated from count arrays.
+Trial RNG streams never depend on block size, worker count or scheduling,
+and rows are emitted in grid order with a canonical number format, so a
+sweep's output is byte-identical across runs and thread pools.
 
 Report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, sharing the same
@@ -29,13 +29,12 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
-from .errors import InvariantError, ValidationError, check_int, check_real
-from .lattice import RayUniverse, _check_height, _count_geq, _mertens, enumerate_rays
+from .errors import ValidationError, check_int, check_real
+from .lattice import RayUniverse, _check_height, _check_memory, _count_geq, _mertens, enumerate_rays
 from .sampling import UINT64_MAX, SampleConfig, _keep_mask, _keep_threshold
 
 FORMATS = ("csv", "json")
@@ -207,8 +206,7 @@ class SweepRow:
 
 
 #: Rays per block of work.  A sweep draws and classifies
-#: max(1, _BLOCK_RAYS // n) trials at a time, and the full fan's smoothness
-#: is checked this many rows at a time, so no temporary scales with h.
+#: max(1, _BLOCK_RAYS // n) trials at a time, so no temporary scales with h.
 _BLOCK_RAYS = 1 << 16
 
 #: Most worker threads a sweep may be asked for.
@@ -217,32 +215,6 @@ MAX_WORKERS = 64
 #: Wedges are at most 2 * MAX_H**2 < 2**62, so a larger k counts as 2**62
 #: and every index comparison stays within int64.
 _K_CAP = 1 << 62
-
-
-@lru_cache(maxsize=4, typed=True)  # typed for the reason given at enumerate_rays
-def _smooth_universe(h: int) -> RayUniverse:
-    """The height-h universe, once checked to form a smooth full fan: every
-    pair of cyclic neighbours has wedge exactly 1.  The trial classifier
-    relies on it."""
-    universe = enumerate_rays(h)
-    c = universe.coords
-    n = len(c)
-    for lo in range(0, n, _BLOCK_RAYS):
-        hi = min(lo + _BLOCK_RAYS, n)
-        nxt = c[lo + 1 : hi + 1]
-        if hi == n:  # the last ray's neighbour is the first
-            nxt = np.concatenate((nxt, c[:1]))
-        w = c[lo:hi, 0] * nxt[:, 1] - c[lo:hi, 1] * nxt[:, 0]
-        bad = np.flatnonzero(w != 1)
-        if len(bad):
-            i = lo + int(bad[0])
-            j = (i + 1) % n
-            u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
-            raise InvariantError(
-                f"height {h}: neighbouring rays {u} at position {i} and {v} at "
-                f"position {j} have wedge {int(w[bad[0]])}, not 1"
-            )
-    return universe
 
 
 def _per_row(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -320,7 +292,7 @@ def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> T
     """
     cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
     ks = [check_int(k, "index threshold", 1) for k in k_list]
-    coords = _smooth_universe(cfg.h).coords
+    coords = enumerate_rays(cfg.h).coords
     block = _draw_block(coords, _keep_threshold(cfg.p), cfg.master_seed, trial_index, trial_index + 1, ks)
     kept, m, max_index, at_least = (a[0].tolist() for a in block)
     return TrialRecord(
@@ -397,13 +369,18 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     same function.
 
     Work items are blocks of max(1, _BLOCK_RAYS // n) trials of one cell, in
-    grid order.  Every cell's universe is built and checked before the first
-    item runs.  With workers > 1, at most min(workers, items) threads of one
-    pool serve all cells; map() keeps the items in order, and each trial's
-    stream is keyed by its index alone, so scheduling cannot leak into a row.
+    grid order.  The universes of all the spec's distinct heights are held at
+    once: their memory is checked together, and each is built (and checked
+    by enumerate_rays) once, before the first item runs.  With workers > 1,
+    at most min(workers, items) threads of one pool serve all cells; map()
+    keeps the items in order, and each trial's stream is keyed by its index
+    alone, so scheduling cannot leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
-    cells = [(h, q, _smooth_universe(h).coords) for h, q in zip(spec.h_values, spec.q_values())]
+    heights = list(dict.fromkeys(spec.h_values))
+    _check_memory(heights)
+    universes = {h: enumerate_rays(h).coords for h in heights}
+    cells = [(h, q, universes[h]) for h, q in zip(spec.h_values, spec.q_values())]
     items, blocks_per_cell = [], []
     for h, q, coords in cells:
         per_block = max(1, _BLOCK_RAYS // len(coords))

@@ -16,12 +16,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import numpy as np
 
-from .errors import ValidationError, check_int
-from .lattice import MAX_H, RayUniverse, _compare_xy, is_primitive
+from .errors import _INTEGERS, ValidationError, check_int
+from .lattice import MAX_H, RayUniverse
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +37,13 @@ class SingularitySpectrum:
 
     indices: list[int]
     counts: dict[int, int]
+
+
+def _arc_classes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # lattice._arc_class on arrays: 0..7 counter-clockwise from (1, 0), even
+    # on the axes, odd in the open quadrants
+    s = np.sign(x)
+    return np.where(y > 0, 2 - s, np.where(y < 0, 6 + s, 2 - 2 * s))
 
 
 class Fan:
@@ -60,9 +66,7 @@ class Fan:
         coords.flags.writeable = False
         x, y = coords[:, 0], coords[:, 1]
         w = x * np.roll(y, -1) - y * np.roll(x, -1)  # wedge with the next ray
-        s = np.sign(x)
-        arc = np.where(y > 0, 2 - s, np.where(y < 0, 6 + s, 2 - 2 * s))  # lattice._arc_class
-        step = np.append(np.diff(arc), 1)  # class step to the next ray; the last has none
+        step = np.append(np.diff(_arc_classes(x, y)), 1)  # class step to the next ray; the last has none
         for bad, what in (
             (((coords < -MAX_H) | (coords > MAX_H)).any(axis=1), f"is outside [-{MAX_H}, {MAX_H}]"),
             (np.gcd(x, y) != 1, "is not primitive"),
@@ -119,23 +123,30 @@ def complete_fan(rays) -> Fan:
     """Complete a set of rays to the maximal fan with exactly those rays.
 
     Accepts a whole RayUniverse (already sorted; taken as-is) or any iterable
-    of rays, as RayVec or (x, y) pairs.  Duplicates collapse; non-primitive
-    vectors are rejected, and so are coordinates outside [-MAX_H, MAX_H],
-    the range in which every wedge fits in int64.
+    of rays, as RayVec or (x, y) pairs.  Duplicates collapse.  A coordinate
+    that is not an integer (bool, float, str, ...) or lies outside
+    [-MAX_H, MAX_H], the range in which every wedge fits in int64, is
+    rejected before any conversion, and Fan rejects non-primitive vectors.
+    The rays are sorted by half-quadrant class, then by an exact integer
+    slope key: each open quadrant is turned onto x, y > 0 and keyed
+    (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the slopes of two
+    distinct rays in one quadrant differ by at least 1/(x1 * x2) > 2**-40,
+    so their keys differ, and every key is below 2**61.
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)
-    uniq = set()
-    for x, y in rays:
-        x = check_int(x, "ray coordinate", -MAX_H, MAX_H)
-        y = check_int(y, "ray coordinate", -MAX_H, MAX_H)
-        if not is_primitive(x, y):
-            raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
-        uniq.add((x, y))
-    ordered = sorted(
-        uniq, key=cmp_to_key(lambda u, v: _compare_xy(u[0], u[1], v[0], v[1]))
-    )
-    return Fan(np.array(ordered, dtype=np.int64).reshape(-1, 2))
+    flat = [v for x, y in rays for v in (x, y)]
+    if (not all(issubclass(t, _INTEGERS) and t is not bool for t in set(map(type, flat)))
+            or flat and not (-MAX_H <= min(flat) and max(flat) <= MAX_H)):
+        for v in flat:  # the first offending coordinate raises
+            check_int(v, "ray coordinate", -MAX_H, MAX_H)
+    c = np.unique(np.array(flat, dtype=np.int64).reshape(-1, 2), axis=0)
+    x, y = c[:, 0], c[:, 1]
+    arc = _arc_classes(x, y)
+    quadrant = [arc == 1, arc == 3, arc == 5, arc == 7]
+    turned_x = np.select(quadrant, [x, y, -x, -y], 1)  # the axes get key 0
+    turned_y = np.select(quadrant, [y, -x, -y, x], 0)
+    return Fan(c[np.lexsort(((turned_y << 41) // turned_x, arc))])
 
 
 def cone_index(fan: Fan, cone: Cone2) -> int:

@@ -7,12 +7,14 @@ the wedge determinant, and the counter-clockwise angular order starting at
 (1, 0).  Floating point appears nowhere in this module.
 
 The rays are enumerated by a Farey walk over the first octant, run as
-numpy lanes in lock step, and unfolded to the circle by symmetry.  The
-walk's step multiplier is the blowdown index of the ray it passes; the
-universe keeps those octant indices (_octant_k), and the blowdown module
-checks each one against both of its identities before using it.
-count_geq counts the rays of index >= k without the walk, from the coprime
-pairs of denominators that the walk steps through.
+numpy lanes in lock step, and unfolded to the circle by symmetry.  Before a
+universe is cached it is checked once, in blocks: every pair of cyclic
+neighbours has wedge exactly 1 (the full fan is smooth), and the ray count
+is count_geq(h, 1).  Two unit wedges wedge(tau, u) = wedge(u, omega) = 1
+give tau + omega = k * u with k = wedge(tau, omega), so the blowdown module
+reads each index off the wedge of a ray's two neighbours.  count_geq counts
+the rays of index >= k without the walk, from the coprime pairs of
+denominators that the walk steps through.
 """
 
 from __future__ import annotations
@@ -140,33 +142,41 @@ def _mem_available() -> int | None:
     return None
 
 
-def _check_memory(h: int) -> None:
-    # the walk buffer (x, y and k per lane and step), the octant it yields
-    # (coordinates and indices) and the unfolded circle (16 B per ray)
-    lanes = min(_LANES, h)
-    n_rays = count_geq(h, 1)
-    need = 24 * lanes * _lane_rows(h, lanes) + 24 * n_rays // 8 + 16 * n_rays
+def _universe_bytes(heights) -> int:
+    """Bytes to hold the universes of all the given heights at once, plus
+    the largest octant walk that builds one of them: 16 B per ray of each
+    universe, and 16 B (x and y) per lane and step of the walk.  The octant
+    a walk yields is smaller than both its buffer and its universe, so the
+    sum bounds the peak of every build."""
+    walk = max(16 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
+    return walk + sum(16 * count_geq(h, 1) for h in heights)
+
+
+def _check_memory(heights) -> None:
+    # refuse before anything is allocated; the universes of all the heights
+    # are held at once
+    need = _universe_bytes(heights)
     available = _mem_available()
     if available is not None and need > _MEMORY_SHARE * available:
+        which = (f"height {heights[0]} needs" if len(heights) == 1
+                 else f"heights {', '.join(map(str, heights))} need")
         raise ValidationError(
-            f"height {h} needs about {need / 2**20:.0f} MiB to enumerate its rays, "
+            f"{which} about {need / 2**20:.0f} MiB to enumerate the rays, "
             f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
         )
 
 
-def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first octant, from (1, 0) to (1, 1) in ascending order, and the
-    blowdown index of each of its rays, as an (m, 2) and an (m,) int64 array.
+def _farey_walk(h: int) -> np.ndarray:
+    """The first octant, from (1, 0) to (1, 1) in ascending order, as an
+    (m, 2) int64 array.
 
     The octant's rays (x, y) are the Farey fractions y/x of order h.  From
     neighbours a/b < c/d the next fraction is (k*c - a)/(k*d - b) with
-    k = (h + b) // d, so k * (d, c) = (b, a) + (next x, next y): k is the
-    blowdown index of (d, c).  L lanes walk in lock step; lane i starts at
-    i/L, whose predecessor a/b has b = c^-1 (mod d), the largest such b <= h
+    k = (h + b) // d.  L lanes walk in lock step; lane i starts at i/L,
+    whose predecessor a/b has b = c^-1 (mod d), the largest such b <= h
     (lane 0 starts at 0/1 after -1/h, the ray (h, -1)), and stops at the
-    next lane's start.  (1, 1) closes the arc with index 2h - 1.
+    next lane's start.  (1, 1) closes the arc.
     """
-    _check_memory(h)
     lanes = min(_LANES, h)
     i = np.arange(lanes + 1)
     g = np.gcd(i, lanes)
@@ -180,7 +190,6 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
     rows = _lane_rows(h, lanes)
     xs = np.empty((rows, lanes), dtype=np.int64)
     ys = np.empty((rows, lanes), dtype=np.int64)
-    ks = np.empty((rows, lanes), dtype=np.int64)
     length = np.zeros(lanes, dtype=np.int64)
     live = np.ones(lanes, dtype=bool)
     for step in range(rows):
@@ -188,7 +197,6 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
         xs[step] = d
         ys[step] = c
         k = (h + b) // d
-        ks[step] = k
         a, b, c, d = c, d, k * c - a, k * d - b
         length += live
         live &= (c != stop_c) | (d != stop_d)
@@ -207,10 +215,7 @@ def _farey_walk(h: int) -> tuple[np.ndarray, np.ndarray]:
     octant[:-1, 0] = xs[: step + 1].T[taken]
     octant[:-1, 1] = ys[: step + 1].T[taken]
     octant[-1] = 1
-    k = np.empty(m, dtype=np.int64)
-    k[:-1] = ks[: step + 1].T[taken]
-    k[-1] = 2 * h - 1
-    return octant, k
+    return octant
 
 
 def _mertens(n: int) -> np.ndarray:
@@ -284,31 +289,15 @@ def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unfold_indices(k: np.ndarray) -> np.ndarray:
-    """Per-ray values of the first octant (one per ray, from (1, 0) to
-    (1, 1)) carried to the whole circle in canonical order, by the same
-    symmetries that unfold the coordinates.  The square's symmetries keep
-    the lattice and angular adjacency, so a blowdown index is invariant."""
-    m = len(k)
-    q = m - 1
-    out = np.empty(8 * q, dtype=k.dtype)
-    out[:m] = k
-    out[m : 2 * q + 1] = k[-2::-1]
-    out[2 * q + 1 : 4 * q] = out[1 : 2 * q]
-    out[4 * q :] = out[: 4 * q]
-    return out
-
-
 class RayUniverse:
     """All primitive rays of sup-norm at most h, in canonical angular order.
 
     Backed by one read-only (n, 2) int64 coordinate array; RayVec objects are
     materialized on demand and never cached, so bulk consumers can stay
-    vectorized; one from enumerate_rays also holds the walk's octant indices.
-    Instances are immutable and safe to share across threads.
+    vectorized.  Instances are immutable and safe to share across threads.
     """
 
-    __slots__ = ("h", "coords", "_octant_k")
+    __slots__ = ("h", "coords")
 
     def __init__(self, h: int, coords: np.ndarray):
         coords.flags.writeable = False
@@ -362,6 +351,22 @@ def _check_height(h) -> int:
     return check_int(h, "height bound", 1, MAX_H)
 
 
+def _block_wedges(c: np.ndarray, lo: int, hi: int, a: int, b: int) -> np.ndarray:
+    """wedge(c[i + a], c[i + b]) for lo <= i < hi, positions taken cyclically;
+    slices of c, except in a block that wraps around an end."""
+    n = len(c)
+    u, v = (c[lo + s : hi + s] if 0 <= lo + s and hi + s <= n
+            else np.take(c, np.arange(lo + s, hi + s), axis=0, mode="wrap")
+            for s in (a, b))
+    w = u[:, 0] * v[:, 1]
+    w -= u[:, 1] * v[:, 0]
+    return w
+
+
+#: Rows per block of the vectorized checks; bounds their temporaries.
+_BLOCK = 1 << 16
+
+
 @lru_cache(maxsize=4, typed=True)  # typed: True or 5.0 must miss, not hit 1 or 5
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
@@ -369,14 +374,27 @@ def enumerate_rays(h: int) -> RayUniverse:
     The first octant comes out of a lock-step Farey walk already in
     ascending order and the rest of the circle is unfolded from it by
     symmetry, so the result is exactly sorted with no comparisons and no
-    floating point.  Universes are cached (the enumeration dominates
-    everything built on top of it), each with the walk's octant indices.
-    Heights whose estimated build exceeds half of MemAvailable are refused
-    with ValidationError before anything is allocated.
+    floating point.  Before it is cached, the universe is checked to be the
+    smooth full fan: every pair of cyclic neighbours has wedge exactly 1,
+    and there are count_geq(h, 1) rays; InvariantError otherwise.  Heights
+    whose estimated build exceeds half of MemAvailable are refused with
+    ValidationError before anything is allocated.
     """
     h = _check_height(h)
-    octant, k = _farey_walk(h)
-    k.flags.writeable = False
-    universe = RayUniverse(h, _unfold_full_circle(octant))
-    universe._octant_k = k
-    return universe
+    _check_memory((h,))
+    c = _unfold_full_circle(_farey_walk(h))
+    n = len(c)
+    for lo in range(0, n, _BLOCK):
+        w = _block_wedges(c, lo, min(lo + _BLOCK, n), 0, 1)
+        if not (w == 1).all():
+            i = lo + int(np.argmax(w != 1))
+            j = (i + 1) % n
+            u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
+            raise InvariantError(
+                f"height {h}: neighbouring rays {u} at position {i} and {v} at "
+                f"position {j} have wedge {int(w[i - lo])}, not 1"
+            )
+    want = count_geq(h, 1)
+    if n != want:
+        raise InvariantError(f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}")
+    return RayUniverse(h, c)

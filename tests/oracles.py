@@ -10,6 +10,7 @@ completion oracle excludes with an explicit tolerance.
 import json
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -56,6 +57,15 @@ def naive_completion(vecs):
             cones.append((u, v))
             indices.append(abs(u[0] * v[1] - u[1] * v[0]))
     return pts, cones, indices
+
+
+def comparison_order(rays):
+    """The distinct rays in canonical order, sorted by exact pairwise
+    angular_compare: the order complete_fan took before it sorted by
+    integer keys."""
+    from randfan.lattice import angular_compare
+
+    return sorted({(int(x), int(y)) for x, y in rays}, key=cmp_to_key(angular_compare))
 
 
 def brute_blowdown(h, ray):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import blowdown, lattice
+from randfan import blowdown
 from randfan.blowdown import (
     band_bounds,
     blowdown_index,
@@ -21,7 +21,7 @@ from randfan.errors import InvariantError, ValidationError
 from randfan.fans import complete_fan, spectrum
 from randfan.lattice import MAX_H, RayUniverse, enumerate_rays, sup_norm, wedge
 
-from oracles import brute_blowdown, brute_epsilon, brute_rays
+from oracles import brute_blowdown, brute_epsilon, brute_rays, division_blowdown
 
 
 def test_neighbors_at_unit_height():
@@ -215,6 +215,19 @@ def test_smooth_partners_accepts_rays_above_height():
     assert len(smooth_partners(3, (MAX_H, 1))) == 2
 
 
+@pytest.mark.parametrize("block", [1, 7, 47])
+def test_blocked_wedge_pass_matches_the_division_oracle(monkeypatch, block):
+    # 48 rays at h = 4: blocks of one row, blocks across the seam, and a
+    # last block of one row, whose two neighbours both wrap
+    monkeypatch.setattr(blowdown, "_BLOCK", block)
+    blowdown_table.cache_clear()
+    try:
+        t = blowdown_table(4)
+        assert np.array_equal(t.k_values, division_blowdown(t.coords))
+    finally:
+        blowdown_table.cache_clear()
+
+
 def test_tampered_table_raises_invariant_error():
     from randfan.blowdown import BlowdownTable
 
@@ -228,51 +241,13 @@ def test_tampered_table_raises_invariant_error():
     with pytest.raises(InvariantError, match=r"ray \(-1, 2\) at position 5, between "
                        r"\(0, 1\) and \(-1, 1\): index 4 times sup-norm 2"):
         BlowdownTable(u, k)
+    k = blowdown_table(2).k_values.copy()
+    k[5] = 0
+    with pytest.raises(InvariantError, match=r"ray \(-1, 2\) at position 5, between "
+                       r"\(0, 1\) and \(-1, 1\): index 0 is below 1"):
+        BlowdownTable(u, k)
     with pytest.raises(InvariantError, match="height 2: 15 indices for 16 rays"):
         BlowdownTable(u, k[1:])
-
-
-@pytest.mark.parametrize("u,tau,omega,k,message", [
-    ((3, 1), (2, 1), (1, 0), 0, "index 0 is below 1"),
-    ((3, 1), (2, 1), (1, 0), 2, "neighbour sum (3, 1) is not 2 times the ray"),
-    ((1, 0), (1, -2), (1, 2), 2, "index 2 but the neighbours' wedge is 4"),
-])
-def test_each_table_check_names_the_failing_ray(u, tau, omega, k, message):
-    from randfan.blowdown import _verify_rows
-
-    # three rows at positions 40..42; only the middle one is wrong
-    rays, taus, omegas = ([first, v, last] for first, v, last in
-                          zip([(1, 0), (1, -1), (1, 1)], (u, tau, omega), [(0, 1), (1, 1), (-1, 1)]))
-    with pytest.raises(InvariantError) as err:
-        _verify_rows(7, 40, np.array(rays), np.array(taus), np.array(omegas),
-                     np.array([2, k, 2]))
-    assert str(err.value) == f"height 7: ray {u} at position 41, between {tau} and {omega}: {message}"
-
-
-@pytest.mark.parametrize("pos", [0, 1, 9, 30])
-def test_tampered_walk_index_is_refused(monkeypatch, pos):
-    # the walk's index is verified, never trusted: one wrong octant entry
-    # must stop blowdown_table and be named
-    walk = lattice._farey_walk
-
-    def tampered_walk(h):
-        octant, k = walk(h)
-        k[pos] += 1
-        return octant, k
-
-    def clear():
-        lattice.enumerate_rays.cache_clear()
-        blowdown_table.cache_clear()
-
-    monkeypatch.setattr(lattice, "_farey_walk", tampered_walk)
-    clear()
-    try:
-        ray = tuple(enumerate_rays(11).coords[pos].tolist())
-        with pytest.raises(InvariantError) as err:
-            blowdown_table(11)
-        assert str(err.value).startswith(f"height 11: ray {ray} at position {pos}, between ")
-    finally:
-        clear()
 
 
 def test_neighbors_march_along_lines_parallel_to_the_ray():
@@ -321,14 +296,3 @@ def test_smooth_partners_over_capacity_names_height_ray_side_and_cap(monkeypatch
                        r"on side 1, more than the line capacity 7"):
         smooth_partners(3, (1, 0))
 
-
-def test_blowdown_index_checks_its_one_row(monkeypatch):
-    # with (1, 1) gone from the universe, (2, 1) sits between (1, 0) and
-    # (1, 2): their wedge 2 is not the index that their sum 2 * (1, 1.5) needs
-    u = enumerate_rays(2)
-    i = u.index_of((1, 1))
-    holed = RayUniverse(2, np.delete(u.coords, i, axis=0))
-    monkeypatch.setattr(blowdown, "enumerate_rays", lambda h: holed)
-    with pytest.raises(InvariantError, match=r"height 2: ray \(2, 1\) at position 1, between "
-                       r"\(1, 0\) and \(1, 2\): neighbour sum \(2, 2\) is not 2 times the ray"):
-        blowdown_index(2, (2, 1))

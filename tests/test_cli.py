@@ -243,21 +243,29 @@ def test_overflowing_power_law_schedule_drops_every_ray(capsys):
     assert row["n_no_cones"] == "2"
 
 
-#: sha256 of sweep outputs at fixed arguments: the density sweep of the
-#: paper's small heights and a sparse-drop threshold sweep at h = 1000.
-#: Any change to the draws, the classification, the aggregation or the
-#: number format changes these bytes.
-GOLDEN_SWEEPS = [
+#: sha256 of outputs at fixed arguments: the density sweep of the paper's
+#: small heights, a sparse-drop threshold sweep at h = 1000, and the
+#: blowdown, ray and ratio tables.  Any change to the rays, the indices, the
+#: counts, the draws, the classification, the aggregation or the number
+#: format changes these bytes.
+GOLDEN_OUTPUTS = [
     (("density", "--h", "40", "--q", "0.5", "--h", "60", "--q", "0.5", "--h", "80", "--q", "0.2",
       "--trials", "1000", "--k", "2", "--k", "3", "--seed", "0"),
      "b7cca0cf6ed37500fb0db006d71704a8c7d324aae90767a612cff7d96208fdaa"),
     (("threshold", "--h", "1000", "--q", "0.0001", "--trials", "40", "--k", "2", "--seed", "0",
       "--workers", "2"),
      "9564475e86805058848405a424774075577077a03e7d0de8e894e9873a200a0b"),
+    (("blowdown", "--h", "500", "--format", "csv"),
+     "9deeeacaee54d4f7fe3065d5678cceffeb9ee0a4c5b802ee7f2e5421b8347902"),
+    (("rays", "--h", "300", "--format", "json"),
+     "fe7b2f5c6f6e6004367fd4f06ff9e47a297d506a4ca1eac9bb77821f8c73b0b1"),
+    (("ratios", "--h", "500", "--h", "1000", "--h", "2000", "--kmax", "7"),
+     "a466d60b615e07f28f829beeb4668a07e74632cb05b1f34d4ca93bcfa6ab2e7f"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_SWEEPS, ids=["density", "threshold"])
+@pytest.mark.parametrize("argv, digest", GOLDEN_OUTPUTS,
+                         ids=["density", "threshold", "blowdown", "rays", "ratios"])
 def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "sweep.csv"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))

@@ -307,6 +307,23 @@ def test_threaded_sweep_builds_the_universe_once(monkeypatch):
     assert walks == [300]
 
 
+def test_sweep_checks_the_memory_of_all_its_heights_together(monkeypatch):
+    # the sweep holds every distinct height's universe at once: room for
+    # each height alone is not room for the spec
+    heights = [800, 801, 802, 803]
+    available = 2 * max(lattice._universe_bytes([h]) for h in heights)
+    monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+    for h in heights:
+        lattice._check_memory([h])
+    walks = []
+    monkeypatch.setattr(lattice, "_farey_walk", walks.append)
+    lattice.enumerate_rays.cache_clear()
+    spec = _spec(h_values=heights + heights[:1], q_schedule=[0.5] * 5, trials=1)
+    with pytest.raises(ValidationError, match="^heights 800, 801, 802, 803 need about"):
+        run_threshold_sweep(spec)
+    assert walks == []
+
+
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
         run_threshold_sweep(_spec(), workers=0)

@@ -1,5 +1,6 @@
 """Fan completion, singularity spectra, and fan records."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from randfan.fans import (
 )
 from randfan.lattice import MAX_H, RayVec, enumerate_rays
 
-from oracles import naive_completion
+from oracles import comparison_order, naive_completion
 
 
 def _assert_matches_oracle(rays):
@@ -73,6 +74,32 @@ def test_non_primitive_input_rejected():
         complete_fan([(2, 4)])
     with pytest.raises(ValidationError):
         complete_fan([(1, 1), (0, 0)])
+
+
+def test_complete_fan_refuses_coordinates_that_are_not_integers_in_range():
+    for bad in [True, np.bool_(True), 1.0, np.float64(1.0), "1", None, [1], MAX_H + 1,
+                -MAX_H - 1, 2**70, np.uint64(2**64 - 1)]:
+        for rays in ([(1, 0), (bad, 1)], [(0, 1), (1, bad)]):
+            with pytest.raises(ValidationError, match="ray coordinate"):
+                complete_fan(rays)
+
+
+def test_key_sort_matches_the_comparison_sort():
+    # slopes of distinct rays with coordinates up to MAX_H differ by at least
+    # 1/MAX_H**2, the finest gap the integer keys must resolve
+    rnd = random.Random(20261018)
+    for _ in range(2000):
+        bound = rnd.choice([1, 3, 50, MAX_H])
+        rays = [(rnd.randint(-bound, bound), rnd.randint(-bound, bound)) for _ in range(rnd.randint(0, 30))]
+        rays = [r for r in rays if math.gcd(*r) == 1]
+        assert complete_fan(rays).coords.tolist() == [list(r) for r in comparison_order(rays)]
+    m = MAX_H
+    octant = [(m, 1), (m, m - 1), (m - 1, m - 2), (m - 1, 1), (1, 1), (1, 0)]
+    rays = [(sx * a, sy * b) for a, b in octant for sx in (1, -1) for sy in (1, -1)]
+    rays += [(y, x) for x, y in rays]
+    fan = complete_fan(rays[::-1])
+    assert fan.coords.tolist() == [list(r) for r in comparison_order(rays)]
+    assert fan.n_rays == len(set(rays)) == 40
 
 
 def test_input_order_is_irrelevant():

@@ -205,12 +205,12 @@ def test_angular_compare_agrees_with_atan2_on_random_pairs():
 
 
 def _walk_matches_oracles(h):
-    octant, k = lattice._farey_walk(h)
+    octant = lattice._farey_walk(h)
     want = first_octant(h)
     assert np.array_equal(octant, want), h
     circle = lattice._unfold_full_circle(octant)
     assert np.array_equal(circle, concat_unfold(want)), h
-    assert np.array_equal(lattice._unfold_indices(k), division_blowdown(circle)), h
+    assert np.array_equal(blowdown_table(h).k_values, division_blowdown(circle)), h
 
 
 def test_lane_walk_matches_mediant_walk_below_the_lane_count():
@@ -226,10 +226,11 @@ def test_lane_walk_matches_mediant_walk(h):
 
 def test_walk_endpoints_and_lane_seeds():
     for h in [1, 2, 3]:
-        octant, k = lattice._farey_walk(h)
+        octant = lattice._farey_walk(h)
+        k = blowdown_table(h).k_values
         assert tuple(octant[0]) == (1, 0) and k[0] == 2 * h
-        assert tuple(octant[-1]) == (1, 1) and k[-1] == 2 * h - 1
-    assert lattice._farey_walk(2)[1].tolist() == [4, 1, 3]
+        assert tuple(octant[-1]) == (1, 1) and k[len(octant) - 1] == 2 * h - 1
+    assert blowdown_table(2).k_values[:3].tolist() == [4, 1, 3]
 
 
 def _fresh_height():
@@ -328,7 +329,7 @@ def test_count_geq_edges_and_validation():
 
 
 def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
-    # the estimate is exact in the ray count: 24 B per octant ray and 16 B per ray
+    # the estimate is exact in the ray count: 16 B per ray of the universe
     counted = []
     count = lattice.count_geq
 
@@ -337,8 +338,9 @@ def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
         return count(h, k)
 
     monkeypatch.setattr(lattice, "count_geq", counting)
-    lattice._check_memory(2000)
+    walk = lattice._universe_bytes([2000]) - 16 * count(2000, 1)
     assert counted == [(2000, 1)]
+    assert lattice._universe_bytes([2000, 1000]) == walk + 16 * (count(2000, 1) + count(1000, 1))
 
 
 def test_walk_overrun_names_a_live_lane_its_step_and_last_ray(monkeypatch):

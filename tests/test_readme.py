@@ -52,3 +52,10 @@ def test_readme_states_the_workers_bound():
     from randfan.experiments import MAX_WORKERS
 
     assert f"MAX_WORKERS = {MAX_WORKERS}`" in README.read_text(encoding="utf-8")
+
+
+def test_readme_states_the_memory_estimate():
+    from randfan.lattice import _universe_bytes
+
+    per_h2 = round(_universe_bytes([2000]) / 2000**2)
+    assert f"about `{per_h2} * h^2`" in README.read_text(encoding="utf-8")

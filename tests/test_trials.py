@@ -11,22 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import aggregate_records, fan_counts, fan_trial
-from randfan import experiments, sampling
+from randfan import experiments, lattice, sampling
+from randfan.blowdown import blowdown_index, blowdown_table
 from randfan.errors import InvariantError
 from randfan.experiments import (
     ExperimentSpec,
     TrialRecord,
     _aggregate,
     _classify,
-    _smooth_universe,
     render,
     run_threshold_sweep,
     run_trial,
     sweep_columns,
     sweep_rows_as_dicts,
 )
-from randfan.lattice import RayUniverse, enumerate_rays, wedge
-from randfan.sampling import UINT64_MAX
+from randfan.lattice import enumerate_rays, wedge
+from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
 SEED = 20260816
 
@@ -54,7 +54,7 @@ def test_sparse_drop_trial_at_height_1000_matches_fan_oracle(trial):
 def _classified(h, dropped, ks):
     """_classify on a (B, n) drop matrix, checked row by row against the
     Fan oracle; the rows as (kept, cones, largest index, [cones >= k])."""
-    kept, n_cones, max_index, at_least = _classify(_smooth_universe(h).coords, dropped, ks)
+    kept, n_cones, max_index, at_least = _classify(enumerate_rays(h).coords, dropped, ks)
     rows = list(zip(kept.tolist(), n_cones.tolist(), max_index.tolist(), at_least.tolist()))
     for row, drops in zip(rows, dropped):
         assert row == fan_counts(h, ~drops, ks), np.flatnonzero(~drops)
@@ -279,52 +279,81 @@ def test_sweep_bytes_do_not_depend_on_block_budget_or_workers(monkeypatch, budge
         assert _sweep_csv(spec, workers) == want
 
 
-def test_tampered_universe_is_refused(monkeypatch):
-    c = enumerate_rays(4).coords.copy()
-    c[[5, 6]] = c[[6, 5]]
-    first = next(i for i in range(len(c)) if wedge(c[i], c[(i + 1) % len(c)]) != 1)
-    u, v = tuple(c[first].tolist()), tuple(c[first + 1].tolist())
-    monkeypatch.setattr(experiments, "enumerate_rays", lambda h: RayUniverse(h, c))
-    experiments._smooth_universe.cache_clear()
-    try:
+@pytest.fixture
+def tamper(monkeypatch):
+    """tamper(edit) makes every universe built from then on the unfolded
+    circle passed through edit; the universe caches are empty before and
+    after the test."""
+    unfold = lattice._unfold_full_circle
+
+    def clear():
+        enumerate_rays.cache_clear()
+        blowdown_table.cache_clear()
+
+    def tamper(edit):
+        monkeypatch.setattr(lattice, "_unfold_full_circle", lambda octant: edit(unfold(octant)))
+        clear()
+
+    clear()
+    yield tamper
+    clear()
+
+
+def _swapped(c, i):
+    c[[i, i + 1]] = c[[i + 1, i]]
+    return c
+
+
+def _first_bad_pair(c):
+    n = len(c)
+    i = next(i for i in range(n) if wedge(c[i], c[(i + 1) % n]) != 1)
+    return i, tuple(c[i].tolist()), tuple(c[(i + 1) % n].tolist())
+
+
+_CALLERS = [
+    lambda: run_trial(4, 0.1, 0, 0, [2]),
+    lambda: run_threshold_sweep(ExperimentSpec(h_values=[4], q_schedule=[0.1], trials=4), workers=2),
+    lambda: blowdown_table(4),
+    lambda: blowdown_index(4, (1, 0)),
+    lambda: sample_fan(SampleConfig(h=4, p=0.9)),
+]
+
+
+def test_tampered_universe_is_refused(tamper):
+    good = enumerate_rays(4).coords
+    # a swapped pair is named by the wedge check
+    first, u, v = _first_bad_pair(_swapped(good.copy(), 5))
+    tamper(lambda c: _swapped(c, 5))
+    for call in _CALLERS:
         with pytest.raises(InvariantError) as exc:
-            run_trial(4, 0.1, 0, 0, [2])
-        message = str(exc.value)
-        assert "height 4" in message
-        assert f"{u} at position {first}" in message
-        assert f"{v} at position {first + 1}" in message
-        assert f"wedge {wedge(u, v)}" in message
-        spec = ExperimentSpec(h_values=[4], q_schedule=[0.1], trials=4)
-        with pytest.raises(InvariantError):
-            run_threshold_sweep(spec, workers=2)
-    finally:
-        experiments._smooth_universe.cache_clear()
+            call()
+        assert str(exc.value) == (f"height 4: neighbouring rays {u} at position {first} and {v} "
+                                  f"at position {first + 1} have wedge {wedge(u, v)}, not 1")
+    # a dropped ray of index 1 leaves every wedge 1; the count check finds it
+    i = int(np.flatnonzero((good == (4, 3)).all(axis=1))[0])
+    tamper(lambda c: np.delete(c, i, axis=0))
+    for call in _CALLERS:
+        with pytest.raises(InvariantError,
+                           match=r"^height 4: the walk gave 47 rays, but 48 have sup-norm <= 4$"):
+            call()
 
 
 @pytest.mark.parametrize("swap", [0, 6, 13, 45, 46])
-def test_smoothness_check_in_blocks_names_the_first_bad_pair(monkeypatch, swap):
+def test_smoothness_check_in_blocks_names_the_first_bad_pair(monkeypatch, tamper, swap):
     # 48 rays checked 7 rows at a time: swaps inside a block, across a block
     # edge, and in the last block, whose last ray's neighbour is the first
-    c = enumerate_rays(4).coords.copy()
-    n = len(c)
-    c[[swap, swap + 1]] = c[[swap + 1, swap]]
-    first = next(i for i in range(n) if wedge(c[i], c[(i + 1) % n]) != 1)
-    u, v = tuple(c[first].tolist()), tuple(c[(first + 1) % n].tolist())
-    monkeypatch.setattr(experiments, "enumerate_rays", lambda h: RayUniverse(h, c))
-    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 7)
-    experiments._smooth_universe.cache_clear()
-    try:
-        with pytest.raises(InvariantError) as exc:
-            _smooth_universe(4)
-        assert str(exc.value) == (
-            f"height 4: neighbouring rays {u} at position {first} and {v} at "
-            f"position {(first + 1) % n} have wedge {wedge(u, v)}, not 1"
-        )
-        # the smooth universe turned by any number of places passes
-        for shift in (1, 20):
-            experiments._smooth_universe.cache_clear()
-            rolled = np.roll(enumerate_rays(4).coords, shift, axis=0)
-            monkeypatch.setattr(experiments, "enumerate_rays", lambda h: RayUniverse(h, rolled))
-            assert np.array_equal(_smooth_universe(4).coords, rolled)
-    finally:
-        experiments._smooth_universe.cache_clear()
+    good = enumerate_rays(4).coords
+    n = len(good)
+    first, u, v = _first_bad_pair(_swapped(good.copy(), swap))
+    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    tamper(lambda c: _swapped(c, swap))
+    with pytest.raises(InvariantError) as exc:
+        enumerate_rays(4)
+    assert str(exc.value) == (
+        f"height 4: neighbouring rays {u} at position {first} and {v} at "
+        f"position {(first + 1) % n} have wedge {wedge(u, v)}, not 1"
+    )
+    # the smooth universe turned by any number of places passes
+    for shift in (1, 20):
+        tamper(lambda c: np.roll(c, shift, axis=0))
+        assert np.array_equal(enumerate_rays(4).coords, np.roll(good, shift, axis=0))
