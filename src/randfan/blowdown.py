@@ -72,7 +72,6 @@ class BlowdownTable:
             raise InvariantError(
                 f"height {universe.h}: {len(k_values)} indices for {len(universe)} rays"
             )
-        k_values.flags.writeable = False
         # k >= 1 and the upper band hold exactly for every ray: enforce them, never measure them
         h, coords, n = universe.h, universe.coords, len(universe)
         for lo in range(0, n, _BLOCK):
@@ -85,6 +84,7 @@ class BlowdownTable:
                 what = (f"index {k_values[i]} is below 1" if k_values[i] < 1 else
                         f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
                 _fail(h, i, coords[i], coords[i - 1], coords[(i + 1) % n], what)
+        k_values.flags.writeable = False  # only once accepted: a refused array stays the caller's
         self._universe = universe
         self._k = k_values
 

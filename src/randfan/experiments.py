@@ -14,10 +14,13 @@ sweep's output is byte-identical across runs and thread pools.
 Report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, sharing the same
 emission path.  Tables are emitted column-wise: the large exports hand their
-coordinate, norm and index arrays to render() as one structured array, an
-integer column is formatted in bulk, and row dicts are transposed onto the
-same path.  The byte format (canonical cells, LF newlines, atomic write) is
-the same for every table.
+coordinate, norm and index arrays to render() as one structured array, and
+row dicts are transposed onto the same path.  render() lays each block of
+rows out as one byte matrix, a fixed-width field per column with the row's
+literals between them and 0xFF in every unused byte, and deletes the pad
+byte; an integer column is written digit by digit in numpy, with no Python
+object per cell.  The byte format (canonical cells, LF newlines, atomic
+write) is the same for every table.
 """
 
 from __future__ import annotations
@@ -537,18 +540,65 @@ def _json_cell(value) -> str:
     return json.dumps(_json_value(value), indent=2, ensure_ascii=False).replace("\n", "\n    ")
 
 
-#: Rows rendered per block; bounds the per-cell objects alive at once.
+#: Rows rendered per block; bounds the temporaries alive at once.
 _RENDER_ROWS = 1 << 14
+
+#: Filler of every unused byte of a render field.  0xFF never occurs in
+#: UTF-8 text, so deleting it from a block leaves exactly the cells and the
+#: literals between them, whatever bytes (NUL among them) a cell holds.
+_PAD = 0xFF
+
+
+def _int_field(col: np.ndarray) -> np.ndarray:
+    """Decimal text of an integer column as an (m, w) uint8 field: a sign
+    byte when any cell is negative, then the digits, right-aligned.
+
+    The magnitudes are read as uint64 from the two's complement, so -2**63
+    (whose int64 absolute value wraps to itself) and uint64 values >= 2**63
+    come out exact.
+    """
+    mag = col.astype(np.int64 if col.dtype.kind == "i" else np.uint64)
+    neg = mag < 0
+    mag = np.abs(mag, out=mag).view(np.uint64)
+    sign = int(neg.any())
+    digits = len(str(int(mag.max())))
+    field = np.full((len(mag), sign + digits), _PAD, dtype=np.uint8)
+    if sign:
+        field[neg, 0] = ord("-")
+    ten = np.uint64(10)
+    q = mag
+    for j in range(1, digits + 1):
+        rest = q // ten
+        digit = q - rest * ten
+        digit += ord("0")
+        if j > 1:
+            digit[q == 0] = _PAD  # no leading zeros
+        field[:, -j] = digit
+        q = rest
+    return field
+
+
+def _text_field(cells) -> np.ndarray:
+    """The UTF-8 bytes of each str cell as an (m, w) uint8 field, left-aligned."""
+    data = [c.encode("utf-8", "surrogatepass") for c in cells]
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    field = np.full((len(data), lengths.max()), _PAD, dtype=np.uint8)
+    field[np.arange(field.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(data), dtype=np.uint8)
+    return field
 
 
 def render(table, format: str, *, columns) -> str:
     """Render a table to canonical text: CSV (header + LF lines) or a JSON list.
 
     table is a structured array whose fields include the named columns, or
-    a sequence of row mappings, which is transposed into columns.  Either
-    way each column is encoded once per block of rows: an integer array in
-    bulk, any other column cell by cell (format_cell for CSV, plain JSON
-    values for JSON).  The JSON text is exactly json.dumps(list_of_row_dicts,
+    a sequence of row mappings, which is transposed into columns.  A block
+    of _RENDER_ROWS rows is one padded byte matrix: each column becomes an
+    (m, w) uint8 field, an integer array digit by digit in numpy, any other
+    column cell by cell (format_cell for CSV, plain JSON values for JSON)
+    and UTF-8 encoded.  The row's fixed literals (commas and newlines, or
+    the JSON keys) are broadcast between the fields, and deleting the pad
+    byte from the matrix leaves the block's text.  No Python object is made
+    per integer cell.  The JSON text is exactly json.dumps(list_of_row_dicts,
     indent=2, ensure_ascii=False).
     """
     if format not in FORMATS:
@@ -560,27 +610,37 @@ def render(table, format: str, *, columns) -> str:
         table = list(table)
         cols = [[row[c] for row in table] for c in columns]
     n = len(table)
-    encode = format_cell if format == "csv" else _json_cell
-    # Python ints for %d, encoded strings for %s
-    specs = ["%d" if isinstance(col, np.ndarray) and col.dtype.kind in "iu" else "%s" for col in cols]
+    # the literal before each column's cell, and the one that ends a row
     if format == "csv":
-        row, sep = ",".join(specs) + "\n", ""
+        leads, end = ["," if j else "" for j in range(len(columns))], "\n"
     else:
-        keys = [json.dumps(c, ensure_ascii=False).replace("%", "%%") for c in columns]
-        row = "  {\n" + ",\n".join(f"    {k}: {spec}" for k, spec in zip(keys, specs)) + "\n  }"
-        sep = ",\n"
+        keys = [json.dumps(c, ensure_ascii=False) for c in columns]
+        leads = [f"{',' if j else '  {'}\n    {k}: " for j, k in enumerate(keys)]
+        end = "\n  },\n" if keys else "  {},\n"
+    leads = [np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) for s in leads]
+    end = np.frombuffer(end.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    encode = format_cell if format == "csv" else _json_cell
     blocks = []
     for lo in range(0, n, _RENDER_ROWS):
-        block = [col[lo : lo + _RENDER_ROWS] for col in cols]
         m = min(_RENDER_ROWS, n - lo)
-        # every cell of the block in row-major order, filled one column at a time
-        cells = np.empty((m, len(cols)), dtype=object)
-        for j, (col, spec) in enumerate(zip(block, specs)):
-            cells[:, j] = col if spec == "%d" else [encode(v) for v in col]
-        blocks.append(sep.join([row] * m) % tuple(cells.ravel().tolist()))
+        parts = []
+        for col, lead in zip(cols, leads):
+            col = col[lo : lo + _RENDER_ROWS]
+            parts.append(np.broadcast_to(lead, (m, len(lead))))
+            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+                parts.append(_int_field(col))
+            else:
+                parts.append(_text_field([encode(v) for v in col]))
+        parts.append(np.broadcast_to(end, (m, len(end))))
+        blocks.append(np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD])))
     if format == "csv":
-        return ",".join(columns) + "\n" + "".join(blocks)
-    return "[\n" + sep.join(blocks) + "\n]\n" if n else "[]\n"
+        blocks[:0] = [(",".join(columns) + "\n").encode("utf-8", "surrogatepass")]
+    elif n:
+        blocks[-1] = blocks[-1][:-2]  # the last row takes no ",\n"
+        blocks = [b"[\n", *blocks, b"\n]\n"]
+    else:
+        return "[]\n"
+    return b"".join(blocks).decode("utf-8", "surrogatepass")
 
 
 def write_text(path, text: str) -> None:

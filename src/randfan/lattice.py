@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -376,9 +377,10 @@ def enumerate_rays(h: int) -> RayUniverse:
     symmetry, so the result is exactly sorted with no comparisons and no
     floating point.  Before it is cached, the universe is checked to be the
     smooth full fan: every pair of cyclic neighbours has wedge exactly 1,
-    and there are count_geq(h, 1) rays; InvariantError otherwise.  Heights
-    whose estimated build exceeds half of MemAvailable are refused with
-    ValidationError before anything is allocated.
+    and there are count_geq(h, 1) rays; InvariantError otherwise, naming
+    the first bad pair or the first missing ray.  Heights whose estimated
+    build exceeds half of MemAvailable are refused with ValidationError
+    before anything is allocated.
     """
     h = _check_height(h)
     _check_memory((h,))
@@ -396,5 +398,28 @@ def enumerate_rays(h: int) -> RayUniverse:
             )
     want = count_geq(h, 1)
     if n != want:
-        raise InvariantError(f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}")
+        _fail_count(h, c, want)
     return RayUniverse(h, c)
+
+
+def _fail_count(h: int, c: np.ndarray, want: int) -> NoReturn:
+    """Raise for a smooth walk of the wrong length, naming the first gap.
+
+    Every wedge is 1, so the sum of two neighbours is a primitive ray
+    between them; where that sum has sup-norm <= h, it is a ray the walk
+    missed.
+    """
+    n = len(c)
+    message = f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}"
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        pair_sum = c[lo:hi] + np.take(c, np.arange(lo + 1, hi + 1), axis=0, mode="wrap")
+        inside = np.abs(pair_sum).max(axis=1) <= h
+        if inside.any():
+            i = lo + int(np.argmax(inside))
+            j = (i + 1) % n
+            u, v, s = (tuple(a.tolist()) for a in (c[i], c[j], pair_sum[i - lo]))
+            raise InvariantError(
+                f"{message}; the ray {s} between {u} at position {i} and {v} at position {j} is missing"
+            )
+    raise InvariantError(message)

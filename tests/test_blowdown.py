@@ -248,6 +248,10 @@ def test_tampered_table_raises_invariant_error():
         BlowdownTable(u, k)
     with pytest.raises(InvariantError, match="height 2: 15 indices for 16 rays"):
         BlowdownTable(u, k[1:])
+    # a refused array is left as the caller passed it; an accepted one is frozen
+    assert bogus.flags.writeable and k.flags.writeable
+    k[5] = 1
+    assert not BlowdownTable(u, k).k_values.flags.writeable
 
 
 def test_neighbors_march_along_lines_parallel_to_the_ray():

@@ -17,7 +17,12 @@ from randfan.experiments import render
 
 from oracles import brute_rays, row_render
 
-INT64 = st.integers(-(2**63), 2**63 - 1)
+#: Integer array columns by dtype; uint64 half the time above the int64 range.
+INTS = {
+    dtype: st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    for dtype in ("int64", "int32", "int8", "uint8")
+}
+INTS["uint64"] = st.integers(2**63, 2**64 - 1) | st.integers(0, 2**64 - 1)
 
 #: Cells of the list-valued (object) columns, by kind.
 CELLS = {
@@ -41,9 +46,9 @@ def tables(draw):
     names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
     columns = {}
     for name in names:
-        kind = draw(st.sampled_from(["int64", "float64", *CELLS]))
-        if kind == "int64":
-            columns[name] = np.array(draw(st.lists(INT64, min_size=n, max_size=n)), dtype=np.int64)
+        kind = draw(st.sampled_from([*INTS, "float64", *CELLS]))
+        if kind in INTS:
+            columns[name] = np.array(draw(st.lists(INTS[kind], min_size=n, max_size=n)), dtype=kind)
         elif kind == "float64":
             columns[name] = np.array(draw(st.lists(CELLS["float"], min_size=n, max_size=n)), dtype=np.float64)
         else:
@@ -92,6 +97,39 @@ def test_render_block_boundaries(monkeypatch, block_rows, fmt):
         rows = _rows(t.coords[:n], norm=np.abs(t.coords[:n]).max(axis=1), k=t.k_values[:n])
         columns = ["x", "y", "norm", "k"]
         assert render(records, fmt, columns=columns) == row_render(rows, fmt, columns=columns)
+
+
+#: Integer cells at the digit-count and sign edges, and str cells holding
+#: NUL, U+00FF (whose Latin-1 byte is the pad byte) and a lone surrogate.
+EDGE_INTS = sorted({
+    -(2**63), 2**63 - 1, 0,
+    *(s * v for s in (1, -1) for v in (9, 10, 999, 1000)),
+    *(s * 10**e for s in (1, -1) for e in range(19)),
+})
+EDGE_UINTS = [0, 9, 10, 10**19, 2**63 - 1, 2**63, 2**64 - 1]
+EDGE_TEXTS = ["\x00", "ÿ", "a\x00ÿ", "", "\ud800"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_render_edge_cells(monkeypatch, block_rows, fmt):
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    n = len(EDGE_INTS)
+    rows = [
+        {"i": v, "u": EDGE_UINTS[j % len(EDGE_UINTS)], "s": EDGE_TEXTS[j % len(EDGE_TEXTS)]}
+        for j, v in enumerate(EDGE_INTS)
+    ]
+    records = np.rec.fromarrays(
+        [np.array([r["i"] for r in rows], dtype=np.int64),
+         np.array([r["u"] for r in rows], dtype=np.uint64),
+         np.array([r["s"] for r in rows], dtype=object)],
+        names=["i", "u", "s"],
+    )
+    for columns in (["i", "u", "s"], ["s", "i"], ["u"], []):
+        for m in (0, 1, n):
+            expected = row_render(rows[:m], fmt, columns=columns)
+            assert render(rows[:m], fmt, columns=columns) == expected
+            assert render(records[:m], fmt, columns=columns) == expected
 
 
 def _rows(coords, **extra):

@@ -330,12 +330,38 @@ def test_tampered_universe_is_refused(tamper):
         assert str(exc.value) == (f"height 4: neighbouring rays {u} at position {first} and {v} "
                                   f"at position {first + 1} have wedge {wedge(u, v)}, not 1")
     # a dropped ray of index 1 leaves every wedge 1; the count check finds it
+    # and names it from the pair around the hole
     i = int(np.flatnonzero((good == (4, 3)).all(axis=1))[0])
     tamper(lambda c: np.delete(c, i, axis=0))
     for call in _CALLERS:
-        with pytest.raises(InvariantError,
-                           match=r"^height 4: the walk gave 47 rays, but 48 have sup-norm <= 4$"):
+        with pytest.raises(InvariantError) as exc:
             call()
+        assert str(exc.value) == (
+            f"height 4: the walk gave 47 rays, but 48 have sup-norm <= 4; the ray (4, 3) "
+            f"between (3, 2) at position {i - 1} and (1, 1) at position {i} is missing"
+        )
+
+
+def test_count_check_in_blocks_names_the_missing_ray(monkeypatch, tamper):
+    # 47 rays checked 7 rows at a time; every ray of index 1 can be dropped
+    # without breaking a wedge, the last one's gap wraps to position 0
+    good = enumerate_rays(4).coords
+    dropped = np.flatnonzero(blowdown_table(4).k_values == 1)
+    assert dropped[-1] == len(good) - 1
+    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    for i in dropped:
+        tamper(lambda c, i=i: np.delete(c, i, axis=0))
+        u, v = tuple(good[i - 1].tolist()), tuple(good[(i + 1) % 48].tolist())
+        with pytest.raises(InvariantError) as exc:
+            enumerate_rays(4)
+        assert str(exc.value) == (
+            f"height 4: the walk gave 47 rays, but 48 have sup-norm <= 4; the ray "
+            f"{tuple(good[i].tolist())} between {u} at position {i - 1} and {v} at position {i % 47} is missing"
+        )
+    # a ray too many is beyond every gap and named by the counts alone
+    tamper(lambda c: np.insert(c, 1, (5, 1), axis=0))
+    with pytest.raises(InvariantError, match=r"^height 4: the walk gave 49 rays, but 48 have sup-norm <= 4$"):
+        enumerate_rays(4)
 
 
 @pytest.mark.parametrize("swap", [0, 6, 13, 45, 46])
