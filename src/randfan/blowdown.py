@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    _BLOCK, MAX_H, RayUniverse, RayVec, _block_wedges, _check_height, _ray_ints, count_geq,
-    enumerate_rays, is_primitive,
+    _BLOCK, MAX_H, RayUniverse, RayVec, _block_wedges, _check_height, _check_memory, _ray_ints,
+    count_geq, enumerate_rays, is_primitive,
 )
 
 
@@ -152,8 +152,11 @@ def blowdown_table(h: int) -> BlowdownTable:
     index is the wedge of its two neighbours, read in blocks of rows; the
     table checks k >= 1 and k * |u| <= 2h on every ray, and raises
     InvariantError naming the height, position, ray, neighbours and values.
+    A height whose universe and index column together would exceed half of
+    MemAvailable is refused with ValidationError before either is built.
     Results are cached.
     """
+    _check_memory((_check_height(h),), table=True)
     universe = enumerate_rays(h)
     c = universe.coords
     k = np.empty(len(c), dtype=np.int64)

@@ -20,7 +20,6 @@ from .experiments import (
     ExperimentSpec,
     blowdown_array,
     conjecture_report,
-    emit,
     ray_array,
     render,
     run_threshold_sweep,
@@ -29,7 +28,7 @@ from .experiments import (
     spec_from_file,
     sweep_columns,
     sweep_rows_as_dicts,
-    write_text,
+    write_blocks,
 )
 from .fans import complete_fan, fan_from_record, fan_to_record, is_smooth, spectrum
 from .lattice import enumerate_rays
@@ -47,21 +46,23 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _print_or_write(args, text: str) -> None:
-    if getattr(args, "out", None):
-        write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+def _write(out, blocks) -> None:
+    # blocks of bytes into the file out, atomically, or to standard output
+    if out:
+        write_blocks(out, blocks)
+        return
+    sys.stdout.flush()
+    for block in blocks:
+        sys.stdout.buffer.write(block)
+    sys.stdout.buffer.flush()
 
 
-def _emit_rows(args, table, columns, default_format: str = "csv") -> None:
-    fmt = getattr(args, "format", None) or default_format
-    text = render(table, fmt, columns=columns)
-    _print_or_write(args, text)
+def _emit_rows(args, table, columns) -> None:
+    _write(args.out, render(table, args.format, columns=columns))
 
 
-def _dump_json(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False) + "\n"
+def _dump_json(doc) -> list[bytes]:
+    return [(json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")]
 
 
 def _cmd_rays(args) -> None:
@@ -70,7 +71,7 @@ def _cmd_rays(args) -> None:
 
 def _cmd_complete(args) -> None:
     fan = complete_fan(enumerate_rays(args.h))
-    _print_or_write(args, _dump_json(fan_to_record(fan, h=args.h)))
+    _write(args.out, _dump_json(fan_to_record(fan, h=args.h)))
 
 
 def _cmd_sample(args) -> None:
@@ -81,7 +82,7 @@ def _cmd_sample(args) -> None:
         h=args.h,
         extra={"p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index},
     )
-    _print_or_write(args, _dump_json(rec))
+    _write(args.out, _dump_json(rec))
 
 
 def _cmd_spectrum(args) -> None:
@@ -100,7 +101,7 @@ def _cmd_spectrum(args) -> None:
         "counts": {str(k): sp.counts[k] for k in sorted(sp.counts)},
         "indices": sp.indices,
     }
-    _print_or_write(args, _dump_json(doc))
+    _write(args.out, _dump_json(doc))
 
 
 def _cmd_blowdown(args) -> None:
@@ -149,10 +150,7 @@ def _cmd_sweep(args) -> None:
     cols = sweep_columns(spec.k_list)
     out = args.out or (spec.output or {}).get("path")
     fmt = args.format or (spec.output or {}).get("format") or "csv"
-    if out:
-        emit(rows, fmt, out, columns=cols)
-    else:
-        sys.stdout.write(render(rows, fmt, columns=cols))
+    _write(out, render(rows, fmt, columns=cols))
 
 
 def _add_table_output(sub, default_format: str = "csv") -> None:

@@ -6,21 +6,25 @@ trial index alone) and aggregates them into a single summary row.  A trial is
 classified from its dropped runs: the full fan is smooth (enumerate_rays
 checks that once per universe), so a draw differs from it only where maximal
 runs of consecutive rays were dropped, and no fan is built.  Trials are
-drawn and classified in blocks, and a cell is aggregated from count arrays.
+drawn straight into one padded keep layout per block and classified a
+block at a time, reusing each worker's buffers, and a cell is aggregated
+from count arrays.
 Trial RNG streams never depend on block size, worker count or scheduling,
 and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
 
 Report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, sharing the same
-emission path.  Tables are emitted column-wise: the large exports hand their
-coordinate, norm and index arrays to render() as one structured array, and
-row dicts are transposed onto the same path.  render() lays each block of
-rows out as one byte matrix, a fixed-width field per column with the row's
-literals between them and 0xFF in every unused byte, and deletes the pad
-byte; an integer column is written digit by digit in numpy, with no Python
-object per cell.  The byte format (canonical cells, LF newlines, atomic
-write) is the same for every table.
+emission path.  Tables are emitted column-wise and streamed: the large
+exports hand render() views of their coordinate and index arrays, with
+the sup norm computed per block, and row dicts are transposed onto the
+same path.  render() yields each block of rows as bytes: one byte matrix,
+a fixed-width field per column with the row's literals between them and
+0xFF in every unused byte, with the pad byte deleted; an integer column is
+written digit by digit in numpy, with no Python object per cell.
+write_blocks() streams the blocks into a temp file that is renamed onto
+the target, so nothing the size of the output is held.  The byte format
+(canonical cells, LF newlines, atomic write) is the same for every table.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -209,7 +214,11 @@ class SweepRow:
 
 
 #: Rays per block of work.  A sweep draws and classifies
-#: max(1, _BLOCK_RAYS // n) trials at a time, so no temporary scales with h.
+#: max(1, _BLOCK_RAYS // n) trials at a time, so a block's arrays are
+#: bounded by about _BLOCK_RAYS rays while n <= _BLOCK_RAYS.  Above that a
+#: block is one trial: its keep layout takes n + 2 bytes (twice, with the
+#: mask of where it changes), and its per-run arrays grow with the number
+#: of dropped runs, up to n / 2.
 _BLOCK_RAYS = 1 << 16
 
 #: Most worker threads a sweep may be asked for.
@@ -222,68 +231,115 @@ _K_CAP = 1 << 62
 
 def _per_row(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """ufunc.reduceat of values over the row segments bounds[i]:bounds[i + 1],
-    and 0 for an empty segment."""
-    out = ufunc.reduceat(np.append(values, 0), bounds[:-1], dtype=np.int64)
+    and 0 for an empty segment.  values has an entry past bounds[-1], so
+    every segment starts at an index of it."""
+    out = ufunc.reduceat(values, bounds[:-1], dtype=np.int64)
     out[bounds[:-1] == bounds[1:]] = 0
     return out
 
 
-def _classify(coords: np.ndarray, dropped: np.ndarray, ks) -> tuple[np.ndarray, ...]:
-    """Classify a block of draws over the smooth full fan coords from their
-    (B, n) drop matrix, one draw per row.
+def _buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
+    """The first size entries of the buffer scratch[name], which is made
+    anew only when the one held is too short."""
+    if len(scratch.get(name, ())) < size:
+        scratch.pop(name, None)  # freed before the longer one is made
+        scratch[name] = np.empty(size, dtype=dtype)
+    return scratch[name][:size]
 
-    Returns, per row: the kept ray count, the cone count, the largest cone
-    index (0 with no cone), and the count of cones of index >= k for each k
-    in ks, as a (B, len(ks)) matrix.  Every cyclic neighbour pair of the
-    full fan spans a cone of index 1, so kept neighbours with nothing
-    dropped between them give unit cones; across each maximal run of
-    dropped rays the two flanking kept rays span one cone of index
-    wedge(before, after), or none when the gap is at least a half turn
-    (wedge <= 0).  A row with fewer than 2 kept rays has no cone.
+
+def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[np.ndarray, ...]:
+    """Classify a block of B draws over the smooth full fan coords from
+    their padded keep layout.
+
+    keep holds 1 + B * (n + 1) decisions: True (kept) at position 0, then
+    each draw's n keep decisions followed by True, so no run of dropped
+    rays crosses into the next draw.  Returns, per draw: the kept ray
+    count, the cone count, the largest cone index (0 with no cone), and the
+    count of cones of index >= k for each k in ks, as a (B, len(ks))
+    matrix.  Every cyclic neighbour pair of the full fan spans a cone of
+    index 1, so kept neighbours with nothing dropped between them give unit
+    cones; across each maximal run of dropped rays the two flanking kept
+    rays span one cone of index wedge(before, after), or none when the gap
+    is at least a half turn (wedge <= 0).  A draw with fewer than 2 kept
+    rays has no cone.
+
+    The per-position and per-run arrays are views of the buffers in
+    scratch, which the caller keeps for all of its blocks, so a block
+    reuses the memory of the one before; only the run positions are
+    allocated per block.  Memory freed after every block can go back to
+    the system and be faulted in again by the next.
     """
-    b, n = dropped.shape
-    # a kept ray before the block and a kept sentinel column after every
-    # row, so no run crosses into the next row; the runs of the whole block
-    # start and stop where the flat mask changes
-    flat = np.zeros(1 + b * (n + 1), dtype=bool)
-    flat[1:].reshape(b, n + 1)[:, :n] = dropped
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    n = len(coords)
+    p = len(keep) - 1
+    b = p // (n + 1)
+    # the runs of the whole block start and stop where the layout changes
+    edges = np.flatnonzero(np.not_equal(keep[1:], keep[:-1], out=_buffer(scratch, "change", p, bool)))
+    r = len(edges) // 2
     bounds = np.searchsorted(edges[0::2], np.arange(b + 1) * (n + 1))
-    offset = np.repeat(np.arange(b) * (n + 1), np.diff(bounds))
-    s = edges[0::2] - offset  # first dropped column of each run
-    e = edges[1::2] - offset  # first kept column after it; n at the row's end
-    del flat, edges, offset  # freed before the per-run arrays: they set the sweep's peak memory
-    kept = n - _per_row(np.add, e - s, bounds)
+    s = _buffer(scratch, "s", r + 1, np.int64)  # first dropped column of each run
+    e = _buffer(scratch, "e", r + 1, np.int64)  # first kept column after it; n at the row's end
+    np.remainder(edges[0::2], n + 1, out=s[:r])
+    np.remainder(edges[1::2], n + 1, out=e[:r])
+    del edges
+    s[r] = e[r] = 0  # the entry past the last run, for _per_row
+    w = _buffer(scratch, "w", r + 1, np.int64)
+    kept = n - _per_row(np.add, np.subtract(e, s, out=w), bounds)
     # a row's last run through position n - 1 and its first run through 0
-    # are one run across the seam: keep it as the first, from the last's start
+    # are one run across the seam: the first takes the last's start, and
+    # the last gets wedge 0 below, so it spans no cone
     multi = np.flatnonzero(np.diff(bounds) >= 2)
     first, last = bounds[multi], bounds[multi + 1] - 1
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
-    s, e = np.delete(s, last[seam]), np.delete(e, last[seam])
-    bounds = bounds - np.searchsorted(last[seam], bounds)
-    before = np.take(coords, s - 1, axis=0, mode="wrap")
-    after = np.take(coords, e, axis=0, mode="wrap")
-    w = before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0]
-    unit = kept - np.diff(bounds)
-    n_cones = unit + _per_row(np.add, w >= 1, bounds)
-    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0), bounds), n_cones > 0)
+    # w = wedge(c[s - 1], c[e]), positions taken cyclically; in the flat
+    # coordinates x0, y0, x1, y1, ... the x of position i is at 2i and its
+    # y at 2i + 1, so the indices are moved in place between the four takes
+    flat, t = coords.reshape(-1), _buffer(scratch, "t", r + 1, np.int64)
+    s -= 1
+    s *= 2
+    e *= 2
+    np.take(flat, s, mode="wrap", out=w)
+    e += 1
+    w *= np.take(flat, e, mode="wrap", out=t)
+    s += 1
+    np.take(flat, s, mode="wrap", out=t)
+    e -= 1
+    w -= np.multiply(t, np.take(flat, e, mode="wrap", out=s), out=t)
+    w[last[seam]] = w[r] = 0
+    runs = np.diff(bounds)
+    runs[multi[seam]] -= 1
+    unit = kept - runs
+    at = _buffer(scratch, "at", r + 1, bool)
+    n_cones = unit + _per_row(np.add, np.greater_equal(w, 1, out=at), bounds)
+    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0, out=t), bounds), n_cones > 0)
     at_least = np.empty((b, len(ks)), dtype=np.int64)
     for j, k in enumerate(ks):
-        at_least[:, j] = _per_row(np.add, w >= min(k, _K_CAP), bounds) + (unit if k == 1 else 0)
+        at_or_above = np.greater_equal(w, min(k, _K_CAP), out=at)
+        at_least[:, j] = _per_row(np.add, at_or_above, bounds) + (unit if k == 1 else 0)
     few = kept < 2  # nothing kept, or a lone ray whose neighbour is itself
     n_cones[few] = max_index[few] = at_least[few] = 0
     return kept, n_cones, max_index, at_least
 
 
-def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks):
+def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks, scratch: dict):
     """Draw trials lo..hi-1 of one cell at the given keep threshold, with
-    one Philox re-keyed for each, and _classify them as one block."""
-    keep = np.empty((hi - lo, len(coords)), dtype=bool)
+    one Philox re-keyed for each, straight into one padded keep layout
+    held in scratch, and _classify them as one block."""
+    n = len(coords)
+    keep = _buffer(scratch, "keep", 1 + (hi - lo) * (n + 1), bool)
+    keep[0] = True
+    rows = keep[1:].reshape(hi - lo, n + 1)
+    rows[:, n] = True
     bitgen = np.random.Philox(0)
-    for row, t in enumerate(range(lo, hi)):
-        _keep_mask(bitgen, master_seed, t, threshold, keep[row])
-    return _classify(coords, np.logical_not(keep, out=keep), ks)
+    for row, t in zip(rows, range(lo, hi)):
+        _keep_mask(bitgen, master_seed, t, threshold, row[:n])
+    return _classify(coords, keep, ks, scratch)
+
+
+def _draw_blocks(items) -> list:
+    """_draw_block of each item in turn, all with one scratch."""
+    scratch: dict = {}
+    return [_draw_block(*item, scratch) for item in items]
 
 
 def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> TrialRecord:
@@ -296,7 +352,7 @@ def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> T
     cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
     ks = [check_int(k, "index threshold", 1) for k in k_list]
     coords = enumerate_rays(cfg.h).coords
-    block = _draw_block(coords, _keep_threshold(cfg.p), cfg.master_seed, trial_index, trial_index + 1, ks)
+    block = _draw_block(coords, _keep_threshold(cfg.p), cfg.master_seed, trial_index, trial_index + 1, ks, {})
     kept, m, max_index, at_least = (a[0].tolist() for a in block)
     return TrialRecord(
         h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,
@@ -375,9 +431,11 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     grid order.  The universes of all the spec's distinct heights are held at
     once: their memory is checked together, and each is built (and checked
     by enumerate_rays) once, before the first item runs.  With workers > 1,
-    at most min(workers, items) threads of one pool serve all cells; map()
-    keeps the items in order, and each trial's stream is keyed by its index
-    alone, so scheduling cannot leak into a row.
+    at most min(workers, items) threads of one pool serve all cells: thread
+    i runs items i, i + threads, ... with one scratch (blocks are of about
+    one size), and the results are put back in item order.  Each trial's
+    stream is keyed by its index alone, so scheduling cannot leak into a
+    row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     heights = list(dict.fromkeys(spec.h_values))
@@ -396,10 +454,12 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
         blocks_per_cell.append(len(los))
     threads = min(workers, len(items))
     if threads == 1:
-        results = [_draw_block(*item) for item in items]
+        results = _draw_blocks(items)
     else:
+        results = [None] * len(items)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_draw_block, *zip(*items)))
+            for i, done in enumerate(pool.map(_draw_blocks, [items[i::threads] for i in range(threads)])):
+                results[i::threads] = done
     rows = []
     done = 0
     for (h, q, _), count in zip(cells, blocks_per_cell):
@@ -444,20 +504,37 @@ def sweep_rows_as_dicts(rows, k_list) -> list[dict]:
 RAY_COLUMNS = ("x", "y")
 
 
-def ray_array(universe: RayUniverse) -> np.ndarray:
-    """Ray export: one structured record (x, y) per ray, in canonical order."""
-    return np.rec.fromarrays(universe.coords.T, names=RAY_COLUMNS)
+def ray_array(universe: RayUniverse) -> dict:
+    """Ray export: the columns x and y, views of the universe's coordinates
+    in canonical order."""
+    c = universe.coords
+    return {"x": c[:, 0], "y": c[:, 1]}
+
+
+class _SupNorm:
+    """The sup-norm column of an (n, 2) coordinate array, computed for each
+    slice that is read, so the whole column is never held."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        c = self.coords[rows]
+        return np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
 
 
 BLOWDOWN_COLUMNS = ("x", "y", "norm", "k")
 
 
-def blowdown_array(table: BlowdownTable) -> np.ndarray:
-    """Full blowdown-table export: one structured record (x, y, norm, k) per
-    ray, in canonical order."""
+def blowdown_array(table: BlowdownTable) -> dict:
+    """Full blowdown-table export: the columns x, y, norm and k in canonical
+    order; x, y and k are views of the table, and norm is computed per
+    slice."""
     c = table.coords
-    norms = np.abs(c).max(axis=1)
-    return np.rec.fromarrays([*c.T, norms, table.k_values], names=BLOWDOWN_COLUMNS)
+    return {"x": c[:, 0], "y": c[:, 1], "norm": _SupNorm(c), "k": table.k_values}
 
 
 RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
@@ -493,19 +570,22 @@ def conjecture_report(h_values, k_max: int) -> list[dict]:
 SPACE_COLUMNS = ("x", "y", "k")
 
 
-def space_array(h: int) -> np.ndarray:
+def space_array(h: int) -> dict:
     """Blowdown index of every ray in the closed first quadrant, in angular
-    order, as structured records (x, y, k); the raw material for shell
-    scatter plots."""
+    order, as the columns x, y and k; the raw material for shell scatter
+    plots.  The universe starts at (1, 0) and has the symmetry of the
+    square, so the quadrant up to (0, 1) is its first quarter plus one ray,
+    and the columns are views of the table."""
     table = blowdown_table(h)
-    c, k = table.coords, table.k_values
-    sel = (c[:, 0] >= 0) & (c[:, 1] >= 0)
-    return np.rec.fromarrays([*c[sel].T, k[sel]], names=SPACE_COLUMNS)
+    quadrant = len(table) // 4 + 1
+    c, k = table.coords[:quadrant], table.k_values[:quadrant]
+    return {"x": c[:, 0], "y": c[:, 1], "k": k}
 
 
 def space_report(h: int) -> list[dict]:
     """space_array() as one dict per ray."""
-    return [dict(zip(SPACE_COLUMNS, r)) for r in space_array(h).tolist()]
+    cols = space_array(h)
+    return [dict(zip(SPACE_COLUMNS, r)) for r in zip(*(cols[c].tolist() for c in SPACE_COLUMNS))]
 
 
 def format_cell(value) -> str:
@@ -587,29 +667,37 @@ def _text_field(cells) -> np.ndarray:
     return field
 
 
-def render(table, format: str, *, columns) -> str:
-    """Render a table to canonical text: CSV (header + LF lines) or a JSON list.
+def render(table, format: str, *, columns) -> Iterator[bytes]:
+    """Render a table to canonical UTF-8, one block of bytes at a time: CSV
+    (header + LF lines) or a JSON list.
 
-    table is a structured array whose fields include the named columns, or
-    a sequence of row mappings, which is transposed into columns.  A block
-    of _RENDER_ROWS rows is one padded byte matrix: each column becomes an
-    (m, w) uint8 field, an integer array digit by digit in numpy, any other
-    column cell by cell (format_cell for CSV, plain JSON values for JSON)
-    and UTF-8 encoded.  The row's fixed literals (commas and newlines, or
-    the JSON keys) are broadcast between the fields, and deleting the pad
-    byte from the matrix leaves the block's text.  No Python object is made
-    per integer cell.  The JSON text is exactly json.dumps(list_of_row_dicts,
-    indent=2, ensure_ascii=False).
+    table is a mapping from column name to column, all of one length, or a
+    sequence of row mappings, which is transposed into columns.  A column
+    is anything that slicing turns into an array or a list: an array view,
+    a list, or a column computed per slice such as a sup norm.  The format
+    and the columns are checked when render is called; the blocks are made
+    as they are read.  A block of _RENDER_ROWS rows is one padded byte
+    matrix: each column becomes an (m, w) uint8 field, an integer array
+    digit by digit in numpy, any other column cell by cell (format_cell for
+    CSV, plain JSON values for JSON) and UTF-8 encoded.  The row's fixed
+    literals (commas and newlines, or the JSON keys) are broadcast between
+    the fields, and deleting the pad byte from the matrix leaves the block.
+    No Python object is made per integer cell.  Joined, the blocks are
+    exactly json.dumps(list_of_row_dicts, indent=2, ensure_ascii=False)
+    for JSON.
     """
     if format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
     columns = list(columns)
-    if isinstance(table, np.ndarray):
+    if isinstance(table, Mapping):
         cols = [table[c] for c in columns]
+        n = len(next(iter(table.values()), ()))
+        if any(len(col) != n for col in table.values()):
+            raise ValidationError(f"table columns differ in length: {[len(col) for col in table.values()]}")
     else:
         table = list(table)
         cols = [[row[c] for row in table] for c in columns]
-    n = len(table)
+        n = len(table)
     # the literal before each column's cell, and the one that ends a row
     if format == "csv":
         leads, end = ["," if j else "" for j in range(len(columns))], "\n"
@@ -620,42 +708,50 @@ def render(table, format: str, *, columns) -> str:
     leads = [np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) for s in leads]
     end = np.frombuffer(end.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     encode = format_cell if format == "csv" else _json_cell
-    blocks = []
-    for lo in range(0, n, _RENDER_ROWS):
-        m = min(_RENDER_ROWS, n - lo)
-        parts = []
-        for col, lead in zip(cols, leads):
-            col = col[lo : lo + _RENDER_ROWS]
-            parts.append(np.broadcast_to(lead, (m, len(lead))))
-            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-                parts.append(_int_field(col))
-            else:
-                parts.append(_text_field([encode(v) for v in col]))
-        parts.append(np.broadcast_to(end, (m, len(end))))
-        blocks.append(np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD])))
-    if format == "csv":
-        blocks[:0] = [(",".join(columns) + "\n").encode("utf-8", "surrogatepass")]
-    elif n:
-        blocks[-1] = blocks[-1][:-2]  # the last row takes no ",\n"
-        blocks = [b"[\n", *blocks, b"\n]\n"]
-    else:
-        return "[]\n"
-    return b"".join(blocks).decode("utf-8", "surrogatepass")
+
+    def blocks():
+        if format == "csv":
+            yield (",".join(columns) + "\n").encode("utf-8", "surrogatepass")
+        elif n:
+            yield b"[\n"
+        else:
+            yield b"[]\n"
+        for lo in range(0, n, _RENDER_ROWS):
+            m = min(_RENDER_ROWS, n - lo)
+            parts = []
+            for col, lead in zip(cols, leads):
+                col = col[lo : lo + m]
+                parts.append(np.broadcast_to(lead, (m, len(lead))))
+                if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+                    parts.append(_int_field(col))
+                else:
+                    parts.append(_text_field([encode(v) for v in col]))
+            parts.append(np.broadcast_to(end, (m, len(end))))
+            block = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
+            del parts  # the fields are not held while the block is written
+            if format == "json" and lo + m == n:
+                block = block[:-2] + b"\n]\n"  # the last row takes no ",\n"
+            yield block
+
+    return blocks()
 
 
-def write_text(path, text: str) -> None:
-    """Atomic UTF-8 write: temp file in the target directory, then rename.
+def write_blocks(path, blocks) -> None:
+    """Atomic write of byte blocks: a temp file in the target directory,
+    written block by block, then renamed onto path.
 
-    Interrupted or failed writes never leave a partial file at the target
-    path, and the temp file is removed on failure.
+    A write that fails or is interrupted, an exception raised while the
+    blocks are made among them, never leaves a partial file at the target
+    path, and the temp file is removed.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emit-", suffix=".part")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for block in blocks:
+                fh.write(block)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -669,10 +765,11 @@ def write_text(path, text: str) -> None:
 
 
 def emit(rows, format: str, path, *, columns) -> None:
-    """Render rows and write them atomically.
+    """Render rows and stream the blocks atomically into path.
 
     Equal inputs produce byte-identical files: fixed column order, canonical
     cell formatting, LF newlines, UTF-8, and a header-only file for an empty
-    row list.
+    row list.  A bad format or column is refused before the temp file is
+    made.
     """
-    write_text(path, render(rows, format, columns=columns))
+    write_blocks(path, render(rows, format, columns=columns))

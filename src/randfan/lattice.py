@@ -143,26 +143,31 @@ def _mem_available() -> int | None:
     return None
 
 
-def _universe_bytes(heights) -> int:
+def _universe_bytes(heights, table: bool = False) -> int:
     """Bytes to hold the universes of all the given heights at once, plus
-    the largest octant walk that builds one of them: 16 B per ray of each
-    universe, and 16 B (x and y) per lane and step of the walk.  The octant
+    the largest octant walk that builds one of them and the temporaries of
+    one block of checks: 16 B per ray of each universe (24 B with the
+    int64 index column of a blowdown table), 16 B (x and y) per lane and
+    step of the walk, and 48 B per row of a _BLOCK-row block (two wrapped
+    coordinate copies and two wedge products in _block_wedges).  The octant
     a walk yields is smaller than both its buffer and its universe, so the
     sum bounds the peak of every build."""
     walk = max(16 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
-    return walk + sum(16 * count_geq(h, 1) for h in heights)
+    per_ray = 24 if table else 16
+    return walk + 48 * _BLOCK + sum(per_ray * count_geq(h, 1) for h in heights)
 
 
-def _check_memory(heights) -> None:
+def _check_memory(heights, table: bool = False) -> None:
     # refuse before anything is allocated; the universes of all the heights
-    # are held at once
-    need = _universe_bytes(heights)
+    # are held at once, and with table=True each one's blowdown indices
+    need = _universe_bytes(heights, table)
     available = _mem_available()
     if available is not None and need > _MEMORY_SHARE * available:
         which = (f"height {heights[0]} needs" if len(heights) == 1
                  else f"heights {', '.join(map(str, heights))} need")
+        purpose = "to build the blowdown table" if table else "to enumerate the rays"
         raise ValidationError(
-            f"{which} about {need / 2**20:.0f} MiB to enumerate the rays, "
+            f"{which} about {need / 2**20:.0f} MiB {purpose}, "
             f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
         )
 
@@ -278,15 +283,16 @@ def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
     # Extend the sorted arc [0, pi/4] of m rays to the full circle of
     # 8(m - 1) by symmetry; each step reuses the previous arc in an
     # order-preserving way, so the result is exactly sorted without
-    # comparing anything.
+    # comparing anything.  The negations write into out, so no temporary
+    # the size of an arc is made.
     m = len(octant)
     q = m - 1
     out = np.empty((8 * q, 2), dtype=np.int64)
     out[:m] = octant
     out[m : 2 * q + 1] = octant[-2::-1, ::-1]  # reflect across y = x: (pi/4, pi/2]
-    out[2 * q + 1 : 4 * q, 0] = -out[1 : 2 * q, 1]  # quarter turn: (pi/2, pi)
+    np.negative(out[1 : 2 * q, 1], out=out[2 * q + 1 : 4 * q, 0])  # quarter turn: (pi/2, pi)
     out[2 * q + 1 : 4 * q, 1] = out[1 : 2 * q, 0]
-    out[4 * q :] = -out[: 4 * q]  # antipodes: [pi, 2*pi)
+    np.negative(out[: 4 * q], out=out[4 * q :])  # antipodes: [pi, 2*pi)
     return out
 
 

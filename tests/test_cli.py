@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.fans import complete_fan, spectrum
-from randfan.lattice import MAX_H
+from randfan.lattice import MAX_H, enumerate_rays
 from randfan.cli import main
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
@@ -311,6 +312,35 @@ def test_table_out_file_byte_stable(tmp_path, capsys):
     run_cli(capsys, "blowdown", "--h", "6", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["rays", "blowdown"])
+def test_table_export_peak_is_below_the_file_size(tmp_path, capsys, command):
+    # streamed block by block: from cold caches, nothing the size of the
+    # output is held, so the traced peak is set by the universe and table
+    path = tmp_path / "out.json"
+    enumerate_rays.cache_clear()
+    blowdown_table.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main([command, "--h", "300", "--format", "json", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        enumerate_rays.cache_clear()
+        blowdown_table.cache_clear()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_printed_table_follows_text_already_written(monkeypatch):
+    # the table's bytes bypass the text layer, which may still hold text
+    raw = io.BytesIO()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("before")
+    assert main(["rays", "--h", "1"]) == 0
+    stdout.flush()
+    assert raw.getvalue() == b"before\n" + RAYS_H1_CSV.encode()
 
 
 def test_unknown_subcommand_is_validation_error(capsys):

@@ -368,22 +368,29 @@ def test_sweep_columns_layout():
     assert list(dicts[0]) == cols
 
 
+def _text(table, fmt, columns) -> str:
+    return b"".join(render(table, fmt, columns=columns)).decode("utf-8")
+
+
 def test_csv_rendering_is_canonical():
     rows = [{"a": None, "b": True, "c": False, "d": 7, "e": 1 / 3, "f": Fraction(1, 7)}]
-    text = render(rows, "csv", columns=["a", "b", "c", "d", "e", "f"])
+    text = _text(rows, "csv", ["a", "b", "c", "d", "e", "f"])
     assert text == "a,b,c,d,e,f\nnull,true,false,7,0.333333,0.142857\n"
-    assert render([], "csv", columns=["x", "y"]) == "x,y\n"
+    assert _text([], "csv", ["x", "y"]) == "x,y\n"
+    # refused when render is called, before any block is asked for
     with pytest.raises(ValidationError):
         render(rows, "tsv", columns=["a"])
+    with pytest.raises(ValidationError, match="differ in length"):
+        render({"a": [1, 2], "b": [3]}, "csv", columns=["a"])
 
 
 def test_json_rendering_round_trips():
     rows = [{"a": None, "b": True, "d": 7, "e": 0.25, "f": Fraction(1, 4)}]
-    text = render(rows, "json", columns=["a", "b", "d", "e", "f"])
+    text = _text(rows, "json", ["a", "b", "d", "e", "f"])
     assert text.endswith("\n")
     back = json.loads(text)
     assert back == [{"a": None, "b": True, "d": 7, "e": 0.25, "f": 0.25}]
-    assert json.loads(render([], "json", columns=["x"])) == []
+    assert json.loads(_text([], "json", ["x"])) == []
 
 
 def test_emit_is_byte_stable_and_atomic(tmp_path):
@@ -415,10 +422,46 @@ def test_emit_failure_leaves_no_partial_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.csv"]
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell 2 cannot be rendered")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_emit_failure_in_mid_stream_leaves_no_file(monkeypatch, tmp_path, existing):
+    # the first block is on disk in the temp file when the second one fails
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", 1)
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_bytes(b"old\n")
+    rows = [{"h": 1}, {"h": _Unprintable()}, {"h": 3}]
+    with pytest.raises(RuntimeError, match="cell 2"):
+        emit(rows, "csv", target, columns=["h"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.csv"] if existing else [])
+    assert not existing or target.read_bytes() == b"old\n"
+
+
+def test_emit_refuses_a_bad_format_before_making_the_temp_file(monkeypatch, tmp_path):
+    def no_temp(*args, **kwargs):
+        raise AssertionError("a temp file was made")
+
+    monkeypatch.setattr(experiments.tempfile, "mkstemp", no_temp)
+    with pytest.raises(ValidationError, match="format must be one of"):
+        emit([{"h": 1}], "tsv", tmp_path / "out.tsv", columns=["h"])
+    with pytest.raises(KeyError):
+        emit([{"h": 1}], "csv", tmp_path / "out.csv", columns=["q"])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_blowdown_rows_unit_height():
-    table = blowdown_array(blowdown_table(1))
-    assert table.dtype.names == BLOWDOWN_COLUMNS
-    rows = [dict(zip(BLOWDOWN_COLUMNS, r)) for r in table.tolist()]
+    t = blowdown_table(1)
+    table = blowdown_array(t)
+    assert tuple(table) == BLOWDOWN_COLUMNS
+    # views of the table, not copies; the norm column is computed per slice
+    assert all(np.shares_memory(table[c], t.coords) for c in ("x", "y"))
+    assert table["k"] is t.k_values and len(table["norm"]) == len(t)
+    columns = [table[c][:].tolist() for c in BLOWDOWN_COLUMNS]
+    rows = [dict(zip(BLOWDOWN_COLUMNS, r)) for r in zip(*columns)]
     assert rows == [
         {"x": 1, "y": 0, "norm": 1, "k": 2},
         {"x": 1, "y": 1, "norm": 1, "k": 1},

@@ -1,6 +1,7 @@
 """Ray enumeration, exact angular order, and primitive-vector plumbing."""
 
 import math
+import tracemalloc
 from functools import cmp_to_key
 
 import numpy as np
@@ -272,6 +273,50 @@ def test_memory_guard_passes_what_fits_and_skips_without_meminfo(monkeypatch):
             assert len(enumerate_rays(300)) == 8 * (len(first_octant(300)) - 1)
         finally:
             _fresh_height()
+
+
+def _traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("h", [300, 1000])
+def test_memory_estimate_bounds_the_traced_peak_of_a_cold_build(h):
+    # every byte numpy and Python allocate while building, counted by tracemalloc
+    def cold():
+        enumerate_rays.cache_clear()
+        blowdown_table.cache_clear()
+
+    cold()
+    try:
+        assert _traced_peak(lambda: enumerate_rays(h)) <= lattice._universe_bytes((h,))
+        cold()
+        assert _traced_peak(lambda: blowdown_table(h)) <= lattice._universe_bytes((h,), table=True)
+    finally:
+        cold()
+
+
+@pytest.mark.parametrize("command", ["blowdown", "space"])
+def test_table_memory_is_checked_before_the_universe_is_built(monkeypatch, capsys, command):
+    # the universe alone fits, the universe with its index column does not
+    h = 300
+    assert lattice._universe_bytes((h,), table=True) > lattice._universe_bytes((h,))
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * lattice._universe_bytes((h,)))
+    _fresh_height()
+    blowdown_table.cache_clear()
+    try:
+        assert main([command, "--h", str(h)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: height {h} needs about")
+        assert "to build the blowdown table" in err
+        assert lattice.enumerate_rays.cache_info().currsize == 0
+        assert main(["rays", "--h", str(h)]) == 0
+    finally:
+        _fresh_height()
 
 
 def test_cache_clear_drops_the_walk_with_the_universe(monkeypatch):

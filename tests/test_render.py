@@ -1,9 +1,10 @@
 """Column-wise table rendering against the per-row reference renderer.
 
-render() encodes each column once and lays the cells out row by row; the
-oracle renders one dict per row.  Both must give the same bytes for every
-mix of column types, and the table commands must print exactly what the
-oracle prints for their old row dicts.
+render() encodes each column once and streams the table as blocks of
+bytes; the oracle renders one dict per row.  Joined, the blocks must give
+the oracle's bytes for every mix of column types and every block size, and
+the table commands must print exactly what the oracle prints for their old
+row dicts, on standard output and into a file alike.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from randfan import blowdown_table, experiments
 from randfan.cli import main
-from randfan.experiments import render
+from randfan.experiments import render as render_blocks
 
 from oracles import brute_rays, row_render
 
@@ -39,9 +40,18 @@ CELLS["mixed"] = st.one_of(*CELLS.values())
 NAMES = st.text(alphabet="xyk_%\"\\é, 0", min_size=1, max_size=4)
 
 
+def render(table, fmt, *, columns) -> str:
+    """The text of render()'s blocks, joined."""
+    return b"".join(render_blocks(table, fmt, columns=columns)).decode("utf-8", "surrogatepass")
+
+
+def _head(columns: dict, n: int) -> dict:
+    return {name: col[:n] for name, col in columns.items()}
+
+
 @st.composite
 def tables(draw):
-    """(row dicts, the same table as a structured array, column order)."""
+    """(row dicts, the same table as a mapping of columns, column order)."""
     n = draw(st.integers(0, 6))
     names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
     columns = {}
@@ -53,23 +63,18 @@ def tables(draw):
             columns[name] = np.array(draw(st.lists(CELLS["float"], min_size=n, max_size=n)), dtype=np.float64)
         else:
             columns[name] = draw(st.lists(CELLS[kind], min_size=n, max_size=n))
-    records = np.empty(n, dtype=[(name, col.dtype if isinstance(col, np.ndarray) else object)
-                                 for name, col in columns.items()])
-    for name, col in columns.items():
-        for i, v in enumerate(col):
-            records[name][i] = v
     rows = [{name: col[i] for name, col in columns.items()} for i in range(n)]
     order = draw(st.permutations(names))
-    return rows, records, order
+    return rows, columns, order
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables(), st.sampled_from(["csv", "json"]))
 def test_render_matches_row_oracle(table, fmt):
-    rows, records, order = table
+    rows, columns, order = table
     expected = row_render(rows, fmt, columns=order)
     assert render(rows, fmt, columns=order) == expected
-    assert render(records, fmt, columns=order) == expected
+    assert render(columns, fmt, columns=order) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,12 +82,14 @@ def test_render_matches_row_oracle(table, fmt):
 def test_render_in_small_blocks_matches_row_oracle(table, fmt, block_rows):
     # tables of 0..6 rows in blocks of 1..3: empty, one exact block, a short
     # last block and several blocks all come up
-    rows, records, order = table
+    rows, columns, order = table
     expected = row_render(rows, fmt, columns=order)
     saved, experiments._RENDER_ROWS = experiments._RENDER_ROWS, block_rows
     try:
         assert render(rows, fmt, columns=order) == expected
-        assert render(records, fmt, columns=order) == expected
+        assert render(columns, fmt, columns=order) == expected
+        blocks = list(render_blocks(columns, fmt, columns=order))
+        assert len(blocks) == 1 + -(-len(rows) // block_rows)  # the opening, then one per block
     finally:
         experiments._RENDER_ROWS = saved
 
@@ -91,12 +98,14 @@ def test_render_in_small_blocks_matches_row_oracle(table, fmt, block_rows):
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_render_block_boundaries(monkeypatch, block_rows, fmt):
     monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    # the export's column views, with the sup norm computed per block
     t = blowdown_table(3)
+    table = experiments.blowdown_array(t)
+    columns = ["x", "y", "norm", "k"]
     for n in [0, 1, block_rows, block_rows + 1, 2 * block_rows, len(t)]:
-        records = experiments.blowdown_array(t)[:n]
         rows = _rows(t.coords[:n], norm=np.abs(t.coords[:n]).max(axis=1), k=t.k_values[:n])
-        columns = ["x", "y", "norm", "k"]
-        assert render(records, fmt, columns=columns) == row_render(rows, fmt, columns=columns)
+        head = table if n == len(t) else _head(table, n)
+        assert render(head, fmt, columns=columns) == row_render(rows, fmt, columns=columns)
 
 
 #: Integer cells at the digit-count and sign edges, and str cells holding
@@ -119,17 +128,16 @@ def test_render_edge_cells(monkeypatch, block_rows, fmt):
         {"i": v, "u": EDGE_UINTS[j % len(EDGE_UINTS)], "s": EDGE_TEXTS[j % len(EDGE_TEXTS)]}
         for j, v in enumerate(EDGE_INTS)
     ]
-    records = np.rec.fromarrays(
-        [np.array([r["i"] for r in rows], dtype=np.int64),
-         np.array([r["u"] for r in rows], dtype=np.uint64),
-         np.array([r["s"] for r in rows], dtype=object)],
-        names=["i", "u", "s"],
-    )
+    table = {
+        "i": np.array([r["i"] for r in rows], dtype=np.int64),
+        "u": np.array([r["u"] for r in rows], dtype=np.uint64),
+        "s": np.array([r["s"] for r in rows], dtype=object),
+    }
     for columns in (["i", "u", "s"], ["s", "i"], ["u"], []):
         for m in (0, 1, n):
             expected = row_render(rows[:m], fmt, columns=columns)
             assert render(rows[:m], fmt, columns=columns) == expected
-            assert render(records[:m], fmt, columns=columns) == expected
+            assert render(_head(table, m), fmt, columns=columns) == expected
 
 
 def _rows(coords, **extra):
@@ -153,3 +161,16 @@ def test_table_commands_match_row_oracle(h, fmt, capsys):
     for command, rows, columns in cases:
         assert main([command, "--h", str(h), "--format", fmt]) == 0
         assert capsys.readouterr().out == row_render(rows, fmt, columns=columns), command
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["rays", "blowdown", "space"])
+def test_table_commands_write_to_a_file_what_they_print(command, fmt, tmp_path, capsysbinary, monkeypatch):
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", 7)  # h = 6 has 96 rays: 14 blocks
+    path = tmp_path / f"{command}.{fmt}"
+    assert main([command, "--h", "6", "--format", fmt]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main([command, "--h", "6", "--format", fmt, "--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert path.read_bytes() == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]

@@ -51,10 +51,20 @@ def test_sparse_drop_trial_at_height_1000_matches_fan_oracle(trial):
     assert rec.n_rays_drawn < len(enumerate_rays(1000))
 
 
-def _classified(h, dropped, ks):
-    """_classify on a (B, n) drop matrix, checked row by row against the
-    Fan oracle; the rows as (kept, cones, largest index, [cones >= k])."""
-    kept, n_cones, max_index, at_least = _classify(enumerate_rays(h).coords, dropped, ks)
+def _layout(dropped):
+    """The padded keep layout of a (B, n) drop matrix: a kept sentinel, then
+    each row's keep decisions followed by a kept sentinel."""
+    b, n = dropped.shape
+    keep = np.ones(1 + b * (n + 1), dtype=bool)
+    keep[1:].reshape(b, n + 1)[:, :n] = ~dropped
+    return keep
+
+
+def _classified(h, dropped, ks, scratch=None):
+    """_classify on the layout of a (B, n) drop matrix, checked row by row
+    against the Fan oracle; the rows as (kept, cones, largest index, [cones >= k])."""
+    scratch = {} if scratch is None else scratch
+    kept, n_cones, max_index, at_least = _classify(enumerate_rays(h).coords, _layout(dropped), ks, scratch)
     rows = list(zip(kept.tolist(), n_cones.tolist(), max_index.tolist(), at_least.tolist()))
     for row, drops in zip(rows, dropped):
         assert row == fan_counts(h, ~drops, ks), np.flatnonzero(~drops)
@@ -105,9 +115,13 @@ _INDEX_THRESHOLDS = st.one_of(st.integers(1, 12), st.sampled_from([2**62, 2**63,
 @settings(max_examples=400, deadline=None)
 @given(block=_blocks(), ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
 def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
+    # one scratch serves the block and then each row alone, as it serves
+    # a sweep's blocks: its buffers hold the longer block's values past
+    # every row's end
     h, dropped = block
-    rows = _classified(h, dropped, ks)
-    assert rows == [_classified(h, d[None], ks)[0] for d in dropped]
+    scratch = {}
+    rows = _classified(h, dropped, ks, scratch)
+    assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
 H = 3  # 32 rays: (1, 0) at 0, (0, 1) at 8, (-1, 0) at 16, (0, -1) at 24
@@ -266,7 +280,7 @@ def test_sweep_rows_equal_the_record_oracle_with_ties_at_c_density():
 
 def _sweep_csv(spec, workers=1):
     rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=workers), spec.k_list)
-    return render(rows, "csv", columns=sweep_columns(spec.k_list))
+    return b"".join(render(rows, "csv", columns=sweep_columns(spec.k_list)))
 
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 10, 1 << 20])
