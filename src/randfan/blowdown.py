@@ -214,7 +214,8 @@ def smooth_partners(h: int, ray) -> list[RayVec]:
         raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
     universe = enumerate_rays(h)
     c = universe.coords
-    w = x * c[:, 1] - y * c[:, 0]
+    w = np.multiply(x, c[:, 1], dtype=np.int64)
+    w -= np.multiply(y, c[:, 0], dtype=np.int64)
     cap = 2 * h // max(abs(x), abs(y)) + 1
     for side in (1, -1):
         count = int(np.count_nonzero(w == side))

@@ -42,8 +42,10 @@ import numpy as np
 
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import ValidationError, check_int, check_real
-from .lattice import RayUniverse, _check_height, _check_memory, _count_geq, _mertens, enumerate_rays
-from .sampling import UINT64_MAX, SampleConfig, _keep_mask, _keep_threshold
+from .lattice import (
+    RayUniverse, _check_height, _check_memory, _count_geq, _mertens, count_geq, enumerate_rays,
+)
+from .sampling import _MASK_CHUNK, UINT64_MAX, SampleConfig, _keep_mask, _keep_threshold
 
 FORMATS = ("csv", "json")
 
@@ -218,7 +220,7 @@ class SweepRow:
 #: bounded by about _BLOCK_RAYS rays while n <= _BLOCK_RAYS.  Above that a
 #: block is one trial: its keep layout takes n + 2 bytes (twice, with the
 #: mask of where it changes), and its per-run arrays grow with the number
-#: of dropped runs, up to n / 2.
+#: of dropped runs, up to n / 2.  _block_bytes bounds both.
 _BLOCK_RAYS = 1 << 16
 
 #: Most worker threads a sweep may be asked for.
@@ -248,8 +250,8 @@ def _buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
 
 
 def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[np.ndarray, ...]:
-    """Classify a block of B draws over the smooth full fan coords from
-    their padded keep layout.
+    """Classify a block of B draws over the smooth full fan coords (a
+    universe's (n, 2) int32 array) from their padded keep layout.
 
     keep holds 1 + B * (n + 1) decisions: True (kept) at position 0, then
     each draw's n keep decisions followed by True, so no run of dropped
@@ -275,15 +277,16 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     # the runs of the whole block start and stop where the layout changes
     edges = np.flatnonzero(np.not_equal(keep[1:], keep[:-1], out=_buffer(scratch, "change", p, bool)))
     r = len(edges) // 2
-    bounds = np.searchsorted(edges[0::2], np.arange(b + 1) * (n + 1))
+    # a row starts at a kept sentinel, so the edges before it pair up into runs
+    bounds = np.searchsorted(edges, np.arange(b + 1) * (n + 1))
+    bounds //= 2
     s = _buffer(scratch, "s", r + 1, np.int64)  # first dropped column of each run
     e = _buffer(scratch, "e", r + 1, np.int64)  # first kept column after it; n at the row's end
     np.remainder(edges[0::2], n + 1, out=s[:r])
     np.remainder(edges[1::2], n + 1, out=e[:r])
     del edges
     s[r] = e[r] = 0  # the entry past the last run, for _per_row
-    w = _buffer(scratch, "w", r + 1, np.int64)
-    kept = n - _per_row(np.add, np.subtract(e, s, out=w), bounds)
+    kept = n - (_per_row(np.add, e, bounds) - _per_row(np.add, s, bounds))
     # a row's last run through position n - 1 and its first run through 0
     # are one run across the seam: the first takes the last's start, and
     # the last gets wedge 0 below, so it spans no cone
@@ -291,27 +294,22 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     first, last = bounds[multi], bounds[multi + 1] - 1
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
-    # w = wedge(c[s - 1], c[e]), positions taken cyclically; in the flat
-    # coordinates x0, y0, x1, y1, ... the x of position i is at 2i and its
-    # y at 2i + 1, so the indices are moved in place between the four takes
-    flat, t = coords.reshape(-1), _buffer(scratch, "t", r + 1, np.int64)
+    # w = wedge(c[s - 1], c[e]), positions taken cyclically: the flanking
+    # rays are taken into int32 rows, and their products are formed in
+    # int64 in the index buffers, which are free by then
     s -= 1
-    s *= 2
-    e *= 2
-    np.take(flat, s, mode="wrap", out=w)
-    e += 1
-    w *= np.take(flat, e, mode="wrap", out=t)
-    s += 1
-    np.take(flat, s, mode="wrap", out=t)
-    e -= 1
-    w -= np.multiply(t, np.take(flat, e, mode="wrap", out=s), out=t)
+    before, after = (np.take(coords, i, axis=0, mode="wrap",
+                             out=_buffer(scratch, name, 2 * r + 2, np.int32).reshape(-1, 2))
+                     for i, name in ((s, "before"), (e, "after")))
+    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
+    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
     w[last[seam]] = w[r] = 0
     runs = np.diff(bounds)
     runs[multi[seam]] -= 1
     unit = kept - runs
     at = _buffer(scratch, "at", r + 1, bool)
     n_cones = unit + _per_row(np.add, np.greater_equal(w, 1, out=at), bounds)
-    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0, out=t), bounds), n_cones > 0)
+    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0, out=e), bounds), n_cones > 0)
     at_least = np.empty((b, len(ks)), dtype=np.int64)
     for j, k in enumerate(ks):
         at_or_above = np.greater_equal(w, min(k, _K_CAP), out=at)
@@ -319,6 +317,22 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     few = kept < 2  # nothing kept, or a lone ray whose neighbour is itself
     n_cones[few] = max_index[few] = at_least[few] = 0
     return kept, n_cones, max_index, at_least
+
+
+def _block_bytes(positions: int, rows: int, n_ks: int) -> int:
+    """Most bytes one worker holds for a block of the given keep positions
+    (B * (n + 1) for B draws over n rays) and rows (B): 1 B per position
+    for the keep layout and 1 B for its change mask; at most every second
+    position starts a dropped run, and a run takes 16 B of edges and 33 B
+    of buffers (s and e in int64, the int32 rows of its two flanking rays,
+    and one bool); one chunk of raw Philox words; 8 B per row for each of
+    16 per-row count arrays and n_ks threshold counts; and 64 KiB for the
+    array headers and scalars of a block.  A worker's buffers grow to its
+    largest block and are kept, so the bound takes the largest positions
+    and rows of the sweep."""
+    runs = positions // 2
+    per_run = 16 * runs + 33 * (runs + 1)
+    return 2 * positions + 1 + per_run + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
 
 
 def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks, scratch: dict):
@@ -418,6 +432,25 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     )
 
 
+def _per_block(n: int) -> int:
+    """Trials per block of work over n rays."""
+    return max(1, _BLOCK_RAYS // n)
+
+
+def _sweep_bytes(spec: ExperimentSpec, workers: int) -> int:
+    """Bytes a sweep holds beyond its universes, from the exact ray counts:
+    min(workers, items) threads, each with the _block_bytes of the largest
+    block, and 16 B per trial for each of the 3 + len(k_list) counts: 8 B
+    for the counts every cell keeps until the end, and as much again for
+    the copies made while a cell is aggregated."""
+    count = {h: count_geq(h, 1) for h in spec.h_values}
+    sizes = [count[h] for h in spec.h_values]
+    rows = [min(_per_block(n), spec.trials) for n in sizes]
+    items = sum(-(-spec.trials // _per_block(n)) for n in sizes)
+    block = _block_bytes(max(r * (n + 1) for r, n in zip(rows, sizes)), max(rows), len(spec.k_list))
+    return min(workers, items) * block + 16 * (3 + len(spec.k_list)) * spec.trials * len(sizes)
+
+
 def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
     """Smooth/singular rates and singular-cone densities across the spec's (h, q) grid.
 
@@ -429,22 +462,22 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
 
     Work items are blocks of max(1, _BLOCK_RAYS // n) trials of one cell, in
     grid order.  The universes of all the spec's distinct heights are held at
-    once: their memory is checked together, and each is built (and checked
-    by enumerate_rays) once, before the first item runs.  With workers > 1,
-    at most min(workers, items) threads of one pool serve all cells: thread
-    i runs items i, i + threads, ... with one scratch (blocks are of about
-    one size), and the results are put back in item order.  Each trial's
-    stream is keyed by its index alone, so scheduling cannot leak into a
-    row.
+    once: their memory is checked together with _sweep_bytes, and each is
+    built (and checked by enumerate_rays) once, before the first item runs.
+    With workers > 1, at most min(workers, items) threads of one pool serve
+    all cells: thread i runs items i, i + threads, ... with one scratch
+    (blocks are of about one size), and the results are put back in item
+    order.  Each trial's stream is keyed by its index alone, so scheduling
+    cannot leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     heights = list(dict.fromkeys(spec.h_values))
-    _check_memory(heights)
+    _check_memory(heights, sweep=_sweep_bytes(spec, workers))
     universes = {h: enumerate_rays(h).coords for h in heights}
     cells = [(h, q, universes[h]) for h, q in zip(spec.h_values, spec.q_values())]
     items, blocks_per_cell = [], []
     for h, q, coords in cells:
-        per_block = max(1, _BLOCK_RAYS // len(coords))
+        per_block = _per_block(len(coords))
         threshold = _keep_threshold(1.0 - q)
         los = range(0, spec.trials, per_block)
         items += [

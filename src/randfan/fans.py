@@ -46,14 +46,22 @@ def _arc_classes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(y > 0, 2 - s, np.where(y < 0, 6 + s, 2 - 2 * s))
 
 
+def _refuse(coords: np.ndarray, bad: np.ndarray, what: str) -> None:
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(f"fan ray {tuple(coords[i].tolist())} at position {i} {what}")
+
+
 class Fan:
     """An angularly sorted ray list plus the 2-cones spanned between neighbors.
 
     Build instances with complete_fan() or the sampling helpers.  The
     constructor takes an (n, 2) integer coordinate array, checks in O(n)
-    that its rays are primitive, within [-MAX_H, MAX_H] and distinct in
-    strictly canonical angular order (ValidationError otherwise), and
-    freezes it.
+    that its rays are within [-MAX_H, MAX_H] (on the input's own dtype,
+    before it is narrowed to int32), primitive and distinct in strictly
+    canonical angular order (ValidationError otherwise), and freezes it.
+    An int32 array, such as a universe's, is taken without a copy.  Wedges
+    are computed in int64.
     """
 
     __slots__ = ("_coords", "_cone_starts", "_wedges")
@@ -62,21 +70,19 @@ class Fan:
         coords = np.asarray(coords)
         if coords.size and coords.dtype.kind != "i":
             raise ValidationError(f"fan coordinates must be integers, got dtype {coords.dtype}")
-        coords = np.ascontiguousarray(coords, dtype=np.int64).reshape(-1, 2)
+        coords = coords.reshape(-1, 2)
+        # on the input's dtype: narrowing first would wrap 2**32 + 1 to 1
+        _refuse(coords, ((coords < -MAX_H) | (coords > MAX_H)).any(axis=1), f"is outside [-{MAX_H}, {MAX_H}]")
+        coords = np.ascontiguousarray(coords, dtype=np.int32)
         coords.flags.writeable = False
         x, y = coords[:, 0], coords[:, 1]
-        w = x * np.roll(y, -1) - y * np.roll(x, -1)  # wedge with the next ray
+        w = np.multiply(x, np.roll(y, -1), dtype=np.int64)  # wedge with the next ray
+        w -= np.multiply(y, np.roll(x, -1), dtype=np.int64)
         step = np.append(np.diff(_arc_classes(x, y)), 1)  # class step to the next ray; the last has none
-        for bad, what in (
-            (((coords < -MAX_H) | (coords > MAX_H)).any(axis=1), f"is outside [-{MAX_H}, {MAX_H}]"),
-            (np.gcd(x, y) != 1, "is not primitive"),
-            # canonical order never steps back a class and turns strictly
-            # counter-clockwise within one
-            ((step < 0) | ((step == 0) & (w <= 0)), "does not strictly precede the next ray"),
-        ):
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValidationError(f"fan ray {tuple(coords[i].tolist())} at position {i} {what}")
+        _refuse(coords, np.gcd(x, y) != 1, "is not primitive")
+        # canonical order never steps back a class and turns strictly
+        # counter-clockwise within one
+        _refuse(coords, (step < 0) | ((step == 0) & (w <= 0)), "does not strictly precede the next ray")
         keep = w > 0  # counter-clockwise gap strictly below a half turn
         starts = np.flatnonzero(keep)
         wedges = w[keep]
@@ -88,7 +94,8 @@ class Fan:
 
     @property
     def coords(self) -> np.ndarray:
-        """Read-only (n_rays, 2) int64 array, in canonical angular order."""
+        """Read-only (n_rays, 2) int32 array, in canonical angular order; the
+        universe's own array for complete_fan of a RayUniverse."""
         return self._coords
 
     @property
@@ -122,16 +129,18 @@ class Fan:
 def complete_fan(rays) -> Fan:
     """Complete a set of rays to the maximal fan with exactly those rays.
 
-    Accepts a whole RayUniverse (already sorted; taken as-is) or any iterable
-    of rays, as RayVec or (x, y) pairs.  Duplicates collapse.  A coordinate
-    that is not an integer (bool, float, str, ...) or lies outside
-    [-MAX_H, MAX_H], the range in which every wedge fits in int64, is
-    rejected before any conversion, and Fan rejects non-primitive vectors.
-    The rays are sorted by half-quadrant class, then by an exact integer
-    slope key: each open quadrant is turned onto x, y > 0 and keyed
-    (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the slopes of two
-    distinct rays in one quadrant differ by at least 1/(x1 * x2) > 2**-40,
-    so their keys differ, and every key is below 2**61.
+    Accepts a whole RayUniverse (already sorted; its int32 coordinate array
+    is taken as-is, without a copy) or any iterable of rays, as RayVec or
+    (x, y) pairs.  Duplicates collapse.  A coordinate that is not an integer
+    (bool, float, str, ...) or lies outside [-MAX_H, MAX_H], the range in
+    which coordinates fit in int32 and every wedge, formed in int64, is
+    exact, is rejected before any conversion, and Fan rejects non-primitive
+    vectors.  The rays are sorted by half-quadrant class, then by an exact
+    integer slope key on int64: each open quadrant is turned onto x, y > 0
+    and keyed (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the
+    slopes of two distinct rays in one quadrant differ by at least
+    1/(x1 * x2) > 2**-40, so their keys differ, and every key is below
+    2**61.
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)

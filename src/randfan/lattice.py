@@ -28,10 +28,11 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 
-#: Largest supported height bound.  Bulk kernels run on int64 arrays; the
-#: largest intermediate is a wedge determinant, bounded by 2*h**2, which for
-#: h <= MAX_H stays far below 2**63.  Scalar paths use Python integers and
-#: are exact regardless of magnitude.
+#: Largest supported height bound.  Bulk kernels hold coordinates as int32
+#: (MAX_H < 2**31) and form every product of two coordinates in int64: the
+#: largest is a wedge determinant, bounded by 2*h**2, which for h <= MAX_H
+#: stays far below 2**63.  Scalar paths use Python integers and are exact
+#: regardless of magnitude.
 MAX_H = 1_000_000
 
 
@@ -146,26 +147,28 @@ def _mem_available() -> int | None:
 def _universe_bytes(heights, table: bool = False) -> int:
     """Bytes to hold the universes of all the given heights at once, plus
     the largest octant walk that builds one of them and the temporaries of
-    one block of checks: 16 B per ray of each universe (24 B with the
-    int64 index column of a blowdown table), 16 B (x and y) per lane and
-    step of the walk, and 48 B per row of a _BLOCK-row block (two wrapped
-    coordinate copies and two wedge products in _block_wedges).  The octant
-    a walk yields is smaller than both its buffer and its universe, so the
-    sum bounds the peak of every build."""
-    walk = max(16 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
-    per_ray = 24 if table else 16
-    return walk + 48 * _BLOCK + sum(per_ray * count_geq(h, 1) for h in heights)
+    one block of checks: 8 B (two int32) per ray of each universe (16 B
+    with the int64 index column of a blowdown table), 8 B (x and y) per
+    lane and step of the walk, and 32 B per row of a _BLOCK-row block (two
+    wrapped int32 coordinate copies and two int64 wedge products in
+    _block_wedges).  The octant a walk yields is smaller than both its
+    buffer and its universe, so the sum bounds the peak of every build."""
+    walk = max(8 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
+    per_ray = 16 if table else 8
+    return walk + 32 * _BLOCK + sum(per_ray * count_geq(h, 1) for h in heights)
 
 
-def _check_memory(heights, table: bool = False) -> None:
+def _check_memory(heights, table: bool = False, sweep: int = 0) -> None:
     # refuse before anything is allocated; the universes of all the heights
-    # are held at once, and with table=True each one's blowdown indices
-    need = _universe_bytes(heights, table)
+    # are held at once, with table=True each one's blowdown indices, and
+    # sweep is the bytes a sweep holds beside them
+    need = _universe_bytes(heights, table) + sweep
     available = _mem_available()
     if available is not None and need > _MEMORY_SHARE * available:
         which = (f"height {heights[0]} needs" if len(heights) == 1
                  else f"heights {', '.join(map(str, heights))} need")
-        purpose = "to build the blowdown table" if table else "to enumerate the rays"
+        purpose = ("to build the blowdown table" if table else
+                   "to run the sweep" if sweep else "to enumerate the rays")
         raise ValidationError(
             f"{which} about {need / 2**20:.0f} MiB {purpose}, "
             f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
@@ -174,14 +177,16 @@ def _check_memory(heights, table: bool = False) -> None:
 
 def _farey_walk(h: int) -> np.ndarray:
     """The first octant, from (1, 0) to (1, 1) in ascending order, as an
-    (m, 2) int64 array.
+    (m, 2) int32 array.
 
     The octant's rays (x, y) are the Farey fractions y/x of order h.  From
     neighbours a/b < c/d the next fraction is (k*c - a)/(k*d - b) with
     k = (h + b) // d.  L lanes walk in lock step; lane i starts at i/L,
     whose predecessor a/b has b = c^-1 (mod d), the largest such b <= h
     (lane 0 starts at 0/1 after -1/h, the ray (h, -1)), and stops at the
-    next lane's start.  (1, 1) closes the arc.
+    next lane's start.  (1, 1) closes the arc.  The lane starts and the
+    recurrence run in int64 (b*c reaches h*L); the rays written, whose
+    coordinates stay below 2h, are stored as int32.
     """
     lanes = min(_LANES, h)
     i = np.arange(lanes + 1)
@@ -194,8 +199,8 @@ def _farey_walk(h: int) -> np.ndarray:
     b += (h - b) // d * d
     a = (b * c - 1) // d
     rows = _lane_rows(h, lanes)
-    xs = np.empty((rows, lanes), dtype=np.int64)
-    ys = np.empty((rows, lanes), dtype=np.int64)
+    xs = np.empty((rows, lanes), dtype=np.int32)
+    ys = np.empty((rows, lanes), dtype=np.int32)
     length = np.zeros(lanes, dtype=np.int64)
     live = np.ones(lanes, dtype=bool)
     for step in range(rows):
@@ -217,7 +222,7 @@ def _farey_walk(h: int) -> np.ndarray:
         )
     taken = np.arange(step + 1) < length[:, None]  # lane-major, like the arc
     m = int(length.sum()) + 1
-    octant = np.empty((m, 2), dtype=np.int64)
+    octant = np.empty((m, 2), dtype=np.int32)
     octant[:-1, 0] = xs[: step + 1].T[taken]
     octant[:-1, 1] = ys[: step + 1].T[taken]
     octant[-1] = 1
@@ -287,7 +292,7 @@ def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
     # the size of an arc is made.
     m = len(octant)
     q = m - 1
-    out = np.empty((8 * q, 2), dtype=np.int64)
+    out = np.empty((8 * q, 2), dtype=octant.dtype)
     out[:m] = octant
     out[m : 2 * q + 1] = octant[-2::-1, ::-1]  # reflect across y = x: (pi/4, pi/2]
     np.negative(out[1 : 2 * q, 1], out=out[2 * q + 1 : 4 * q, 0])  # quarter turn: (pi/2, pi)
@@ -299,7 +304,8 @@ def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
 class RayUniverse:
     """All primitive rays of sup-norm at most h, in canonical angular order.
 
-    Backed by one read-only (n, 2) int64 coordinate array; RayVec objects are
+    Backed by one read-only (n, 2) int32 coordinate array (8 B per ray);
+    products of coordinates are formed in int64.  RayVec objects are
     materialized on demand and never cached, so bulk consumers can stay
     vectorized.  Instances are immutable and safe to share across threads.
     """
@@ -359,14 +365,14 @@ def _check_height(h) -> int:
 
 
 def _block_wedges(c: np.ndarray, lo: int, hi: int, a: int, b: int) -> np.ndarray:
-    """wedge(c[i + a], c[i + b]) for lo <= i < hi, positions taken cyclically;
-    slices of c, except in a block that wraps around an end."""
+    """wedge(c[i + a], c[i + b]) for lo <= i < hi as int64, positions taken
+    cyclically; slices of c, except in a block that wraps around an end."""
     n = len(c)
     u, v = (c[lo + s : hi + s] if 0 <= lo + s and hi + s <= n
             else np.take(c, np.arange(lo + s, hi + s), axis=0, mode="wrap")
             for s in (a, b))
-    w = u[:, 0] * v[:, 1]
-    w -= u[:, 1] * v[:, 0]
+    w = np.multiply(u[:, 0], v[:, 1], dtype=np.int64)
+    w -= np.multiply(u[:, 1], v[:, 0], dtype=np.int64)
     return w
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -322,6 +323,39 @@ def test_sweep_checks_the_memory_of_all_its_heights_together(monkeypatch):
     with pytest.raises(ValidationError, match="^heights 800, 801, 802, 803 need about"):
         run_threshold_sweep(spec)
     assert walks == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_dense_sweep(workers):
+    # a dropped run at about every fourth ray of 2.43M, one trial per block
+    spec = _spec(h_values=[1000], q_schedule=[0.5], trials=4)
+    lattice.enumerate_rays.cache_clear()
+    tracemalloc.start()
+    try:
+        run_threshold_sweep(spec, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lattice.enumerate_rays.cache_clear()
+    assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_bytes(spec, workers)
+
+
+def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
+    # room for the universe and one thread's blocks is not room for two threads
+    spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)
+    one, two = (lattice._universe_bytes([300]) + experiments._sweep_bytes(spec, w) for w in (1, 2))
+    assert one < two and experiments._sweep_bytes(spec, 64) == experiments._sweep_bytes(spec, 4)  # 4 blocks
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
+    walks = []
+    monkeypatch.setattr(lattice, "_farey_walk", walks.append)
+    lattice.enumerate_rays.cache_clear()
+    with pytest.raises(ValidationError, match=rf"^height 300 needs about {two / 2**20:.0f} MiB to run the sweep"):
+        run_threshold_sweep(spec, workers=2)
+    assert walks == []
+    monkeypatch.undo()
+    lattice.enumerate_rays.cache_clear()
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
+    assert len(run_threshold_sweep(spec, workers=1)) == 1
 
 
 def test_workers_must_be_positive():

@@ -300,6 +300,13 @@ def test_memory_estimate_bounds_the_traced_peak_of_a_cold_build(h):
         cold()
 
 
+@pytest.mark.parametrize("h", [1, 7, 300, 1000])
+def test_universe_holds_two_int32_per_ray(h):
+    c = enumerate_rays(h).coords
+    assert c.dtype == np.int32 and c.shape == (lattice.count_geq(h, 1), 2)
+    assert c.nbytes == 8 * lattice.count_geq(h, 1)
+
+
 @pytest.mark.parametrize("command", ["blowdown", "space"])
 def test_table_memory_is_checked_before_the_universe_is_built(monkeypatch, capsys, command):
     # the universe alone fits, the universe with its index column does not
@@ -374,7 +381,7 @@ def test_count_geq_edges_and_validation():
 
 
 def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
-    # the estimate is exact in the ray count: 16 B per ray of the universe
+    # the estimate is exact in the ray count: 8 B (two int32) per ray of the universe
     counted = []
     count = lattice.count_geq
 
@@ -383,9 +390,9 @@ def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
         return count(h, k)
 
     monkeypatch.setattr(lattice, "count_geq", counting)
-    walk = lattice._universe_bytes([2000]) - 16 * count(2000, 1)
+    walk = lattice._universe_bytes([2000]) - 8 * count(2000, 1)
     assert counted == [(2000, 1)]
-    assert lattice._universe_bytes([2000, 1000]) == walk + 16 * (count(2000, 1) + count(1000, 1))
+    assert lattice._universe_bytes([2000, 1000]) == walk + 8 * (count(2000, 1) + count(1000, 1))
 
 
 def test_walk_overrun_names_a_live_lane_its_step_and_last_ray(monkeypatch):
