@@ -12,8 +12,8 @@ that every pair of angular neighbours has wedge exactly 1, and two unit
 wedges wedge(tau, u) = wedge(u, omega) = 1 give tau + omega = k * u with
 k = wedge(tau, omega) (Fulton, Introduction to Toric Varieties, 2.5).  So
 the table reads every index off its neighbours' wedge in one blocked pass,
-and blowdown_index reads one the same way; the table then checks k >= 1 and
-the band k * |u| <= 2h on every ray.  All of it is exact integer arithmetic.
+then checks k >= 1 and the band k * |u| <= 2h on every ray.  All of it is
+exact integer arithmetic.
 
 Counting: the table's counts and ratios, and the ratio report, come from
 lattice.count_geq, which counts without enumerating.  The octant ray after
@@ -31,8 +31,8 @@ L(N, k)/N^2 tends to 2/(k(k + 1)), the area of {b + d > 1, b + 1 >= k * d}
 in the unit square, while L(N, 1)/N^2 tends to 1/2, and the same Moebius
 weights sum both, so they cancel in the ratio.
 
-Norm bands: k * sup_norm(rho) <= 2h holds exactly for every ray (the
-neighbor sum has sup-norm at most 2h), while the lower bound
+Norm bands: k * |rho| <= 2h, in the sup-norm, holds exactly for every ray
+(the neighbor sum has sup-norm at most 2h), while the lower bound
 (2 - eps) / (k + 2) * h is asymptotic, with eps = epsilon_of(h) = 1/h the
 largest normalized gap between angular neighbors at height h.
 """
@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    _BLOCK, MAX_H, RayUniverse, RayVec, _block_wedges, _check_height, _check_memory, _ray_ints,
-    count_geq, enumerate_rays, is_primitive,
+    _BLOCK, RayUniverse, _block_wedges, _check_height, _check_memory, count_geq, enumerate_rays,
 )
 
 
@@ -129,21 +128,6 @@ class BlowdownTable:
         return Fraction(self.count_geq(k), len(self))
 
 
-def neighbors(h: int, ray) -> tuple[RayVec, RayVec]:
-    """Angular predecessor and successor of a ray within the height-h universe."""
-    universe = enumerate_rays(h)
-    i = universe.index_of(ray)
-    n = len(universe)
-    return universe[(i - 1) % n], universe[(i + 1) % n]
-
-
-def blowdown_index(h: int, ray) -> int:
-    """Blowdown index of one ray: k = wedge(tau, omega) of its neighbours."""
-    universe = enumerate_rays(h)
-    i = universe.index_of(ray)
-    return int(_block_wedges(universe.coords, i, i + 1, -1, 1)[0])
-
-
 @lru_cache(maxsize=2, typed=True)  # typed for the reason given at enumerate_rays
 def blowdown_table(h: int) -> BlowdownTable:
     """Blowdown index of every ray at height h.
@@ -200,26 +184,3 @@ def triangular(k: int) -> int:
 def conjectured_ratio(k: int) -> Fraction:
     """Conjectured limiting fraction of rays with blowdown index >= k: 2/T_k."""
     return Fraction(2, triangular(check_int(k, "limiting-ratio index", 2)))
-
-
-def smooth_partners(h: int, ray) -> list[RayVec]:
-    """All height-h rays spanning a unimodular cone with the given ray.
-
-    These are the universe vectors v with |wedge(ray, v)| = 1; they lie on
-    the two lattice lines at distance 1 from the ray's span, which caps each
-    side at 2h / sup_norm(ray) + 1 points.  The cap is enforced.
-    """
-    x, y = _ray_ints(ray, MAX_H)  # keeps the wedges below in int64
-    if not is_primitive(x, y):
-        raise ValidationError(f"({x}, {y}) is not a primitive lattice vector")
-    universe = enumerate_rays(h)
-    c = universe.coords
-    w = np.multiply(x, c[:, 1], dtype=np.int64)
-    w -= np.multiply(y, c[:, 0], dtype=np.int64)
-    cap = 2 * h // max(abs(x), abs(y)) + 1
-    for side in (1, -1):
-        count = int(np.count_nonzero(w == side))
-        if count > cap:
-            raise InvariantError(f"height {universe.h}: ray ({x}, {y}) has {count} smooth partners "
-                                 f"on side {side}, more than the line capacity {cap}")
-    return [RayVec(int(a), int(b)) for a, b in c[np.abs(w) == 1]]

@@ -18,6 +18,7 @@ from .experiments import (
     RAY_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
+    _read_json,
     blowdown_array,
     conjecture_report,
     ray_array,
@@ -86,12 +87,7 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    with open(args.infile, encoding="utf-8") as fh:
-        try:
-            rec = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{args.infile} is not valid JSON: {exc}") from exc
-    fan = fan_from_record(rec)
+    fan = fan_from_record(_read_json(args.infile))
     sp = spectrum(fan)
     doc = {
         "n_rays": fan.n_rays,

@@ -43,9 +43,10 @@ import numpy as np
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import ValidationError, check_int, check_real
 from .lattice import (
-    RayUniverse, _check_height, _check_memory, _count_geq, _mertens, count_geq, enumerate_rays,
+    RayUniverse, _check_bytes, _check_height, _check_memory, _count_geq, _mertens, count_geq,
+    enumerate_rays,
 )
-from .sampling import _MASK_CHUNK, UINT64_MAX, SampleConfig, _keep_mask, _keep_threshold
+from .sampling import _MASK_CHUNK, UINT64_MAX, _keep_mask, _keep_threshold
 
 FORMATS = ("csv", "json")
 
@@ -169,32 +170,21 @@ def spec_from_dict(doc) -> ExperimentSpec:
     return ExperimentSpec(**{**doc, "q_schedule": sched})
 
 
-def spec_from_file(path) -> ExperimentSpec:
-    """Load a JSON experiment spec; parse errors become validation errors."""
+def _read_json(path):
+    """The JSON document in the file path; a parse error, or nesting deeper
+    than the parser can follow, becomes a ValidationError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
             raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return spec_from_dict(doc)
+        except RecursionError:
+            raise ValidationError(f"{path} is nested too deeply to read") from None
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single seeded draw, before aggregation."""
-
-    h: int
-    q: float
-    trial_index: int
-    n_rays_drawn: int
-    n_cones: int
-    smooth: bool
-    max_index: int  # 0 for a fan with no cones
-    delta_k: dict
-
-    def __post_init__(self):
-        if self.smooth != (self.max_index <= 1):
-            raise ValidationError("smooth flag contradicts max_index")
+def spec_from_file(path) -> ExperimentSpec:
+    """Load a JSON experiment spec; parse errors become validation errors."""
+    return spec_from_dict(_read_json(path))
 
 
 @dataclass(frozen=True)
@@ -356,25 +346,6 @@ def _draw_blocks(items) -> list:
     return [_draw_block(*item, scratch) for item in items]
 
 
-def run_trial(h: int, q: float, master_seed: int, trial_index: int, k_list) -> TrialRecord:
-    """One draw at drop probability q, classified from its dropped runs.
-
-    The draw is sample_fan's (the same keep mask), and the record equals
-    the one its Fan would give, but no fan is built: this is the sweep's
-    classifier on a block of one trial.
-    """
-    cfg = SampleConfig(h=h, p=1.0 - q, master_seed=master_seed, trial_index=trial_index)
-    ks = [check_int(k, "index threshold", 1) for k in k_list]
-    coords = enumerate_rays(cfg.h).coords
-    block = _draw_block(coords, _keep_threshold(cfg.p), cfg.master_seed, trial_index, trial_index + 1, ks, {})
-    kept, m, max_index, at_least = (a[0].tolist() for a in block)
-    return TrialRecord(
-        h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,
-        n_cones=m, smooth=max_index <= 1, max_index=max_index,
-        delta_k={k: Fraction(a, m) if m else None for k, a in zip(ks, at_least)},
-    )
-
-
 def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion (99% two-sided default)."""
     if trials < 1 or not 0 <= successes <= trials:
@@ -464,7 +435,7 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     grid order.  The universes of all the spec's distinct heights are held at
     once: their memory is checked together with _sweep_bytes, and each is
     built (and checked by enumerate_rays) once, before the first item runs.
-    With workers > 1, at most min(workers, items) threads of one pool serve
+    One pool of min(workers, items) threads, one thread included, serves
     all cells: thread i runs items i, i + threads, ... with one scratch
     (blocks are of about one size), and the results are put back in item
     order.  Each trial's stream is keyed by its index alone, so scheduling
@@ -486,13 +457,10 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
         ]
         blocks_per_cell.append(len(los))
     threads = min(workers, len(items))
-    if threads == 1:
-        results = _draw_blocks(items)
-    else:
-        results = [None] * len(items)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, done in enumerate(pool.map(_draw_blocks, [items[i::threads] for i in range(threads)])):
-                results[i::threads] = done
+    results = [None] * len(items)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for i, done in enumerate(pool.map(_draw_blocks, [items[i::threads] for i in range(threads)])):
+            results[i::threads] = done
     rows = []
     done = 0
     for (h, q, _), count in zip(cells, blocks_per_cell):
@@ -572,6 +540,11 @@ def blowdown_array(table: BlowdownTable) -> dict:
 
 RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
 
+#: Bytes one ratio row holds: about 360 B for the dict and its values
+#: (tracemalloc), and 48 B for its six cells in the column lists that
+#: render() transposes the rows into.
+_RATIO_ROW_BYTES = 408
+
 
 def conjecture_report(h_values, k_max: int) -> list[dict]:
     """Long-form ratio table: measured fraction of rays with blowdown index
@@ -579,13 +552,17 @@ def conjecture_report(h_values, k_max: int) -> list[dict]:
 
     The counts come from lattice.count_geq with one Moebius sieve up to the
     largest height, so no ray is enumerated and any h <= MAX_H takes well
-    under a second.  Heights stay capped at MAX_H, the package's one rule
-    for a valid height.  The sieve takes 17 bytes per unit of height
+    under a second.  Rows that would exceed the share of MemAvailable that
+    lattice._check_memory allows are refused with ValidationError before
+    the first one is made.  Heights stay capped at MAX_H, the package's one
+    rule for a valid height.  The sieve takes 17 bytes per unit of height
     (1.7 GB at h = 10**8), so lifting the cap would take a segmented sieve
     or a sublinear Mertens recursion, not a larger constant.
     """
     k_max = check_int(k_max, "k_max", 2)
     heights = [_check_height(h) for h in h_values]
+    n_rows = len(heights) * (k_max - 1)
+    _check_bytes(_RATIO_ROW_BYTES * n_rows, f"{n_rows} ratio rows need", "to build the ratio table")
     mertens = _mertens(max(heights, default=0))
     rows = []
     for h in heights:

@@ -121,24 +121,20 @@ class Fan:
     def __repr__(self) -> str:
         return f"Fan(n_rays={self.n_rays}, n_cones={self.n_cones})"
 
-    def _has_cone_at(self, a: int) -> bool:
-        i = int(np.searchsorted(self._cone_starts, a))
-        return i < len(self._cone_starts) and int(self._cone_starts[i]) == a
-
 
 def complete_fan(rays) -> Fan:
     """Complete a set of rays to the maximal fan with exactly those rays.
 
     Accepts a whole RayUniverse (already sorted; its int32 coordinate array
-    is taken as-is, without a copy) or any iterable of rays, as RayVec or
-    (x, y) pairs.  Duplicates collapse.  A coordinate that is not an integer
-    (bool, float, str, ...) or lies outside [-MAX_H, MAX_H], the range in
-    which coordinates fit in int32 and every wedge, formed in int64, is
-    exact, is rejected before any conversion, and Fan rejects non-primitive
-    vectors.  The rays are sorted by half-quadrant class, then by an exact
-    integer slope key on int64: each open quadrant is turned onto x, y > 0
-    and keyed (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the
-    slopes of two distinct rays in one quadrant differ by at least
+    is taken as-is, without a copy) or any iterable of (x, y) pairs.
+    Duplicates collapse.  A coordinate that is not an integer (bool, float,
+    str, ...) or lies outside [-MAX_H, MAX_H], the range in which
+    coordinates fit in int32 and every wedge, formed in int64, is exact, is
+    rejected before any conversion, and Fan rejects non-primitive vectors.
+    The rays are sorted by half-quadrant class, then by an exact integer
+    slope key on int64: each open quadrant is turned onto x, y > 0 and
+    keyed (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the slopes
+    of two distinct rays in one quadrant differ by at least
     1/(x1 * x2) > 2**-40, so their keys differ, and every key is below
     2**61.
     """
@@ -156,16 +152,6 @@ def complete_fan(rays) -> Fan:
     turned_x = np.select(quadrant, [x, y, -x, -y], 1)  # the axes get key 0
     turned_y = np.select(quadrant, [y, -x, -y, x], 0)
     return Fan(c[np.lexsort(((turned_y << 41) // turned_x, arc))])
-
-
-def cone_index(fan: Fan, cone: Cone2) -> int:
-    """Singularity index |wedge| of one cone of the fan."""
-    n = fan.n_rays
-    if not (0 <= cone.a < n) or cone.b != (cone.a + 1) % n or not fan._has_cone_at(cone.a):
-        raise ValidationError(f"{cone} is not a cone of this fan")
-    c = fan.coords
-    w = int(c[cone.a, 0]) * int(c[cone.b, 1]) - int(c[cone.a, 1]) * int(c[cone.b, 0])
-    return abs(w)
 
 
 def is_smooth(fan: Fan) -> bool:

@@ -20,7 +20,6 @@ denominators that the walk steps through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NoReturn
 
@@ -41,42 +40,10 @@ def is_primitive(x: int, y: int) -> bool:
     return (x != 0 or y != 0) and math.gcd(x, y) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class RayVec:
-    """Minimal integer generator of a ray; primitivity is checked on construction."""
-
-    x: int
-    y: int
-
-    def __post_init__(self) -> None:
-        if not is_primitive(self.x, self.y):
-            raise ValidationError(
-                f"({self.x}, {self.y}) is not a primitive lattice vector"
-            )
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-
-def sup_norm(v) -> int:
-    """max(|x|, |y|); every height bound in this package is in this norm."""
-    x, y = v
-    return max(abs(x), abs(y))
-
-
-def wedge(u, v) -> int:
-    """Signed determinant of the 2x2 matrix with columns u and v."""
-    ux, uy = u
-    vx, vy = v
-    return int(ux) * int(vy) - int(uy) * int(vx)
-
-
-def _ray_ints(ray, bound=math.inf) -> tuple[int, int]:
-    # a ray's (x, y) as Python ints in [-bound, bound], never truncated from floats
+def _ray_ints(ray) -> tuple[int, int]:
+    # a ray's (x, y) as Python ints, never truncated from floats
     x, y = ray
-    return (check_int(x, "ray coordinate", -bound, bound),
-            check_int(y, "ray coordinate", -bound, bound))
+    return check_int(x, "ray coordinate"), check_int(y, "ray coordinate")
 
 
 def _arc_class(x: int, y: int) -> int:
@@ -162,13 +129,18 @@ def _check_memory(heights, table: bool = False, sweep: int = 0) -> None:
     # refuse before anything is allocated; the universes of all the heights
     # are held at once, with table=True each one's blowdown indices, and
     # sweep is the bytes a sweep holds beside them
-    need = _universe_bytes(heights, table) + sweep
+    which = (f"height {heights[0]} needs" if len(heights) == 1
+             else f"heights {', '.join(map(str, heights))} need")
+    purpose = ("to build the blowdown table" if table else
+               "to run the sweep" if sweep else "to enumerate the rays")
+    _check_bytes(_universe_bytes(heights, table) + sweep, which, purpose)
+
+
+def _check_bytes(need: int, which: str, purpose: str) -> None:
+    """Refuse with ValidationError when need bytes exceed _MEMORY_SHARE of
+    MemAvailable; which and purpose go before and after the size."""
     available = _mem_available()
     if available is not None and need > _MEMORY_SHARE * available:
-        which = (f"height {heights[0]} needs" if len(heights) == 1
-                 else f"heights {', '.join(map(str, heights))} need")
-        purpose = ("to build the blowdown table" if table else
-                   "to run the sweep" if sweep else "to enumerate the rays")
         raise ValidationError(
             f"{which} about {need / 2**20:.0f} MiB {purpose}, "
             f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
@@ -305,9 +277,9 @@ class RayUniverse:
     """All primitive rays of sup-norm at most h, in canonical angular order.
 
     Backed by one read-only (n, 2) int32 coordinate array (8 B per ray);
-    products of coordinates are formed in int64.  RayVec objects are
-    materialized on demand and never cached, so bulk consumers can stay
-    vectorized.  Instances are immutable and safe to share across threads.
+    products of coordinates are formed in int64.  Iteration yields each ray
+    as a plain (x, y) tuple of ints.  Instances are immutable and safe to
+    share across threads.
     """
 
     __slots__ = ("h", "coords")
@@ -324,13 +296,8 @@ class RayUniverse:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, i: int) -> RayVec:
-        x, y = self.coords[i]
-        return RayVec(int(x), int(y))
-
     def __iter__(self):
-        for x, y in self.coords.tolist():
-            yield RayVec(x, y)
+        return map(tuple, self.coords.tolist())
 
     def __contains__(self, ray) -> bool:
         x, y = _ray_ints(ray)

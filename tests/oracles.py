@@ -9,6 +9,7 @@ completion oracle excludes with an explicit tolerance.
 
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -19,6 +20,11 @@ from randfan.errors import InvariantError, ValidationError
 FORMATS = ("csv", "json")
 
 TWO_PI = 2.0 * math.pi
+
+
+def wedge(u, v) -> int:
+    """Signed determinant of the 2x2 matrix with columns u and v, in Python ints."""
+    return int(u[0]) * int(v[1]) - int(u[1]) * int(v[0])
 
 
 def angle(v) -> float:
@@ -160,13 +166,27 @@ def row_render(rows, format: str, *, columns) -> str:
     return json.dumps(docs, indent=2, ensure_ascii=False) + "\n"
 
 
-def fan_trial(h, q, master_seed, trial_index, k_list):
-    """The TrialRecord of one draw, classified through a built Fan.
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of a single seeded draw, before aggregation."""
 
-    The body run_trial had before trials were classified from their dropped
-    runs: sample_fan, then the Fan's cone indices and delta_k.
-    """
-    from randfan.experiments import TrialRecord
+    h: int
+    q: float
+    trial_index: int
+    n_rays_drawn: int
+    n_cones: int
+    smooth: bool
+    max_index: int  # 0 for a fan with no cones
+    delta_k: dict
+
+    def __post_init__(self):
+        if self.smooth != (self.max_index <= 1):
+            raise ValidationError("smooth flag contradicts max_index")
+
+
+def fan_trial(h, q, master_seed, trial_index, k_list):
+    """The TrialRecord of one draw, classified through a built Fan:
+    sample_fan, then the Fan's cone indices and delta_k."""
     from randfan.fans import delta_k
     from randfan.sampling import SampleConfig, sample_fan
 
@@ -178,6 +198,24 @@ def fan_trial(h, q, master_seed, trial_index, k_list):
     return TrialRecord(
         h=h, q=q, trial_index=trial_index, n_rays_drawn=fan.n_rays,
         n_cones=m, smooth=max_index <= 1, max_index=max_index, delta_k=deltas,
+    )
+
+
+def block_trial(h, q, master_seed, trial_index, k_list):
+    """The TrialRecord of one draw from the sweep's own classifier: a
+    one-row _draw_block at drop probability q.  Not an oracle; the record
+    that tests compare with fan_trial."""
+    from randfan.experiments import _draw_block
+    from randfan.lattice import enumerate_rays
+    from randfan.sampling import _keep_threshold
+
+    coords = enumerate_rays(h).coords
+    block = _draw_block(coords, _keep_threshold(1.0 - q), master_seed, trial_index, trial_index + 1, k_list, {})
+    kept, m, max_index, at_least = (a[0].tolist() for a in block)
+    return TrialRecord(
+        h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,
+        n_cones=m, smooth=max_index <= 1, max_index=max_index,
+        delta_k={k: Fraction(a, m) if m else None for k, a in zip(k_list, at_least)},
     )
 
 

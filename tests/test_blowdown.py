@@ -1,4 +1,4 @@
-"""Blowdown indices, norm bands, ratio tables, smooth partners."""
+"""Blowdown indices, norm bands, ratio tables."""
 
 import math
 from fractions import Fraction
@@ -9,40 +9,40 @@ import pytest
 from randfan import blowdown
 from randfan.blowdown import (
     band_bounds,
-    blowdown_index,
     blowdown_table,
     conjectured_ratio,
     epsilon_of,
-    neighbors,
-    smooth_partners,
     triangular,
 )
 from randfan.errors import InvariantError, ValidationError
 from randfan.fans import complete_fan, spectrum
-from randfan.lattice import MAX_H, RayUniverse, enumerate_rays, sup_norm, wedge
+from randfan.lattice import RayUniverse, enumerate_rays
 
-from oracles import brute_blowdown, brute_epsilon, brute_rays, division_blowdown
+from oracles import brute_blowdown, brute_epsilon, brute_rays, division_blowdown, wedge
 
 
 def test_neighbors_at_unit_height():
-    tau, omega = neighbors(1, (1, 0))
-    assert (tuple(tau), tuple(omega)) == ((1, -1), (1, 1))
+    # (1, 0) sits between (1, -1), last in canonical order, and (1, 1)
+    c = enumerate_rays(1).coords.tolist()
+    assert (c[-1], c[0], c[1]) == ([1, -1], [1, 0], [1, 1])
+    assert blowdown_table(1)[(1, 0)] == wedge(c[-1], c[1]) == 2
 
 
 def test_neighbors_wrap_around_the_angular_seam():
-    u = enumerate_rays(5)
-    tau, omega = neighbors(5, u[0])
-    assert tau == u[len(u) - 1]
-    assert omega == u[1]
+    # the first and last rays take their neighbours across the seam
+    c = enumerate_rays(5).coords.tolist()
+    k = blowdown_table(5).k_values
+    assert k[0] == wedge(c[-1], c[1])
+    assert k[-1] == wedge(c[-2], c[0])
 
 
 def test_neighbors_rejects_outsiders():
+    u, t = enumerate_rays(5), blowdown_table(3)
+    for outsider in [(6, 1), (2, 4)]:
+        with pytest.raises(ValidationError):
+            u.index_of(outsider)
     with pytest.raises(ValidationError):
-        neighbors(5, (6, 1))
-    with pytest.raises(ValidationError):
-        neighbors(5, (2, 4))
-    with pytest.raises(ValidationError):
-        blowdown_index(3, (1.9, 0))
+        (1.9, 0) in t
 
 
 def test_unit_height_indices():
@@ -70,21 +70,24 @@ def test_table_matches_remove_and_recomplete_oracle(h):
 
 @pytest.mark.parametrize("h", [1, 3, 7, 20, 60, 257, 1100])
 def test_scalar_and_bulk_paths_agree(h):
+    # a lookup by ray (binary search in the universe) reads the column entry
     t = blowdown_table(h)
-    universe = enumerate_rays(h)
-    stride = max(1, len(universe) // 50)
-    for ray in universe.coords[::stride].tolist():
-        assert blowdown_index(h, ray) == t[ray]
+    stride = max(1, len(t) // 50)
+    for i in range(0, len(t), stride):
+        ray = t.coords[i].tolist()
+        assert t[ray] == t.k_values[i]
+        assert t[tuple(ray)] == wedge(t.coords[i - 1], t.coords[(i + 1) % len(t)])
 
 
 @pytest.mark.parametrize("h", [2, 6, 17])
 def test_neighbor_sum_identity_holds_everywhere(h):
     t = blowdown_table(h)
-    for ray in enumerate_rays(h):
-        tau, omega = neighbors(h, ray)
+    c = enumerate_rays(h).coords.astype(np.int64)
+    tau, omega = np.roll(c, 1, axis=0), np.roll(c, -1, axis=0)
+    for ray, before, after in zip(c.tolist(), tau.tolist(), omega.tolist()):
         k = t[ray]
-        assert (k * ray.x, k * ray.y) == (tau.x + omega.x, tau.y + omega.y)
-        assert k == abs(wedge(tau, omega))
+        assert [k * v for v in ray] == [a + b for a, b in zip(before, after)]
+        assert k == abs(wedge(before, after))
 
 
 def test_removal_spectrum_is_one_merged_cone():
@@ -184,37 +187,6 @@ def test_triangular_and_conjectured_limits():
         triangular(0)
 
 
-def test_smooth_partners_frozen_cases():
-    got = {tuple(v) for v in smooth_partners(1, (1, 0))}
-    assert got == {(1, 1), (0, 1), (-1, 1), (-1, -1), (0, -1), (1, -1)}
-    assert len(smooth_partners(5, (1, 1))) == 20
-
-
-@pytest.mark.parametrize("h,ray", [(6, (1, 0)), (6, (2, 1)), (9, (-4, 3)), (9, (1, 1))])
-def test_smooth_partners_match_direct_filter(h, ray):
-    got = {tuple(v) for v in smooth_partners(h, ray)}
-    want = {p for p in brute_rays(h) if abs(ray[0] * p[1] - ray[1] * p[0]) == 1}
-    assert got == want
-    cap = 2 * h // sup_norm(ray) + 1
-    assert len(got) <= 2 * cap
-
-
-def test_smooth_partners_accepts_rays_above_height():
-    # the pivot ray itself need not lie in the universe
-    got = smooth_partners(2, (5, 2))
-    assert {tuple(v) for v in got} == {p for p in brute_rays(2)
-                                       if abs(5 * p[1] - 2 * p[0]) == 1}
-    with pytest.raises(ValidationError):
-        smooth_partners(2, (4, 2))
-    with pytest.raises(ValidationError):
-        smooth_partners(3, (1.2, 0))
-    # beyond [-MAX_H, MAX_H] the wedges would leave int64
-    for huge in [(2**70, 1), (2**63 - 1, 1), (1, -(2**63)), (MAX_H + 1, 1)]:
-        with pytest.raises(ValidationError):
-            smooth_partners(3, huge)
-    assert len(smooth_partners(3, (MAX_H, 1))) == 2
-
-
 @pytest.mark.parametrize("block", [1, 7, 47])
 def test_blocked_wedge_pass_matches_the_division_oracle(monkeypatch, block):
     # 48 rays at h = 4: blocks of one row, blocks across the seam, and a
@@ -254,12 +226,19 @@ def test_tampered_table_raises_invariant_error():
     assert not BlowdownTable(u, k).k_values.flags.writeable
 
 
+def _neighbours(h):
+    """{ray: (predecessor, successor)} over the height-h universe."""
+    c = enumerate_rays(h).coords.tolist()
+    return dict(zip(map(tuple, c), zip(np.roll(c, 1, axis=0).tolist(), np.roll(c, -1, axis=0).tolist())))
+
+
 def test_neighbors_march_along_lines_parallel_to_the_ray():
     # growing the height shifts each neighbor by a whole multiple of the ray
     for h, taller in [(1, 2), (1, 5), (2, 3), (3, 9), (5, 8)]:
+        low, high = _neighbours(h), _neighbours(taller)
         for ray in enumerate_rays(h):
             x, y = ray
-            for (ox, oy), (nx, ny) in zip(neighbors(h, ray), neighbors(taller, ray)):
+            for (ox, oy), (nx, ny) in zip(low[ray], high[ray]):
                 dx, dy = nx - ox, ny - oy
                 steps = dx // x if x != 0 else dy // y
                 assert steps >= 0
@@ -287,16 +266,3 @@ def test_index_of_names_the_ray_a_tampered_universe_lost():
     holed = RayUniverse(4, np.delete(u.coords, 7, axis=0))
     with pytest.raises(InvariantError, match=r"height 4: the sorted universe is missing the ray \(3, 4\)"):
         holed.index_of((3, 4))
-
-
-def test_smooth_partners_over_capacity_names_height_ray_side_and_cap(monkeypatch):
-    # (1, 0) has 2h + 1 = 7 partners with wedge 1 at h = 3; doubling them
-    # breaks the per-side line capacity
-    u = enumerate_rays(3)
-    side = u.coords[u.coords[:, 1] == 1]
-    padded = RayUniverse(3, np.concatenate((u.coords, side)))
-    monkeypatch.setattr(blowdown, "enumerate_rays", lambda h: padded)
-    with pytest.raises(InvariantError, match=r"height 3: ray \(1, 0\) has 14 smooth partners "
-                       r"on side 1, more than the line capacity 7"):
-        smooth_partners(3, (1, 0))
-

@@ -128,6 +128,18 @@ def test_spectrum_malformed_json_is_validation_error(tmp_path, capsys):
         assert code == 1 and out == "" and "error:" in err, rays
 
 
+@pytest.mark.parametrize("command,flag,key", [("spectrum", "--in", "rays"), ("density", "--spec", "h_values")])
+def test_deeply_nested_json_is_one_error_line(tmp_path, command, flag, key):
+    # deeper than the JSON parser recurses: the file is refused, not a traceback
+    deep = tmp_path / "deep.json"
+    depth = 200_000
+    deep.write_text('{"%s": %s%s}' % (key, "[" * depth, "]" * depth))
+    proc = subprocess.run([sys.executable, "-m", "randfan.cli", command, flag, str(deep)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {deep} is nested too deeply to read\n"
+
+
 def test_blowdown_csv_golden(capsys):
     code, out, _ = run_cli(capsys, "blowdown", "--h", "1")
     assert code == 0

@@ -20,14 +20,12 @@ from randfan.experiments import (
     SPACE_COLUMNS,
     ExperimentSpec,
     PowerSchedule,
-    TrialRecord,
     blowdown_array,
     conjecture_report,
     emit,
     render,
     run_density_sweep,
     run_threshold_sweep,
-    run_trial,
     space_report,
     spec_from_dict,
     spec_from_file,
@@ -36,6 +34,8 @@ from randfan.experiments import (
     wilson_interval,
 )
 from randfan.sampling import SampleConfig, prob_complete, sample_fan
+
+from oracles import TrialRecord, block_trial
 
 
 def _spec(**overrides):
@@ -192,8 +192,8 @@ def test_spec_from_file(tmp_path):
         spec_from_file(tmp_path / "missing.json")
 
 
-def test_run_trial_matches_direct_sampling():
-    rec = run_trial(5, 0.5, 1, 0, [2])
+def test_one_row_block_matches_direct_sampling():
+    rec = block_trial(5, 0.5, 1, 0, [2])
     fan = sample_fan(SampleConfig(h=5, p=0.5, master_seed=1, trial_index=0))
     assert rec.n_rays_drawn == fan.n_rays
     assert rec.n_cones == fan.n_cones
@@ -211,7 +211,7 @@ def test_trial_record_consistency_is_enforced():
 
 
 def test_degenerate_trial_has_no_cones_and_null_density():
-    rec = run_trial(3, 1.0, 0, 0, [2])
+    rec = block_trial(3, 1.0, 0, 0, [2])
     assert rec.n_rays_drawn == 0
     assert rec.n_cones == 0
     assert rec.max_index == 0
@@ -254,7 +254,7 @@ def test_aggregation_matches_manual_recount():
     spec = ExperimentSpec(h_values=[6], q_schedule=[0.6], trials=40,
                           k_list=[2, 5], c_density=0.05, master_seed=11)
     row = run_density_sweep(spec)[0]
-    records = [run_trial(6, 0.6, 11, t, [2, 5]) for t in range(40)]
+    records = [block_trial(6, 0.6, 11, t, [2, 5]) for t in range(40)]
 
     n_smooth = sum(1 for r in records if r.smooth)
     assert row.trials == 40
@@ -385,11 +385,11 @@ def test_one_pool_starts_at_most_one_thread_per_work_item(monkeypatch):
     monkeypatch.setattr(experiments, "_BLOCK_RAYS", 1)  # one trial per work item
     bound = experiments.MAX_WORKERS
     run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=1), workers=bound)
-    assert pools == []  # one item runs inline
+    assert pools == [1]  # one item: a pool of one thread
     run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=2), workers=bound)
-    assert pools == [2]
+    assert pools == [1, 2]
     run_threshold_sweep(_spec(h_values=[3, 4], q_schedule=[0.5, 0.5], trials=2), workers=3)
-    assert pools == [2, 3]  # one pool serves both cells
+    assert pools == [1, 2, 3]  # one pool serves both cells
 
 
 def test_sweep_columns_layout():
@@ -521,6 +521,31 @@ def test_conjecture_report_is_consistent_with_tables():
         conjecture_report([5], 1)
 
 
+def test_ratio_table_is_sized_before_its_first_row(monkeypatch):
+    # 10**8 - 1 rows of about 400 B: refused before the sieve or any row
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 8 * 2**30)
+    monkeypatch.setattr(experiments, "_mertens", lambda n: pytest.fail("the sieve ran"))
+    with pytest.raises(ValidationError, match=r"^99999999 ratio rows need about 38910 MiB to build "
+                       r"the ratio table, more than 50% of the 8192 MiB available$"):
+        conjecture_report([5], 10**8)
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * experiments._RATIO_ROW_BYTES * 2000)
+    assert len(conjecture_report([5], 2001)) == 2000
+    with pytest.raises(ValidationError, match="^2001 ratio rows need"):
+        conjecture_report([5], 2002)
+
+
+def test_ratio_row_estimate_bounds_the_traced_rows():
+    conjecture_report([5], 3)  # warm
+    tracemalloc.start()
+    try:
+        rows = conjecture_report([5, 1000], 2001)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= experiments._RATIO_ROW_BYTES * len(rows)
+
+
 def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
     heights, k_max = [500, 1000, 2000], 7
     want = []
@@ -557,7 +582,7 @@ def test_space_report_unit_height():
 
 def test_delta_is_non_increasing_in_k_within_a_trial():
     for t in range(25):
-        rec = run_trial(12, 0.5, 20260816, t, (1, 2, 3, 4, 9))
+        rec = block_trial(12, 0.5, 20260816, t, (1, 2, 3, 4, 9))
         values = [rec.delta_k[k] for k in (1, 2, 3, 4, 9)]
         if rec.n_cones == 0:
             assert all(v is None for v in values)

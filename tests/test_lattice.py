@@ -10,19 +10,12 @@ import pytest
 from randfan import lattice
 from randfan.blowdown import blowdown_table
 from randfan.errors import InvariantError, ValidationError
-from randfan.lattice import (
-    MAX_H,
-    RayVec,
-    angular_compare,
-    enumerate_rays,
-    is_primitive,
-    sup_norm,
-    wedge,
-)
+from randfan.experiments import _SupNorm
+from randfan.lattice import MAX_H, _block_wedges, angular_compare, enumerate_rays, is_primitive
 from randfan.cli import main
 
 from oracles import (
-    brute_rays, concat_unfold, division_blowdown, farey_pair_count_geq, first_octant, totients,
+    brute_rays, concat_unfold, division_blowdown, farey_pair_count_geq, first_octant, totients, wedge,
 )
 
 R1_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -38,24 +31,21 @@ def test_primitivity_predicate():
     assert not is_primitive(-2, -2)
 
 
-def test_rayvec_rejects_non_primitive():
-    for bad in [(0, 0), (2, 4), (0, 2), (-6, -3)]:
-        with pytest.raises(ValidationError):
-            RayVec(*bad)
+def _sup_norms(rays) -> list[int]:
+    """The sup-norm column that the blowdown export computes per block."""
+    return _SupNorm(np.array(rays, dtype=np.int32))[:].tolist()
 
 
-def test_rayvec_unpacks_like_a_pair():
-    x, y = RayVec(3, -2)
-    assert (x, y) == (3, -2)
+def _wedges(pairs) -> list[int]:
+    """wedge(u, v) of each pair by the blocked int64 kernel."""
+    c = np.array(pairs, dtype=np.int32).reshape(-1, 2)
+    return _block_wedges(c, 0, len(c), 0, 1)[::2].tolist()
 
 
 def test_sup_norm_and_wedge_basics():
-    assert sup_norm((3, -5)) == 5
-    assert sup_norm(RayVec(1, 0)) == 1
-    assert wedge((1, 0), (0, 1)) == 1
-    assert wedge((0, 1), (1, 0)) == -1
-    assert wedge((2, 1), (4, 2)) == 0
-    assert wedge((5, 4), (4, 5)) == 9
+    assert _sup_norms([(3, -5), (1, 0)]) == [5, 1]
+    pairs = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (4, 2)), ((5, 4), (4, 5))]
+    assert _wedges(pairs) == [1, -1, 0, 9] == [wedge(u, v) for u, v in pairs]
 
 
 def test_unit_universe_exact_order():
@@ -94,11 +84,6 @@ def test_angular_compare_distinct_rays_never_tie():
             assert angular_compare(u, v) != 0
 
 
-def test_angular_compare_accepts_rayvecs():
-    assert angular_compare(RayVec(1, 0), RayVec(0, 1)) == -1
-    assert angular_compare((0, 1), RayVec(1, 0)) == 1
-
-
 def test_enumerate_rays_validation():
     enumerate_rays(np.int64(1))  # True must not hit this cache entry
     for bad in [0, -3, MAX_H + 1, True, "5"]:
@@ -121,8 +106,8 @@ def test_universe_membership_and_indexing():
     assert (7, -3) in u
     assert (8, 1) not in u
     assert (2, 4) not in u
-    for i in range(len(u)):
-        assert u.index_of(u[i]) == i
+    for i, ray in enumerate(u):
+        assert u.index_of(ray) == i
     with pytest.raises(ValidationError):
         u.index_of((8, 1))
     with pytest.raises(ValidationError):
@@ -135,11 +120,11 @@ def test_universe_membership_and_indexing():
         u3.index_of((1.5, 0))
 
 
-def test_universe_iteration_yields_rayvecs_in_order():
+def test_universe_iteration_yields_int_pairs_in_order():
     u = enumerate_rays(2)
     rays = list(u)
-    assert all(isinstance(r, RayVec) for r in rays)
-    assert [tuple(r) for r in rays] == brute_rays(2)
+    assert all(type(r) is tuple and all(type(v) is int for v in r) for r in rays)
+    assert rays == brute_rays(2)
     assert len(rays) == len(u) == u.n_rays == 16
 
 
@@ -169,16 +154,16 @@ def test_quarter_turn_symmetry_and_count_divisibility():
 
 def test_wedge_is_antisymmetric_and_vanishes_on_the_diagonal():
     rng = np.random.default_rng(7)
-    pairs = rng.integers(-40, 41, size=(300, 4))
-    for a, b, c, d in pairs.tolist():
-        assert wedge((a, b), (c, d)) == -wedge((c, d), (a, b))
-        assert wedge((a, b), (a, b)) == 0
+    c = rng.integers(-40, 41, size=(300, 2)).astype(np.int32)
+    n = len(c)
+    forward = _block_wedges(c, 0, n, 0, 1)
+    assert np.array_equal(_block_wedges(c, 0, n, 1, 0), -forward)
+    assert not _block_wedges(c, 0, n, 0, 0).any()
+    assert forward.tolist() == [wedge(c[i], c[(i + 1) % n]) for i in range(n)]
 
 
 def test_sup_norm_is_symmetric_in_sign():
-    assert sup_norm((-7, 7)) == 7
-    assert sup_norm((7, -7)) == 7
-    assert sup_norm((0, -9)) == 9
+    assert _sup_norms([(-7, 7), (7, -7), (0, -9)]) == [7, 7, 9]
 
 
 def test_angular_compare_spot_values():

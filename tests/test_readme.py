@@ -1,12 +1,15 @@
-"""The README's library tour runs, and names only what the package exports."""
+"""The README's library tour runs, names only what the package exports, and
+every public definition in the package has a use."""
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import randfan
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 EXPORTS = {
     # reached through `rf.` by the acceptance criteria
@@ -59,3 +62,51 @@ def test_readme_states_the_memory_estimate():
 
     per_h2 = round(_universe_bytes([2000]) / 2000**2)
     assert f"about `{per_h2} * h^2`" in README.read_text(encoding="utf-8")
+
+
+#: Public top-level functions and classes kept with no caller in src, no
+#: mention in the README and no use in the acceptance tests, with the reason.
+UNREFERENCED = {
+    "lattice.angular_compare": "the exact pairwise order that oracles.comparison_order "
+                               "sorts by, the reference for complete_fan's integer sort keys",
+}
+
+
+def _names(tree) -> set[str]:
+    """Every name a tree reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_definition_has_a_use():
+    # a public function or class needs a reference in src outside its own
+    # definition, a mention in the README or a use in the acceptance tests;
+    # names are matched by name alone, whatever module they come from
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "randfan").glob("*.py"))}
+    referenced_by = {}  # name -> the top-level definitions (None: module level) reading it
+    for tree in modules.values():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for name in _names(stmt):
+                referenced_by.setdefault(name, set()).add(owner)
+    readme = README.read_text(encoding="utf-8")
+    acceptance = _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            name = node.name
+            if (referenced_by.get(name, set()) - {name}
+                    or re.search(rf"\b{name}\b", readme) or name in acceptance):
+                continue
+            unused.append(f"{module}.{name}")
+    assert sorted(unused) == sorted(UNREFERENCED)

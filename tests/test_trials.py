@@ -10,22 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import aggregate_records, fan_counts, fan_trial
+from oracles import TrialRecord, aggregate_records, block_trial, fan_counts, fan_trial, wedge
 from randfan import experiments, lattice, sampling
-from randfan.blowdown import blowdown_index, blowdown_table
+from randfan.blowdown import blowdown_table
 from randfan.errors import InvariantError
 from randfan.experiments import (
     ExperimentSpec,
-    TrialRecord,
     _aggregate,
     _classify,
     render,
     run_threshold_sweep,
-    run_trial,
     sweep_columns,
     sweep_rows_as_dicts,
 )
-from randfan.lattice import enumerate_rays, wedge
+from randfan.lattice import enumerate_rays
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
 SEED = 20260816
@@ -41,12 +39,12 @@ SEED = 20260816
 )
 def test_trial_matches_fan_oracle(h, q, seed, trial, ks):
     k_list = [1, *ks]
-    assert run_trial(h, q, seed, trial, k_list) == fan_trial(h, q, seed, trial, k_list)
+    assert block_trial(h, q, seed, trial, k_list) == fan_trial(h, q, seed, trial, k_list)
 
 
 @pytest.mark.parametrize("trial", [0, 1, 2])
 def test_sparse_drop_trial_at_height_1000_matches_fan_oracle(trial):
-    rec = run_trial(1000, 1e-4, SEED, trial, [1, 2, 3])
+    rec = block_trial(1000, 1e-4, SEED, trial, [1, 2, 3])
     assert rec == fan_trial(1000, 1e-4, SEED, trial, [1, 2, 3])
     assert rec.n_rays_drawn < len(enumerate_rays(1000))
 
@@ -271,7 +269,7 @@ def test_sweep_rows_equal_the_record_oracle_with_ties_at_c_density():
                               k_list=[1, 2, 3], c_density=c_density, master_seed=SEED)
         want, ties = [], 0
         for h, q in zip(spec.h_values, spec.q_values()):
-            records = [run_trial(h, q, SEED, t, spec.k_list) for t in range(spec.trials)]
+            records = [block_trial(h, q, SEED, t, spec.k_list) for t in range(spec.trials)]
             ties += sum(r.delta_k[k] == c_density for r in records for k in spec.k_list)
             want.append(aggregate_records(h, q, records, spec.k_list, c_density))
         assert ties > 0
@@ -325,10 +323,9 @@ def _first_bad_pair(c):
 
 
 _CALLERS = [
-    lambda: run_trial(4, 0.1, 0, 0, [2]),
+    lambda: block_trial(4, 0.1, 0, 0, [2]),
     lambda: run_threshold_sweep(ExperimentSpec(h_values=[4], q_schedule=[0.1], trials=4), workers=2),
     lambda: blowdown_table(4),
-    lambda: blowdown_index(4, (1, 0)),
     lambda: sample_fan(SampleConfig(h=4, p=0.9)),
 ]
 

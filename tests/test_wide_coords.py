@@ -19,12 +19,13 @@ import math
 import numpy as np
 import pytest
 
-from randfan import blowdown
-from randfan.blowdown import BlowdownTable, blowdown_table, smooth_partners
+from randfan.blowdown import BlowdownTable, blowdown_table
 from randfan.errors import InvariantError, ValidationError
 from randfan.experiments import _classify
 from randfan.fans import Fan, complete_fan
-from randfan.lattice import MAX_H, RayUniverse, _arc_class, _block_wedges, enumerate_rays, wedge
+from randfan.lattice import MAX_H, RayUniverse, _arc_class, _block_wedges, enumerate_rays
+
+from oracles import wedge
 
 H = 3
 
@@ -131,22 +132,6 @@ def test_band_check_is_exact_on_mapped_coordinates(name):
     first = next(i for i, p in enumerate(products) if p > 2 * (least - 1))
     with pytest.raises(InvariantError, match=rf"at position {first}, .* exceeds 2h = {2 * (least - 1)}$"):
         BlowdownTable(RayUniverse(least - 1, m.copy()), k.copy())
-
-
-@pytest.mark.parametrize("name", MAPS)
-def test_smooth_partners_are_exact_on_mapped_coordinates(monkeypatch, name):
-    # the map carries each ray's partners onto the mapped ray's; the height
-    # passed only sets the line capacity, which the map does not keep
-    c, m = enumerate_rays(H).coords, _mapped(name)
-    monkeypatch.setattr(blowdown, "enumerate_rays", lambda h: RayUniverse(h, m.copy()))
-    position = {ray: j for j, ray in enumerate(map(tuple, c.tolist()))}
-    for ray, image in zip(c.tolist(), m.tolist()):
-        with monkeypatch.context() as original:
-            original.setattr(blowdown, "enumerate_rays", enumerate_rays)
-            partners = {position[tuple(v)] for v in smooth_partners(H, ray)}
-        got = {tuple(v) for v in smooth_partners(4 * MAX_H, image)}
-        assert got == {tuple(m[j].tolist()) for j in partners}
-        assert got == {tuple(v) for v in m.tolist() if abs(wedge(image, v)) == 1}
 
 
 def test_block_wedges_are_exact_beyond_int32():
