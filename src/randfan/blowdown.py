@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    _BLOCK, RayUniverse, _block_wedges, _check_height, _check_memory, count_geq, enumerate_rays,
+    _BLOCK, RayUniverse, _block_wedges, _check_bytes, _check_height, _universe_bytes, count_geq,
+    enumerate_rays,
 )
 
 
@@ -140,7 +141,9 @@ def blowdown_table(h: int) -> BlowdownTable:
     MemAvailable is refused with ValidationError before either is built.
     Results are cached.
     """
-    _check_memory((_check_height(h),), table=True)
+    h = _check_height(h)
+    # the universe, and 8 B per ray for the int64 index column
+    _check_bytes(_universe_bytes((h,)) + 8 * count_geq(h, 1), f"height {h} needs", "to build the blowdown table")
     universe = enumerate_rays(h)
     c = universe.coords
     k = np.empty(len(c), dtype=np.int64)

@@ -18,6 +18,7 @@ from .experiments import (
     RAY_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
+    _check_path,
     _read_json,
     blowdown_array,
     conjecture_report,
@@ -42,14 +43,15 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # route argument errors through the normal validation exit path
+    # route argument errors through the normal validation exit path; argparse
+    # echoes an offending argument whole, so a long message keeps its ends
     def error(self, message):
-        raise ValidationError(message)
+        raise ValidationError(message if len(message) <= 400 else f"{message[:200]}...{message[-200:]}")
 
 
 def _write(out, blocks) -> None:
     # blocks of bytes into the file out, atomically, or to standard output
-    if out:
+    if out is not None:
         write_blocks(out, blocks)
         return
     sys.stdout.flush()
@@ -144,14 +146,9 @@ def _cmd_sweep(args) -> None:
     spec = _spec_from_args(args)
     rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=args.workers), spec.k_list)
     cols = sweep_columns(spec.k_list)
-    out = args.out or (spec.output or {}).get("path")
+    out = args.out if args.out is not None else (spec.output or {}).get("path")
     fmt = args.format or (spec.output or {}).get("format") or "csv"
     _write(out, render(rows, fmt, columns=cols))
-
-
-def _add_table_output(sub, default_format: str = "csv") -> None:
-    sub.add_argument("--out", help="write here (atomically) instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,12 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="all primitive rays of sup-norm <= h, in angular order")
     p.add_argument("--h", type=int, required=True)
-    _add_table_output(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_rays)
 
     p = sub.add_parser("complete", help="the full fan at height h, as a JSON fan record")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--out", help="write here (atomically) instead of stdout")
     p.set_defaults(func=_cmd_complete)
 
     p = sub.add_parser("sample", help="one seeded random fan, as a JSON fan record")
@@ -173,28 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="per-ray inclusion probability")
     p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
     p.add_argument("--trial", type=int, default=0, help="trial index (stream selector)")
-    p.add_argument("--out", help="write here (atomically) instead of stdout")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("spectrum", help="singularity spectrum of a stored fan record")
     p.add_argument("--in", dest="infile", required=True, help="JSON fan record to read")
-    p.add_argument("--out", help="write here (atomically) instead of stdout")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("blowdown", help="blowdown index of every ray at height h")
     p.add_argument("--h", type=int, required=True)
-    _add_table_output(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_blowdown)
 
     p = sub.add_parser("ratios", help="measured vs conjectured blowdown-index ratios")
     p.add_argument("--h", type=int, action="append", required=True, help="height; repeatable")
     p.add_argument("--kmax", type=int, required=True, help="largest index threshold (>= 2)")
-    _add_table_output(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("space", help="first-quadrant blowdown indices at height h")
     p.add_argument("--h", type=int, required=True)
-    _add_table_output(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_space)
 
     for name, blurb in (
@@ -213,10 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-density", dest="c_density", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", help="write here (atomically) instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.set_defaults(func=_cmd_sweep)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write here (atomically) instead of stdout")
     return parser
 
 
@@ -224,6 +219,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out is not None:  # every command has --out; refused before any work
+            _check_path(args.out)
         args.func(args)
         return EXIT_OK
     except ValidationError as exc:

@@ -5,10 +5,10 @@ number of seeded trials (one draw per trial, keyed by master_seed and the
 trial index alone) and aggregates them into a single summary row.  A trial is
 classified from its dropped runs: the full fan is smooth (enumerate_rays
 checks that once per universe), so a draw differs from it only where maximal
-runs of consecutive rays were dropped, and no fan is built.  Trials are
-drawn straight into one padded keep layout per block and classified a
-block at a time, reusing each worker's buffers, and a cell is aggregated
-from count arrays.
+runs of consecutive rays were dropped, and no fan is built.  One plan of
+blocks of trials is sized by the memory check and run by the thread pool;
+each block is drawn straight into one padded keep layout and classified at
+once, reusing its thread's buffers, and a cell is aggregated from counts.
 Trial RNG streams never depend on block size, worker count or scheduling,
 and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
@@ -33,17 +33,18 @@ import json
 import math
 import os
 import tempfile
+import threading
 from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
-from .errors import ValidationError, check_int, check_real
+from .errors import ValidationError, brief, check_int, check_real
 from .lattice import (
-    RayUniverse, _check_bytes, _check_height, _check_memory, _count_geq, _mertens, count_geq,
+    RayUniverse, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes, count_geq,
     enumerate_rays,
 )
 from .sampling import _MASK_CHUNK, UINT64_MAX, _keep_mask, _keep_threshold
@@ -78,7 +79,7 @@ class PowerSchedule:
 
 def _nonempty_list(values, name: str) -> list:
     if not isinstance(values, (list, tuple)) or not values:
-        raise ValidationError(f"{name} must be a non-empty list, got {values!r}")
+        raise ValidationError(f"{name} must be a non-empty list, got {brief(values)}")
     return list(values)
 
 
@@ -90,7 +91,8 @@ class ExperimentSpec:
     aligned with h_values; values are clamped to [0, 1].  regime selects
     whether the schedule value drives the drop probability q directly
     ("q-small") or its complement 1 - q ("q-large", the almost-everything-
-    dropped end).  output, when set, is {"path": ..., "format": "csv"|"json"}.
+    dropped end).  output, when set, is {"path": ..., "format": "csv"|"json"},
+    the path non-empty and free of NUL bytes.
     Numbers must be of the right kind, never bool or str, and are stored as
     Python int and float; the sequences are stored as lists.  The spec is
     frozen, so no field can skip these checks by a later assignment.
@@ -117,7 +119,7 @@ class ExperimentSpec:
                 )
             object.__setattr__(self, "q_schedule", [check_real(v, "schedule value", 0) for v in values])
         if self.regime not in ("q-small", "q-large"):
-            raise ValidationError(f"regime must be 'q-small' or 'q-large', got {self.regime!r}")
+            raise ValidationError(f"regime must be 'q-small' or 'q-large', got {brief(self.regime)}")
         ks = _nonempty_list(self.k_list, "k_list")
         object.__setattr__(self, "trials", check_int(self.trials, "trials", 1))
         object.__setattr__(self, "k_list", [check_int(k, "k_list entry", 1) for k in ks])
@@ -131,6 +133,7 @@ class ExperimentSpec:
                 or self.output["format"] not in FORMATS
             ):
                 raise ValidationError("output must be {'path': ..., 'format': 'csv'|'json'}")
+            _check_path(self.output["path"])
 
     def q_values(self) -> list[float]:
         """Drop probability per height: schedule value or its complement."""
@@ -141,12 +144,6 @@ class ExperimentSpec:
         return vals if self.regime == "q-small" else [1.0 - v for v in vals]
 
 
-_SPEC_FIELDS = (
-    "h_values", "q_schedule", "regime", "trials", "k_list",
-    "c_density", "master_seed", "output",
-)
-
-
 def spec_from_dict(doc) -> ExperimentSpec:
     """Build a spec from a plain document whose keys match the field names.
 
@@ -155,9 +152,9 @@ def spec_from_dict(doc) -> ExperimentSpec:
     """
     if not isinstance(doc, dict):
         raise ValidationError("experiment spec must be a mapping")
-    unknown = set(doc) - set(_SPEC_FIELDS)
+    unknown = set(doc) - {f.name for f in fields(ExperimentSpec)}
     if unknown:
-        raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
+        raise ValidationError(f"unknown spec fields: {brief(sorted(unknown))}")
     if "h_values" not in doc or "q_schedule" not in doc:
         raise ValidationError("spec needs at least h_values and q_schedule")
     sched = doc["q_schedule"]
@@ -317,9 +314,8 @@ def _block_bytes(positions: int, rows: int, n_ks: int) -> int:
     of buffers (s and e in int64, the int32 rows of its two flanking rays,
     and one bool); one chunk of raw Philox words; 8 B per row for each of
     16 per-row count arrays and n_ks threshold counts; and 64 KiB for the
-    array headers and scalars of a block.  A worker's buffers grow to its
-    largest block and are kept, so the bound takes the largest positions
-    and rows of the sweep."""
+    array headers and scalars of a block.  A thread's buffers grow to its
+    largest block and are kept."""
     runs = positions // 2
     per_run = 16 * runs + 33 * (runs + 1)
     return 2 * positions + 1 + per_run + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
@@ -338,12 +334,6 @@ def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, h
     for row, t in zip(rows, range(lo, hi)):
         _keep_mask(bitgen, master_seed, t, threshold, row[:n])
     return _classify(coords, keep, ks, scratch)
-
-
-def _draw_blocks(items) -> list:
-    """_draw_block of each item in turn, all with one scratch."""
-    scratch: dict = {}
-    return [_draw_block(*item, scratch) for item in items]
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
@@ -403,23 +393,25 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     )
 
 
-def _per_block(n: int) -> int:
-    """Trials per block of work over n rays."""
-    return max(1, _BLOCK_RAYS // n)
-
-
-def _sweep_bytes(spec: ExperimentSpec, workers: int) -> int:
-    """Bytes a sweep holds beyond its universes, from the exact ray counts:
-    min(workers, items) threads, each with the _block_bytes of the largest
-    block, and 16 B per trial for each of the 3 + len(k_list) counts: 8 B
-    for the counts every cell keeps until the end, and as much again for
-    the copies made while a cell is aggregated."""
-    count = {h: count_geq(h, 1) for h in spec.h_values}
-    sizes = [count[h] for h in spec.h_values]
-    rows = [min(_per_block(n), spec.trials) for n in sizes]
-    items = sum(-(-spec.trials // _per_block(n)) for n in sizes)
-    block = _block_bytes(max(r * (n + 1) for r, n in zip(rows, sizes)), max(rows), len(spec.k_list))
-    return min(workers, items) * block + 16 * (3 + len(spec.k_list)) * spec.trials * len(sizes)
+def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
+    """The work of a sweep, from the exact ray counts before any ray is built:
+    the cells (h, q) in grid order; the blocks (h, keep threshold, lo, hi)
+    of max(1, _BLOCK_RAYS // n) trials of one cell, in grid order; the
+    thread count, min(workers, blocks); and the bytes held beside the
+    universes: per thread, the _block_bytes of the largest block, and 16 B
+    per trial for each of the 3 + len(k_list) counts (8 B for the counts of
+    every block, kept until the end, and 8 B for their joined copy)."""
+    sizes = {h: count_geq(h, 1) for h in spec.h_values}
+    cells = list(zip(spec.h_values, spec.q_values()))
+    blocks = []
+    for h, q in cells:
+        per_block = max(1, _BLOCK_RAYS // sizes[h])
+        threshold = _keep_threshold(1.0 - q)
+        blocks += [(h, threshold, lo, min(lo + per_block, spec.trials)) for lo in range(0, spec.trials, per_block)]
+    threads = min(workers, len(blocks))
+    positions = max((hi - lo) * (sizes[h] + 1) for h, _, lo, hi in blocks)
+    per_thread = _block_bytes(positions, max(hi - lo for _, _, lo, hi in blocks), len(spec.k_list))
+    return cells, blocks, threads, threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
 
 
 def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
@@ -431,42 +423,38 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     failures there and are tallied in n_no_cones.  run_density_sweep is the
     same function.
 
-    Work items are blocks of max(1, _BLOCK_RAYS // n) trials of one cell, in
-    grid order.  The universes of all the spec's distinct heights are held at
-    once: their memory is checked together with _sweep_bytes, and each is
-    built (and checked by enumerate_rays) once, before the first item runs.
-    One pool of min(workers, items) threads, one thread included, serves
-    all cells: thread i runs items i, i + threads, ... with one scratch
-    (blocks are of about one size), and the results are put back in item
-    order.  Each trial's stream is keyed by its index alone, so scheduling
-    cannot leak into a row.
+    _sweep_plan works out the blocks once, and both the memory check and
+    the thread pool take them from it.  The universes of all the spec's
+    distinct heights are held at once: their memory is checked together
+    with the plan's bytes, and each is built (and checked by enumerate_rays)
+    once, before the first block runs.  One pool of the plan's threads, one
+    thread included, serves all cells: an idle thread takes the next block,
+    each thread keeps one scratch for all of its blocks, and the results
+    come back in block order.  Each trial's stream is keyed by its index
+    alone, so scheduling cannot leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
+    cells, blocks, threads, plan_bytes = _sweep_plan(spec, workers)
     heights = list(dict.fromkeys(spec.h_values))
-    _check_memory(heights, sweep=_sweep_bytes(spec, workers))
+    which = f"height {heights[0]} needs" if len(heights) == 1 else f"heights {', '.join(map(str, heights))} need"
+    _check_bytes(_universe_bytes(heights) + plan_bytes, which, "to run the sweep")
     universes = {h: enumerate_rays(h).coords for h in heights}
-    cells = [(h, q, universes[h]) for h, q in zip(spec.h_values, spec.q_values())]
-    items, blocks_per_cell = [], []
-    for h, q, coords in cells:
-        per_block = _per_block(len(coords))
-        threshold = _keep_threshold(1.0 - q)
-        los = range(0, spec.trials, per_block)
-        items += [
-            (coords, threshold, spec.master_seed, lo, min(lo + per_block, spec.trials), spec.k_list)
-            for lo in los
-        ]
-        blocks_per_cell.append(len(los))
-    threads = min(workers, len(items))
-    results = [None] * len(items)
+    local = threading.local()
+
+    def draw(block):
+        h, threshold, lo, hi = block
+        # vars(local) is the calling thread's own dict: its scratch
+        return _draw_block(universes[h], threshold, spec.master_seed, lo, hi, spec.k_list, vars(local))
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, done in enumerate(pool.map(_draw_blocks, [items[i::threads] for i in range(threads)])):
-            results[i::threads] = done
+        # read once the pool's exit has waited for every block: waiting on each
+        # result in turn wakes this thread per block to contend for the GIL
+        results = pool.map(draw, blocks)
+    _, n_cones, max_index, at_least = (np.concatenate(a) for a in zip(*results))
     rows = []
-    done = 0
-    for (h, q, _), count in zip(cells, blocks_per_cell):
-        _, n_cones, max_index, at_least = (np.concatenate(a) for a in zip(*results[done : done + count]))
-        done += count
-        rows.append(_aggregate(h, q, n_cones, max_index, at_least, spec.k_list, spec.c_density))
+    for i, (h, q) in enumerate(cells):
+        cell = slice(i * spec.trials, (i + 1) * spec.trials)  # every cell has spec.trials trials
+        rows.append(_aggregate(h, q, n_cones[cell], max_index[cell], at_least[cell], spec.k_list, spec.c_density))
     return rows
 
 
@@ -553,7 +541,7 @@ def conjecture_report(h_values, k_max: int) -> list[dict]:
     The counts come from lattice.count_geq with one Moebius sieve up to the
     largest height, so no ray is enumerated and any h <= MAX_H takes well
     under a second.  Rows that would exceed the share of MemAvailable that
-    lattice._check_memory allows are refused with ValidationError before
+    lattice._check_bytes allows are refused with ValidationError before
     the first one is made.  Heights stay capped at MAX_H, the package's one
     rule for a valid height.  The sieve takes 17 bytes per unit of height
     (1.7 GB at h = 10**8), so lifting the cap would take a segmented sieve
@@ -598,30 +586,28 @@ def space_report(h: int) -> list[dict]:
     return [dict(zip(SPACE_COLUMNS, r)) for r in zip(*(cols[c].tolist() for c in SPACE_COLUMNS))]
 
 
-def format_cell(value) -> str:
-    """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
-    'null' for missing values, integers verbatim."""
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating, Fraction)):
-        return format(float(value), ".6g")
-    return str(value)
-
-
 def _json_value(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, np.bool_):
+    # numpy scalars and Fractions as the plain bool, int or float they stand for
+    if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating, Fraction)):
         return float(value)
     return value
+
+
+def format_cell(value) -> str:
+    """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
+    'null' for missing values, integers verbatim."""
+    value = _json_value(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
 
 
 def _json_cell(value) -> str:
@@ -697,7 +683,7 @@ def render(table, format: str, *, columns) -> Iterator[bytes]:
     for JSON.
     """
     if format not in FORMATS:
-        raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")
+        raise ValidationError(f"format must be one of {FORMATS}, got {brief(format)}")
     columns = list(columns)
     if isinstance(table, Mapping):
         cols = [table[c] for c in columns]
@@ -746,15 +732,24 @@ def render(table, format: str, *, columns) -> Iterator[bytes]:
     return blocks()
 
 
+def _check_path(path) -> str:
+    """path as a str; an empty path, or one holding a NUL byte (which no
+    file system takes), is refused with ValidationError."""
+    path = os.fsdecode(path)
+    if not path or "\0" in path:
+        raise ValidationError(f"output path must be non-empty and free of NUL bytes, got {brief(path)}")
+    return path
+
+
 def write_blocks(path, blocks) -> None:
     """Atomic write of byte blocks: a temp file in the target directory,
     written block by block, then renamed onto path.
 
-    A write that fails or is interrupted, an exception raised while the
-    blocks are made among them, never leaves a partial file at the target
-    path, and the temp file is removed.
+    A path no file can have is refused first.  A write that fails or is
+    interrupted, an exception raised while the blocks are made among them,
+    never leaves a partial file at the target path; the temp file is removed.
     """
-    path = os.fspath(path)
+    path = _check_path(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import _INTEGERS, ValidationError, check_int
+from .errors import _INTEGERS, ValidationError, brief, check_int
 from .lattice import MAX_H, RayUniverse
 
 
@@ -195,5 +195,5 @@ def fan_from_record(record) -> Fan:
         raise ValidationError("fan record must be a mapping with a 'rays' list")
     for r in record["rays"]:
         if not isinstance(r, (list, tuple)) or len(r) != 2:
-            raise ValidationError(f"malformed ray entry {r!r}; expected [x, y]")
+            raise ValidationError(f"malformed ray entry {brief(r)}; expected [x, y]")
     return complete_fan(record["rays"])

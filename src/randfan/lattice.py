@@ -14,7 +14,8 @@ is count_geq(h, 1).  Two unit wedges wedge(tau, u) = wedge(u, omega) = 1
 give tau + omega = k * u with k = wedge(tau, omega), so the blowdown module
 reads each index off the wedge of a ray's two neighbours.  count_geq counts
 the rays of index >= k without the walk, from the coprime pairs of
-denominators that the walk steps through.
+denominators that the walk steps through.  _check_bytes is the package's
+one memory rule: each build sizes itself and calls it before allocating.
 """
 
 from __future__ import annotations
@@ -111,29 +112,16 @@ def _mem_available() -> int | None:
     return None
 
 
-def _universe_bytes(heights, table: bool = False) -> int:
+def _universe_bytes(heights) -> int:
     """Bytes to hold the universes of all the given heights at once, plus
     the largest octant walk that builds one of them and the temporaries of
-    one block of checks: 8 B (two int32) per ray of each universe (16 B
-    with the int64 index column of a blowdown table), 8 B (x and y) per
-    lane and step of the walk, and 32 B per row of a _BLOCK-row block (two
-    wrapped int32 coordinate copies and two int64 wedge products in
-    _block_wedges).  The octant a walk yields is smaller than both its
+    one block of checks: 8 B (two int32) per ray of each universe, 8 B (x
+    and y) per lane and step of the walk, and 32 B per row of a _BLOCK-row
+    block (two wrapped int32 coordinate copies and two int64 wedge products
+    in _block_wedges).  The octant a walk yields is smaller than both its
     buffer and its universe, so the sum bounds the peak of every build."""
     walk = max(8 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
-    per_ray = 16 if table else 8
-    return walk + 32 * _BLOCK + sum(per_ray * count_geq(h, 1) for h in heights)
-
-
-def _check_memory(heights, table: bool = False, sweep: int = 0) -> None:
-    # refuse before anything is allocated; the universes of all the heights
-    # are held at once, with table=True each one's blowdown indices, and
-    # sweep is the bytes a sweep holds beside them
-    which = (f"height {heights[0]} needs" if len(heights) == 1
-             else f"heights {', '.join(map(str, heights))} need")
-    purpose = ("to build the blowdown table" if table else
-               "to run the sweep" if sweep else "to enumerate the rays")
-    _check_bytes(_universe_bytes(heights, table) + sweep, which, purpose)
+    return walk + 32 * _BLOCK + sum(8 * count_geq(h, 1) for h in heights)
 
 
 def _check_bytes(need: int, which: str, purpose: str) -> None:
@@ -362,7 +350,7 @@ def enumerate_rays(h: int) -> RayUniverse:
     before anything is allocated.
     """
     h = _check_height(h)
-    _check_memory((h,))
+    _check_bytes(_universe_bytes((h,)), f"height {h} needs", "to enumerate the rays")
     c = _unfold_full_circle(_farey_walk(h))
     n = len(c)
     for lo in range(0, n, _BLOCK):

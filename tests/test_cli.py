@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from randfan import cli, experiments
 from randfan.blowdown import blowdown_table, conjectured_ratio
+from randfan.errors import ValidationError, check_int
+from randfan.experiments import ExperimentSpec, emit, write_blocks
 from randfan.fans import complete_fan, spectrum
-from randfan.lattice import MAX_H, enumerate_rays
+from randfan.lattice import MAX_H, count_geq, enumerate_rays
 from randfan.cli import main
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
@@ -286,6 +290,40 @@ def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_blocks_finishing_out_of_order_give_the_pinned_bytes(tmp_path, capsys, monkeypatch):
+    # in each group of three blocks, every block but the last waits until the
+    # next one has finished, so at 3 workers each group finishes in reverse
+    # (three threads are never all waiting: one of them holds a group's last)
+    argv, digest = GOLDEN_OUTPUTS[0]
+    spec = ExperimentSpec(h_values=[40, 60, 80], q_schedule=[0.5, 0.5, 0.2], trials=1000, k_list=[2, 3])
+    _, blocks, threads, _ = experiments._sweep_plan(spec, 3)
+    assert threads == 3 and len(blocks) > 100
+    index = {(count_geq(h, 1), threshold, lo): i for i, (h, threshold, lo, _) in enumerate(blocks)}
+    finished = [threading.Event() for _ in blocks]
+    order = []
+    draw = experiments._draw_block
+
+    def out_of_order(coords, threshold, master_seed, lo, hi, ks, scratch):
+        i = index[len(coords), threshold, lo]
+        if i % 3 != 2 and i + 1 < len(blocks):
+            assert finished[i + 1].wait(timeout=60)
+        result = draw(coords, threshold, master_seed, lo, hi, ks, scratch)
+        order.append(i)
+        finished[i].set()
+        return result
+
+    monkeypatch.setattr(experiments, "_draw_block", out_of_order)
+    out = tmp_path / "three.csv"
+    code, _, err = run_cli(capsys, *argv, "--workers", "3", "--out", str(out))
+    assert code == 0 and err == ""
+    assert sorted(order) == list(range(len(blocks))) and order != sorted(order)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    monkeypatch.undo()
+    one = tmp_path / "one.csv"
+    assert run_cli(capsys, *argv, "--workers", "1", "--out", str(one))[0] == 0
+    assert one.read_bytes() == out.read_bytes()
+
+
 def test_inline_flags_and_spec_file_give_identical_output(tmp_path, capsys):
     cases = [
         (["--h", "6", "--q", "0.3", "--h", "9", "--q", "0.1", "--k", "2", "--k", "3",
@@ -468,3 +506,71 @@ def test_malformed_specs_and_records_exit_1(edit, capsys):
     assert code == 1, (path, value)
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# --- bounded error lines and output paths --------------------------------------
+
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("command, flag, doc", [
+    ("density", "--spec", {"h_values": [LONG], "q_schedule": [0.5]}),
+    ("density", "--spec", {"h_values": LONG, "q_schedule": [0.5]}),
+    ("density", "--spec", {"h_values": [3], "q_schedule": [0.5], "regime": LONG}),
+    ("density", "--spec", {"h_values": [3], "q_schedule": [0.5], LONG: 1}),
+    ("density", "--spec", '{"h_values": [%s], "q_schedule": [0.5]}' % ("9" * 5000)),
+    ("spectrum", "--in", {"rays": [[1, 0], LONG]}),
+    ("threshold", "--regime", None),
+], ids=["h-entry", "h-values", "regime", "field", "huge-h", "ray-entry", "regime-flag"])
+def test_error_line_is_bounded_whatever_the_input(tmp_path, capsys, command, flag, doc):
+    # the offending value is shown cut short, so the one error line stays small
+    if doc is None:
+        argv = [command, flag, LONG, "--h", "3", "--q", "0.5"]
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = [command, flag, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1024
+
+
+def test_an_integer_too_long_to_print_is_a_validation_error():
+    with pytest.raises(ValidationError, match=r"^height bound must be an integer in \[1, 1000000\], got <int of"):
+        check_int(10**5000, "height bound", 1, MAX_H)
+    with pytest.raises(ValidationError, match="must be an integer, got"):
+        check_int([10**5000], "height bound", 1, MAX_H)
+
+
+@pytest.mark.parametrize("path", ["", "a\x00b.csv"], ids=["empty", "nul"])
+def test_a_spec_output_path_no_file_can_have_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch, path):
+    runs = []
+    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "output": {"path": path, "format": "csv"}}))
+    code, out, err = run_cli(capsys, "density", "--spec", str(spec))
+    assert code == 1 and out == "" and err.startswith("error: output path must be non-empty")
+    assert runs == []
+    with pytest.raises(ValidationError, match="output path"):
+        ExperimentSpec(h_values=[3], q_schedule=[0.5], output={"path": path, "format": "csv"})
+
+
+@pytest.mark.parametrize("path", ["", "a\x00b.csv"], ids=["empty", "nul"])
+def test_an_out_flag_no_file_can_have_is_refused_before_any_work(capsys, monkeypatch, path):
+    runs = []
+    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(cli, "enumerate_rays", lambda *args: runs.append(args))
+    for argv in (["rays", "--h", "1"], ["threshold", "--h", "3", "--q", "0.5"]):
+        code, out, err = run_cli(capsys, *argv, "--out", path)
+        assert code == 1 and out == "" and err.startswith("error: output path must be non-empty"), argv
+    assert runs == []
+
+
+@pytest.mark.parametrize("path", ["", "a\x00b.csv", b"", b"a\x00b.csv"], ids=["empty", "nul", "empty-bytes", "nul-bytes"])
+def test_write_blocks_refuses_a_path_no_file_can_have(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValidationError, match="output path"):
+        write_blocks(path, [b"x\n"])
+    with pytest.raises(ValidationError, match="output path"):
+        emit([{"a": 1}], "csv", path, columns=["a"])
+    assert list(tmp_path.iterdir()) == []

@@ -315,7 +315,7 @@ def test_sweep_checks_the_memory_of_all_its_heights_together(monkeypatch):
     available = 2 * max(lattice._universe_bytes([h]) for h in heights)
     monkeypatch.setattr(lattice, "_mem_available", lambda: available)
     for h in heights:
-        lattice._check_memory([h])
+        lattice._check_bytes(lattice._universe_bytes([h]), f"height {h} needs", "to enumerate the rays")
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)
     lattice.enumerate_rays.cache_clear()
@@ -337,14 +337,14 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_dense_sweep(work
     finally:
         tracemalloc.stop()
         lattice.enumerate_rays.cache_clear()
-    assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_bytes(spec, workers)
+    assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, workers)[3]
 
 
 def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     # room for the universe and one thread's blocks is not room for two threads
     spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)
-    one, two = (lattice._universe_bytes([300]) + experiments._sweep_bytes(spec, w) for w in (1, 2))
-    assert one < two and experiments._sweep_bytes(spec, 64) == experiments._sweep_bytes(spec, 4)  # 4 blocks
+    one, two = (lattice._universe_bytes([300]) + experiments._sweep_plan(spec, w)[3] for w in (1, 2))
+    assert one < two and experiments._sweep_plan(spec, 64)[2:] == experiments._sweep_plan(spec, 4)[2:]  # 4 blocks
     monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)

@@ -280,7 +280,7 @@ def test_memory_estimate_bounds_the_traced_peak_of_a_cold_build(h):
     try:
         assert _traced_peak(lambda: enumerate_rays(h)) <= lattice._universe_bytes((h,))
         cold()
-        assert _traced_peak(lambda: blowdown_table(h)) <= lattice._universe_bytes((h,), table=True)
+        assert _traced_peak(lambda: blowdown_table(h)) <= lattice._universe_bytes((h,)) + 8 * lattice.count_geq(h, 1)
     finally:
         cold()
 
@@ -296,7 +296,8 @@ def test_universe_holds_two_int32_per_ray(h):
 def test_table_memory_is_checked_before_the_universe_is_built(monkeypatch, capsys, command):
     # the universe alone fits, the universe with its index column does not
     h = 300
-    assert lattice._universe_bytes((h,), table=True) > lattice._universe_bytes((h,))
+    table = lattice._universe_bytes((h,)) + 8 * lattice.count_geq(h, 1)
+    assert table > lattice._universe_bytes((h,))
     monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * lattice._universe_bytes((h,)))
     _fresh_height()
     blowdown_table.cache_clear()
@@ -304,7 +305,7 @@ def test_table_memory_is_checked_before_the_universe_is_built(monkeypatch, capsy
         assert main([command, "--h", str(h)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: height {h} needs about")
-        assert "to build the blowdown table" in err
+        assert f"about {table / 2**20:.0f} MiB to build the blowdown table" in err
         assert lattice.enumerate_rays.cache_info().currsize == 0
         assert main(["rays", "--h", str(h)]) == 0
     finally:

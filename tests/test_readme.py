@@ -64,6 +64,27 @@ def test_readme_states_the_memory_estimate():
     assert f"about `{per_h2} * h^2`" in README.read_text(encoding="utf-8")
 
 
+def test_readme_states_the_sweep_memory_per_thread():
+    # a block of one trial over the rays of h = 2000, per ray
+    from randfan.experiments import _block_bytes
+    from randfan.lattice import count_geq
+
+    n = count_geq(2000, 1)
+    per_ray = round(_block_bytes(n + 1, 1, 1) / n)
+    assert f"about {per_ray} B per ray" in README.read_text(encoding="utf-8")
+
+
+def test_one_function_reads_the_available_memory():
+    # every memory check goes through lattice._check_bytes, the one rule
+    readers = set()
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(stmt, "name", None)
+            if "_mem_available" in _names(stmt) and name != "_mem_available":
+                readers.add(f"{path.stem}.{name}")
+    assert readers == {"lattice._check_bytes"}
+
+
 #: Public top-level functions and classes kept with no caller in src, no
 #: mention in the README and no use in the acceptance tests, with the reason.
 UNREFERENCED = {
