@@ -393,24 +393,24 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     )
 
 
-def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
-    """The work of a sweep, from the exact ray counts before any ray is built:
-    the cells (h, q) in grid order; the blocks (h, keep threshold, lo, hi)
-    of max(1, _BLOCK_RAYS // n) trials of one cell, in grid order; the
-    thread count, min(workers, blocks); and the bytes held beside the
-    universes: per thread, the _block_bytes of the largest block, and 16 B
-    per trial for each of the 3 + len(k_list) counts (8 B for the counts of
-    every block, kept until the end, and 8 B for their joined copy)."""
+def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, Iterator, int, int]:
+    """The work of a sweep, by arithmetic on the exact ray counts before any
+    ray is built: the cells (h, q) in grid order; the blocks (cell, h, keep
+    threshold, lo, hi) of max(1, _BLOCK_RAYS // n) trials of one cell, in
+    grid order, from a generator that makes each as it is taken; the thread
+    count, min(workers, blocks); and the bytes held beside the universes:
+    per thread, the _block_bytes of the largest block, and at most 16 B per
+    trial for each of the 3 + len(k_list) counts (8 B for the counts of every
+    cell, kept to the end, and 8 B for the copies made to aggregate a cell)."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
-    blocks = []
-    for h, q in cells:
-        per_block = max(1, _BLOCK_RAYS // sizes[h])
-        threshold = _keep_threshold(1.0 - q)
-        blocks += [(h, threshold, lo, min(lo + per_block, spec.trials)) for lo in range(0, spec.trials, per_block)]
-    threads = min(workers, len(blocks))
-    positions = max((hi - lo) * (sizes[h] + 1) for h, _, lo, hi in blocks)
-    per_thread = _block_bytes(positions, max(hi - lo for _, _, lo, hi in blocks), len(spec.k_list))
+    per_block = [min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])) for h, _ in cells]
+    threads = min(workers, sum(-(-spec.trials // b) for b in per_block))
+    positions = max(b * (sizes[h] + 1) for (h, _), b in zip(cells, per_block))
+    per_thread = _block_bytes(positions, max(per_block), len(spec.k_list))
+    thresholds = [_keep_threshold(1.0 - q) for _, q in cells]
+    blocks = ((i, h, thresholds[i], lo, min(lo + b, spec.trials))
+              for i, ((h, _), b) in enumerate(zip(cells, per_block)) for lo in range(0, spec.trials, b))
     return cells, blocks, threads, threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
 
 
@@ -423,15 +423,14 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     failures there and are tallied in n_no_cones.  run_density_sweep is the
     same function.
 
-    _sweep_plan works out the blocks once, and both the memory check and
-    the thread pool take them from it.  The universes of all the spec's
-    distinct heights are held at once: their memory is checked together
-    with the plan's bytes, and each is built (and checked by enumerate_rays)
-    once, before the first block runs.  One pool of the plan's threads, one
-    thread included, serves all cells: an idle thread takes the next block,
-    each thread keeps one scratch for all of its blocks, and the results
-    come back in block order.  Each trial's stream is keyed by its index
-    alone, so scheduling cannot leak into a row.
+    _sweep_plan works out the blocks once, for both the memory check and
+    the thread pool.  The universes of all the spec's distinct heights are
+    held at once: their memory is checked with the plan's bytes, and each is
+    built (and checked by enumerate_rays) once, before the first block.  One
+    pool of the plan's threads serves all cells: each thread keeps one
+    scratch, takes the next block until none is left, and writes the block's
+    counts into its trials' rows.  A trial's stream is keyed by its index
+    alone, so neither scheduling nor finish order can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     cells, blocks, threads, plan_bytes = _sweep_plan(spec, workers)
@@ -439,23 +438,24 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     which = f"height {heights[0]} needs" if len(heights) == 1 else f"heights {', '.join(map(str, heights))} need"
     _check_bytes(_universe_bytes(heights) + plan_bytes, which, "to run the sweep")
     universes = {h: enumerate_rays(h).coords for h in heights}
-    local = threading.local()
+    n_cones, max_index = np.empty((2, len(cells), spec.trials), dtype=np.int64)
+    at_least = np.empty((len(cells), spec.trials, len(spec.k_list)), dtype=np.int64)
+    lock = threading.Lock()
 
-    def draw(block):
-        h, threshold, lo, hi = block
-        # vars(local) is the calling thread's own dict: its scratch
-        return _draw_block(universes[h], threshold, spec.master_seed, lo, hi, spec.k_list, vars(local))
+    def next_block():
+        with lock:  # two threads may not advance one generator at once
+            return next(blocks, None)
+
+    def work(_):
+        scratch = {}
+        for i, h, threshold, lo, hi in iter(next_block, None):
+            _, n_cones[i, lo:hi], max_index[i, lo:hi], at_least[i, lo:hi] = _draw_block(
+                universes[h], threshold, spec.master_seed, lo, hi, spec.k_list, scratch)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # read once the pool's exit has waited for every block: waiting on each
-        # result in turn wakes this thread per block to contend for the GIL
-        results = pool.map(draw, blocks)
-    _, n_cones, max_index, at_least = (np.concatenate(a) for a in zip(*results))
-    rows = []
-    for i, (h, q) in enumerate(cells):
-        cell = slice(i * spec.trials, (i + 1) * spec.trials)  # every cell has spec.trials trials
-        rows.append(_aggregate(h, q, n_cones[cell], max_index[cell], at_least[cell], spec.k_list, spec.c_density))
-    return rows
+        list(pool.map(work, range(threads)))  # raises what a thread raised
+    return [_aggregate(h, q, n_cones[i], max_index[i], at_least[i], spec.k_list, spec.c_density)
+            for i, (h, q) in enumerate(cells)]
 
 
 run_density_sweep = run_threshold_sweep

@@ -297,8 +297,9 @@ def test_blocks_finishing_out_of_order_give_the_pinned_bytes(tmp_path, capsys, m
     argv, digest = GOLDEN_OUTPUTS[0]
     spec = ExperimentSpec(h_values=[40, 60, 80], q_schedule=[0.5, 0.5, 0.2], trials=1000, k_list=[2, 3])
     _, blocks, threads, _ = experiments._sweep_plan(spec, 3)
+    blocks = list(blocks)
     assert threads == 3 and len(blocks) > 100
-    index = {(count_geq(h, 1), threshold, lo): i for i, (h, threshold, lo, _) in enumerate(blocks)}
+    index = {(count_geq(h, 1), threshold, lo): i for i, (_, h, threshold, lo, _) in enumerate(blocks)}
     finished = [threading.Event() for _ in blocks]
     order = []
     draw = experiments._draw_block

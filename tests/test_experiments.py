@@ -358,6 +358,39 @@ def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     assert len(run_threshold_sweep(spec, workers=1)) == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_memory_estimate_bounds_the_traced_peak_of_many_one_trial_blocks(workers):
+    # at h = 170 (70,000 rays) every trial is a block of its own: what the
+    # sweep keeps per block must be within the plan's bytes per trial
+    spec = _spec(h_values=[170], q_schedule=[0.5], trials=2500)
+    lattice.enumerate_rays.cache_clear()
+    tracemalloc.start()
+    try:
+        run_threshold_sweep(spec, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lattice.enumerate_rays.cache_clear()
+    assert peak <= lattice._universe_bytes([170]) + experiments._sweep_plan(spec, workers)[3]
+
+
+def test_sweep_of_more_trials_than_fit_is_refused_before_its_blocks_are_made(monkeypatch):
+    # a billion one-trial blocks are counted, not listed, before the refusal
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 8 * 2**30)
+    walks = []
+    monkeypatch.setattr(lattice, "_farey_walk", walks.append)
+    lattice.enumerate_rays.cache_clear()
+    spec = _spec(h_values=[1000], q_schedule=[0.5], trials=10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^height 1000 needs about .* MiB to run the sweep"):
+            run_threshold_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walks == [] and peak < 2**20
+
+
 def test_workers_must_be_positive():
     with pytest.raises(ValidationError):
         run_threshold_sweep(_spec(), workers=0)
