@@ -7,8 +7,9 @@ Exit codes: 0 success, 1 input validation failure (including bad arguments),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+
+import numpy as np
 
 from .blowdown import blowdown_table
 from .errors import InvariantError, ValidationError
@@ -24,6 +25,7 @@ from .experiments import (
     conjecture_report,
     ray_array,
     render,
+    render_document,
     run_threshold_sweep,
     space_array,
     spec_from_dict,
@@ -32,7 +34,7 @@ from .experiments import (
     sweep_rows_as_dicts,
     write_blocks,
 )
-from .fans import complete_fan, fan_from_record, fan_to_record, is_smooth, spectrum
+from .fans import fan_from_record, is_smooth
 from .lattice import enumerate_rays
 from .sampling import SampleConfig, sample_fan
 
@@ -64,8 +66,9 @@ def _emit_rows(args, table, columns) -> None:
     _write(args.out, render(table, args.format, columns=columns))
 
 
-def _dump_json(doc) -> list[bytes]:
-    return [(json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")]
+def _emit_record(args, doc, coords) -> None:
+    # a fan record: doc, then the rays as [x, y] pairs
+    _write(args.out, render_document(doc, "rays", [coords[:, 0], coords[:, 1]]))
 
 
 def _cmd_rays(args) -> None:
@@ -73,33 +76,27 @@ def _cmd_rays(args) -> None:
 
 
 def _cmd_complete(args) -> None:
-    fan = complete_fan(enumerate_rays(args.h))
-    _write(args.out, _dump_json(fan_to_record(fan, h=args.h)))
+    # the universe is the full fan's ray list, checked and in fan order
+    _emit_record(args, {"h": args.h}, enumerate_rays(args.h).coords)
 
 
 def _cmd_sample(args) -> None:
     cfg = SampleConfig(h=args.h, p=args.p, master_seed=args.seed, trial_index=args.trial)
-    fan = sample_fan(cfg)
-    rec = fan_to_record(
-        fan,
-        h=args.h,
-        extra={"p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index},
-    )
-    _write(args.out, _dump_json(rec))
+    doc = {"h": args.h, "p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index}
+    _emit_record(args, doc, sample_fan(cfg).coords)
 
 
 def _cmd_spectrum(args) -> None:
     fan = fan_from_record(_read_json(args.infile))
-    sp = spectrum(fan)
+    values, counts = np.unique(fan.cone_indices, return_counts=True)
     doc = {
         "n_rays": fan.n_rays,
         "n_cones": fan.n_cones,
         "smooth": is_smooth(fan),
-        "max_index": max(sp.indices) if sp.indices else 0,
-        "counts": {str(k): sp.counts[k] for k in sorted(sp.counts)},
-        "indices": sp.indices,
+        "max_index": int(fan.cone_indices.max(initial=0)),
+        "counts": dict(zip(map(str, values.tolist()), counts.tolist())),
     }
-    _write(args.out, _dump_json(doc))
+    _write(args.out, render_document(doc, "indices", [fan.cone_indices]))
 
 
 def _cmd_blowdown(args) -> None:

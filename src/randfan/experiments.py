@@ -21,7 +21,9 @@ the sup norm computed per block, and row dicts are transposed onto the
 same path.  render() yields each block of rows as bytes: one byte matrix,
 a fixed-width field per column with the row's literals between them and
 0xFF in every unused byte, with the pad byte deleted; an integer column is
-written digit by digit in numpy, with no Python object per cell.
+written digit by digit in numpy, with no Python object per cell.  Fan
+records and spectra stream their rays or indices through the same blocks
+(render_document()), so every output leaves through one block writer.
 write_blocks() streams the blocks into a temp file that is renamed onto
 the target, so nothing the size of the output is held.  The byte format
 (canonical cells, LF newlines, atomic write) is the same for every table.
@@ -663,6 +665,31 @@ def _text_field(cells) -> np.ndarray:
     return field
 
 
+def _byte_blocks(head: str, n: int, cols, leads, end: str, last_end: str, encode) -> Iterator[bytes]:
+    # head, then the n rows of cols as one padded byte matrix per block of
+    # _RENDER_ROWS rows: leads[j] before each cell of column j (a non-integer
+    # cell through encode), end after each row but the last, then last_end
+    yield head.encode("utf-8", "surrogatepass")
+    leads = [np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) for s in leads]
+    tail = np.frombuffer(end.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    for lo in range(0, n, _RENDER_ROWS):
+        m = min(_RENDER_ROWS, n - lo)
+        parts = []
+        for col, lead in zip(cols, leads):
+            col = col[lo : lo + m]
+            parts.append(np.broadcast_to(lead, (m, len(lead))))
+            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+                parts.append(_int_field(col))
+            else:
+                parts.append(_text_field([encode(v) for v in col]))
+        parts.append(np.broadcast_to(tail, (m, len(tail))))
+        block = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
+        del parts  # the fields are not held while the block is written
+        if lo + m == n:
+            block = block[: len(block) - len(tail)] + last_end.encode("utf-8", "surrogatepass")
+        yield block
+
+
 def render(table, format: str, *, columns) -> Iterator[bytes]:
     """Render a table to canonical UTF-8, one block of bytes at a time: CSV
     (header + LF lines) or a JSON list.
@@ -671,65 +698,52 @@ def render(table, format: str, *, columns) -> Iterator[bytes]:
     sequence of row mappings, which is transposed into columns.  A column
     is anything that slicing turns into an array or a list: an array view,
     a list, or a column computed per slice such as a sup norm.  The format
-    and the columns are checked when render is called; the blocks are made
-    as they are read.  A block of _RENDER_ROWS rows is one padded byte
-    matrix: each column becomes an (m, w) uint8 field, an integer array
-    digit by digit in numpy, any other column cell by cell (format_cell for
-    CSV, plain JSON values for JSON) and UTF-8 encoded.  The row's fixed
-    literals (commas and newlines, or the JSON keys) are broadcast between
-    the fields, and deleting the pad byte from the matrix leaves the block.
-    No Python object is made per integer cell.  Joined, the blocks are
-    exactly json.dumps(list_of_row_dicts, indent=2, ensure_ascii=False)
-    for JSON.
+    and the columns are checked when render is called (a column the table
+    lacks is a ValidationError); the blocks are made as they are read, with
+    format_cell for CSV and plain JSON values for JSON, and the row's fixed
+    literals (commas and newlines, or the JSON keys) between the cells.
+    Joined, the blocks are exactly json.dumps(list_of_row_dicts, indent=2,
+    ensure_ascii=False) for JSON.
     """
     if format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {brief(format)}")
     columns = list(columns)
-    if isinstance(table, Mapping):
-        cols = [table[c] for c in columns]
-        n = len(next(iter(table.values()), ()))
-        if any(len(col) != n for col in table.values()):
-            raise ValidationError(f"table columns differ in length: {[len(col) for col in table.values()]}")
-    else:
-        table = list(table)
-        cols = [[row[c] for row in table] for c in columns]
-        n = len(table)
-    # the literal before each column's cell, and the one that ends a row
-    if format == "csv":
-        leads, end = ["," if j else "" for j in range(len(columns))], "\n"
-    else:
-        keys = [json.dumps(c, ensure_ascii=False) for c in columns]
-        leads = [f"{',' if j else '  {'}\n    {k}: " for j, k in enumerate(keys)]
-        end = "\n  },\n" if keys else "  {},\n"
-    leads = [np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) for s in leads]
-    end = np.frombuffer(end.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    encode = format_cell if format == "csv" else _json_cell
-
-    def blocks():
-        if format == "csv":
-            yield (",".join(columns) + "\n").encode("utf-8", "surrogatepass")
-        elif n:
-            yield b"[\n"
+    try:
+        if isinstance(table, Mapping):
+            cols = [table[c] for c in columns]
+            n = len(next(iter(table.values()), ()))
+            if any(len(col) != n for col in table.values()):
+                raise ValidationError(f"table columns differ in length: {[len(col) for col in table.values()]}")
         else:
-            yield b"[]\n"
-        for lo in range(0, n, _RENDER_ROWS):
-            m = min(_RENDER_ROWS, n - lo)
-            parts = []
-            for col, lead in zip(cols, leads):
-                col = col[lo : lo + m]
-                parts.append(np.broadcast_to(lead, (m, len(lead))))
-                if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-                    parts.append(_int_field(col))
-                else:
-                    parts.append(_text_field([encode(v) for v in col]))
-            parts.append(np.broadcast_to(end, (m, len(end))))
-            block = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
-            del parts  # the fields are not held while the block is written
-            if format == "json" and lo + m == n:
-                block = block[:-2] + b"\n]\n"  # the last row takes no ",\n"
-            yield block
+            table = list(table)
+            cols = [[row[c] for row in table] for c in columns]
+            n = len(table)
+    except KeyError as exc:
+        raise ValidationError(f"table has no column {brief(exc.args[0])}") from None
+    if format == "csv":
+        leads = ["," if j else "" for j in range(len(columns))]
+        return _byte_blocks(",".join(columns) + "\n", n, cols, leads, "\n", "\n", format_cell)
+    keys = [json.dumps(c, ensure_ascii=False) for c in columns]
+    leads = [f"{',' if j else '  {'}\n    {k}: " for j, k in enumerate(keys)]
+    end = "\n  },\n" if keys else "  {},\n"
+    return _byte_blocks("[\n" if n else "[]\n", n, cols, leads, end, end[:-2] + "\n]\n", _json_cell)
 
-    return blocks()
+
+def render_document(doc: Mapping, key: str, columns) -> Iterator[bytes]:
+    """The bytes of json.dumps({**doc, key: rows}, ensure_ascii=False) + "\n",
+    one block at a time, where rows are the rows of the integer columns:
+    [x, y] lists for two columns, plain items for one.  key is not in doc.
+    doc is dumped with an empty list, and the rows go through render's
+    byte blocks, with no Python object per row.
+    """
+    columns = list(columns)
+    n = len(columns[0])
+    head = json.dumps({**doc, key: []}, ensure_ascii=False)
+    if not n:
+        return _byte_blocks(head + "\n", 0, (), (), "", "", _json_cell)
+    leads = ["[" if len(columns) > 1 else ""] + [", "] * (len(columns) - 1)
+    end = "], " if len(columns) > 1 else ", "
+    return _byte_blocks(head[:-2], n, columns, leads, end, end[:-2] + "]}\n", _json_cell)
 
 
 def _check_path(path) -> str:

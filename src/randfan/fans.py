@@ -13,7 +13,6 @@ smooth when every index is 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,19 +30,21 @@ class Cone2:
     b: int
 
 
-@dataclass(frozen=True)
-class SingularitySpectrum:
-    """Per-cone singularity indices of a fan plus their multiplicity counts."""
-
-    indices: list[int]
-    counts: dict[int, int]
-
-
 def _arc_classes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # lattice._arc_class on arrays: 0..7 counter-clockwise from (1, 0), even
     # on the axes, odd in the open quadrants
     s = np.sign(x)
     return np.where(y > 0, 2 - s, np.where(y < 0, 6 + s, 2 - 2 * s))
+
+
+def _angular_key(c: np.ndarray) -> np.ndarray:
+    # complete_fan's sort key of each row of an (n, 2) int64 array
+    x, y = c[:, 0], c[:, 1]
+    arc = _arc_classes(x, y)
+    quadrant = [arc == 1, arc == 3, arc == 5, arc == 7]
+    turned_x = np.select(quadrant, [x, y, -x, -y], 1)  # the axes get slope key 0
+    turned_y = np.select(quadrant, [y, -x, -y, x], 0)
+    return (arc << 60) + (turned_y << 40) // turned_x
 
 
 def _refuse(coords: np.ndarray, bad: np.ndarray, what: str) -> None:
@@ -131,12 +132,14 @@ def complete_fan(rays) -> Fan:
     str, ...) or lies outside [-MAX_H, MAX_H], the range in which
     coordinates fit in int32 and every wedge, formed in int64, is exact, is
     rejected before any conversion, and Fan rejects non-primitive vectors.
-    The rays are sorted by half-quadrant class, then by an exact integer
-    slope key on int64: each open quadrant is turned onto x, y > 0 and
-    keyed (y << 41) // x.  With |coordinates| <= MAX_H < 2**20, the slopes
-    of two distinct rays in one quadrant differ by at least
-    1/(x1 * x2) > 2**-40, so their keys differ, and every key is below
-    2**61.
+    The rays are sorted by one stable argsort of an exact int64 key, and
+    adjacent equal rows are dropped: each open quadrant is turned onto
+    x, y > 0, and a ray of half-quadrant class arc is keyed
+    (arc << 60) + (y << 40) // x.  With |coordinates| <= MAX_H < 2**20, the
+    slopes of two distinct rays in one quadrant differ by at least
+    1/MAX_H**2 > 2**-40, so their keys differ, and every key is below
+    2**63.  Only multiples of one direction tie, and Fan refuses the
+    non-primitive one.
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)
@@ -145,24 +148,20 @@ def complete_fan(rays) -> Fan:
             or flat and not (-MAX_H <= min(flat) and max(flat) <= MAX_H)):
         for v in flat:  # the first offending coordinate raises
             check_int(v, "ray coordinate", -MAX_H, MAX_H)
-    c = np.unique(np.array(flat, dtype=np.int64).reshape(-1, 2), axis=0)
-    x, y = c[:, 0], c[:, 1]
-    arc = _arc_classes(x, y)
-    quadrant = [arc == 1, arc == 3, arc == 5, arc == 7]
-    turned_x = np.select(quadrant, [x, y, -x, -y], 1)  # the axes get key 0
-    turned_y = np.select(quadrant, [y, -x, -y, x], 0)
-    return Fan(c[np.lexsort(((turned_y << 41) // turned_x, arc))])
+    # each list and array is let go once the next is made, so Fan checks
+    # the rays with none of them held
+    c = np.array(flat, dtype=np.int64).reshape(-1, 2)
+    del flat
+    c = c[np.argsort(_angular_key(c), kind="stable")]
+    fresh = np.ones(len(c), dtype=bool)  # not equal to the row before
+    fresh[1:] = (c[1:] != c[:-1]).any(axis=1)
+    c = c[fresh]
+    return Fan(c)
 
 
 def is_smooth(fan: Fan) -> bool:
     """True iff every cone has index 1; fans without 2-cones count as smooth."""
     return fan.n_cones == 0 or bool((fan.cone_indices == 1).all())
-
-
-def spectrum(fan: Fan) -> SingularitySpectrum:
-    """All cone indices in fan order, plus index -> multiplicity counts."""
-    indices = fan.cone_indices.tolist()
-    return SingularitySpectrum(indices=indices, counts=dict(Counter(indices)))
 
 
 def delta_k(fan: Fan, k: int) -> Fraction | None:
@@ -176,17 +175,6 @@ def delta_k(fan: Fan, k: int) -> Fraction | None:
     if m == 0:
         return None
     return Fraction(int(np.count_nonzero(fan.cone_indices >= k)), m)
-
-
-def fan_to_record(fan: Fan, h: int | None = None, extra: dict | None = None) -> dict:
-    """Serializable record {h?, ..., rays: [[x, y], ...]}; cones are not stored."""
-    rec: dict = {}
-    if h is not None:
-        rec["h"] = int(h)
-    if extra:
-        rec.update(extra)
-    rec["rays"] = fan.coords.tolist()
-    return rec
 
 
 def fan_from_record(record) -> Fan:

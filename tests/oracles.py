@@ -9,6 +9,7 @@ completion oracle excludes with an explicit tolerance.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -164,6 +165,40 @@ def row_render(rows, format: str, *, columns) -> str:
         return "\n".join(lines) + "\n"
     docs = [{c: _json_value(row[c]) for c in columns} for row in rows]
     return json.dumps(docs, indent=2, ensure_ascii=False) + "\n"
+
+
+def fan_to_record(fan, h=None, extra=None) -> dict:
+    """Serializable record {h?, ..., rays: [[x, y], ...]}; cones are not stored.
+
+    The record builder the package used before fan records were streamed.
+    """
+    rec: dict = {}
+    if h is not None:
+        rec["h"] = int(h)
+    if extra:
+        rec.update(extra)
+    rec["rays"] = fan.coords.tolist()
+    return rec
+
+
+def spectrum_document(fan) -> dict:
+    """The spectrum command's document, from one Python list of the indices."""
+    indices = fan.cone_indices.tolist()
+    counts = Counter(indices)
+    return {
+        "n_rays": fan.n_rays,
+        "n_cones": fan.n_cones,
+        "smooth": all(i == 1 for i in indices),
+        "max_index": max(indices) if indices else 0,
+        "counts": {str(k): counts[k] for k in sorted(counts)},
+        "indices": indices,
+    }
+
+
+def dump_json(doc) -> bytes:
+    """The bytes the fan record and spectrum commands wrote, from one
+    json.dumps of the whole document."""
+    return (json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 @dataclass(frozen=True)

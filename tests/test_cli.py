@@ -22,10 +22,12 @@ from randfan import cli, experiments
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError, check_int
 from randfan.experiments import ExperimentSpec, emit, write_blocks
-from randfan.fans import complete_fan, spectrum
-from randfan.lattice import MAX_H, count_geq, enumerate_rays
+from randfan.fans import complete_fan
+from randfan.lattice import MAX_H, _universe_bytes, count_geq, enumerate_rays
 from randfan.cli import main
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
+
+from oracles import dump_json, fan_to_record, spectrum_document
 
 RAYS_H1_CSV = "x,y\n1,0\n1,1\n0,1\n-1,1\n-1,0\n-1,-1\n0,-1\n1,-1\n"
 
@@ -101,12 +103,53 @@ def test_spectrum_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     fan = sample_fan(SampleConfig(h=6, p=0.4, master_seed=3, trial_index=1))
-    sp = spectrum(fan)
+    indices = fan.cone_indices.tolist()
     assert doc["n_rays"] == fan.n_rays
     assert doc["n_cones"] == fan.n_cones
-    assert doc["indices"] == sp.indices
-    assert doc["counts"] == {str(k): v for k, v in sp.counts.items()}
-    assert doc["smooth"] == all(i == 1 for i in sp.indices)
+    assert doc["indices"] == indices
+    assert doc["counts"] == {str(k): indices.count(k) for k in sorted(set(indices))}
+    assert doc["smooth"] == all(i == 1 for i in indices)
+    assert out.encode() == dump_json(spectrum_document(fan))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("h,p,seed", [
+    (1, None, 0), (7, None, 0),  # complete
+    (20, 0.0, 0), (20, 1e-9, 0), (3, 0.05, 0), (6, 0.5, 2), (3, 0.97, 1),  # 0, 0, 1, some, most rays
+])
+def test_records_and_spectra_equal_the_json_dumps_oracle(monkeypatch, tmp_path, capsys, h, p, seed, block_rows):
+    # complete (p None) and sample stream the bytes of one json.dumps of the
+    # whole record, and spectrum of the record those of its document, in
+    # blocks of 1, 2 and 3 rows
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    if p is None:
+        argv, fan, extra = ["complete", "--h", str(h)], complete_fan(enumerate_rays(h)), {}
+    else:
+        argv = ["sample", "--h", str(h), "--p", repr(p), "--seed", str(seed)]
+        fan = sample_fan(SampleConfig(h=h, p=p, master_seed=seed))
+        extra = {"p": p, "master_seed": seed, "trial_index": 0}
+    record = tmp_path / "fan.json"
+    assert main([*argv, "--out", str(record)]) == 0
+    assert record.read_bytes() == dump_json(fan_to_record(fan, h=h, extra=extra))
+    code, out, err = run_cli(capsys, "spectrum", "--in", str(record))
+    assert code == 0 and err == ""
+    assert out.encode() == dump_json(spectrum_document(fan))
+
+
+def test_complete_peak_is_below_the_universe_estimate(tmp_path):
+    # the record is streamed from the universe's own array: from a cold
+    # cache the traced peak stays within what the memory check counts for
+    # the universe alone
+    path = tmp_path / "fan.json"
+    enumerate_rays.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(["complete", "--h", "300", "--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        enumerate_rays.cache_clear()
+    assert peak <= _universe_bytes([300]), (peak, _universe_bytes([300]))
 
 
 def test_spectrum_missing_file_is_io_error(tmp_path, capsys):

@@ -449,6 +449,10 @@ def test_csv_rendering_is_canonical():
         render(rows, "tsv", columns=["a"])
     with pytest.raises(ValidationError, match="differ in length"):
         render({"a": [1, 2], "b": [3]}, "csv", columns=["a"])
+    with pytest.raises(ValidationError, match="no column 'y'"):
+        render({"x": [1]}, "csv", columns=["y"])
+    with pytest.raises(ValidationError, match="no column 'y'"):
+        render([{"x": 1}], "json", columns=["y"])
 
 
 def test_json_rendering_round_trips():
@@ -515,7 +519,7 @@ def test_emit_refuses_a_bad_format_before_making_the_temp_file(monkeypatch, tmp_
     monkeypatch.setattr(experiments.tempfile, "mkstemp", no_temp)
     with pytest.raises(ValidationError, match="format must be one of"):
         emit([{"h": 1}], "tsv", tmp_path / "out.tsv", columns=["h"])
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError, match="no column 'q'"):
         emit([{"h": 1}], "csv", tmp_path / "out.csv", columns=["q"])
     assert list(tmp_path.iterdir()) == []
 

@@ -1,25 +1,27 @@
 """Fan completion, singularity spectra, and fan records."""
 
+import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from randfan.cli import main
 from randfan.errors import ValidationError
+from randfan.experiments import render_document
 from randfan.fans import (
     Fan,
     complete_fan,
     delta_k,
     fan_from_record,
-    fan_to_record,
     is_smooth,
-    spectrum,
 )
 from randfan.lattice import MAX_H, enumerate_rays
 
-from oracles import comparison_order, naive_completion, wedge
+from oracles import comparison_order, fan_to_record, naive_completion, spectrum_document, wedge
 
 
 def _assert_matches_oracle(rays):
@@ -86,11 +88,17 @@ def test_key_sort_matches_the_comparison_sort():
     # slopes of distinct rays with coordinates up to MAX_H differ by at least
     # 1/MAX_H**2, the finest gap the integer keys must resolve
     rnd = random.Random(20261018)
+    mix = random.Random(20261019)  # its own stream, so rnd draws the same rays
     for _ in range(2000):
         bound = rnd.choice([1, 3, 50, MAX_H])
         rays = [(rnd.randint(-bound, bound), rnd.randint(-bound, bound)) for _ in range(rnd.randint(0, 30))]
         rays = [r for r in rays if math.gcd(*r) == 1]
-        assert complete_fan(rays).coords.tolist() == [list(r) for r in comparison_order(rays)]
+        expected = [list(r) for r in comparison_order(rays)]
+        assert complete_fan(rays).coords.tolist() == expected
+        # duplicated and shuffled: equal rows meet after the sort and collapse
+        rays = rays + mix.choices(rays, k=len(rays)) if rays else rays
+        mix.shuffle(rays)
+        assert complete_fan(rays).coords.tolist() == expected
     m = MAX_H
     octant = [(m, 1), (m, m - 1), (m - 1, m - 2), (m - 1, 1), (1, 1), (1, 0)]
     rays = [(sx * a, sy * b) for a, b in octant for sx in (1, -1) for sy in (1, -1)]
@@ -98,6 +106,17 @@ def test_key_sort_matches_the_comparison_sort():
     fan = complete_fan(rays[::-1])
     assert fan.coords.tolist() == [list(r) for r in comparison_order(rays)]
     assert fan.n_rays == len(set(rays)) == 40
+    rays = rays * 3
+    mix.shuffle(rays)
+    assert np.array_equal(complete_fan(rays).coords, fan.coords)
+    # the full fan at h = 40, shuffled, with every ray twice
+    full = enumerate_rays(40).coords
+    rays = full.tolist() * 2
+    mix.shuffle(rays)
+    assert np.array_equal(complete_fan(rays).coords, full)
+    # only multiples of one direction tie, and the non-primitive one is refused
+    with pytest.raises(ValidationError, match="not primitive"):
+        complete_fan([(1, 1), (3, 3), (1, 1), (0, 1)])
 
 
 def test_input_order_is_irrelevant():
@@ -133,15 +152,14 @@ def test_full_fan_height_three_has_32_unimodular_cones():
     fan = complete_fan(enumerate_rays(3))
     assert fan.n_rays == 32
     assert fan.n_cones == 32
-    assert spectrum(fan).counts == {1: 32}
+    assert Counter(fan.cone_indices.tolist()) == {1: 32}
 
 
 def test_removing_a_ray_concentrates_the_singularity():
     rays = set(enumerate_rays(5)) - {(1, 1)}
     fan = complete_fan(rays)
-    sp = spectrum(fan)
     assert fan.n_rays == 79
-    assert sp.counts == {1: 78, 9: 1}
+    assert Counter(fan.cone_indices.tolist()) == {1: 78, 9: 1}
     assert not is_smooth(fan)
     assert delta_k(fan, 9) == Fraction(1, 79)
     assert delta_k(fan, 10) == 0
@@ -162,17 +180,29 @@ def test_cone_index_for_every_cone():
         assert abs(wedge(c[cone.a], c[cone.b])) == int(idx)
 
 
-def test_spectrum_counts_are_multiplicities():
+def test_spectrum_counts_are_multiplicities(tmp_path, capsys):
+    # the spectrum command's counts, read from fan.cone_indices with
+    # np.unique, are the multiplicities of its indices
     fan = complete_fan([(1, 0), (1, 2), (-1, 1), (0, -1)])
-    sp = spectrum(fan)
-    assert len(sp.indices) == fan.n_cones
-    for k, n in sp.counts.items():
-        assert sp.indices.count(k) == n
+    record = tmp_path / "fan.json"
+    record.write_text(json.dumps(fan_to_record(fan)))
+    assert main(["spectrum", "--in", str(record)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["indices"] == fan.cone_indices.tolist() == [2, 3, 1, 1]
+    assert doc["counts"] == {str(k): doc["indices"].count(k) for k in sorted(set(doc["indices"]))}
+    assert doc["counts"] == spectrum_document(fan)["counts"]
+
+
+def _record(fan, doc) -> dict:
+    # the fan record as the complete and sample commands stream it
+    c = fan.coords
+    return json.loads(b"".join(render_document(doc, "rays", [c[:, 0], c[:, 1]])))
 
 
 def test_fan_record_round_trip():
     fan = complete_fan([(1, 0), (3, 2), (0, 1), (-5, -2)])
-    rec = fan_to_record(fan, h=5)
+    rec = _record(fan, {"h": 5})
+    assert rec == fan_to_record(fan, h=5)
     assert rec["h"] == 5
     assert rec["rays"] == [[int(x), int(y)] for x, y in fan.coords]
     back = fan_from_record(rec)
@@ -182,7 +212,8 @@ def test_fan_record_round_trip():
 
 def test_fan_record_extra_metadata_and_no_cone_field():
     fan = complete_fan([(1, 0)])
-    rec = fan_to_record(fan, h=2, extra={"p": 0.5})
+    rec = _record(fan, {"h": 2, "p": 0.5})
+    assert rec == fan_to_record(fan, h=2, extra={"p": 0.5})
     assert rec["p"] == 0.5
     assert "cones" not in rec
 
@@ -230,14 +261,14 @@ def test_wide_gap_leaves_two_cones_from_three_rays():
 def test_unimodular_triangle_is_smooth():
     fan = complete_fan({(1, 0), (0, 1), (-1, -1)})
     assert fan.n_cones == 3
-    assert spectrum(fan).indices == [1, 1, 1]
+    assert fan.cone_indices.tolist() == [1, 1, 1]
     assert is_smooth(fan)
 
 
 def test_lone_wide_cone_has_index_two():
     fan = complete_fan({(1, 0), (1, 2)})
     assert fan.n_cones == 1
-    assert spectrum(fan).counts == {2: 1}
+    assert Counter(fan.cone_indices.tolist()) == {2: 1}
     assert not is_smooth(fan)
     assert delta_k(fan, 2) == Fraction(1, 1)
 

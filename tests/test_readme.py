@@ -85,6 +85,19 @@ def test_one_function_reads_the_available_memory():
     assert readers == {"lattice._check_bytes"}
 
 
+def test_one_module_imports_json():
+    # every output leaves through experiments' byte-block writer, so no
+    # other module has a json.dumps to write with
+    importers = set()
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names):
+                importers.add(path.stem)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                importers.add(path.stem)
+    assert importers == {"experiments"}
+
+
 #: Public top-level functions and classes kept with no caller in src, no
 #: mention in the README and no use in the acceptance tests, with the reason.
 UNREFERENCED = {

@@ -4,8 +4,12 @@ render() encodes each column once and streams the table as blocks of
 bytes; the oracle renders one dict per row.  Joined, the blocks must give
 the oracle's bytes for every mix of column types and every block size, and
 the table commands must print exactly what the oracle prints for their old
-row dicts, on standard output and into a file alike.
+row dicts, on standard output and into a file alike.  render_document()
+streams a document's integer rows the same way, and must give the bytes of
+one json.dumps of the whole document.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from randfan import blowdown_table, experiments
 from randfan.cli import main
 from randfan.experiments import render as render_blocks
+from randfan.experiments import render_document
 
 from oracles import brute_rays, row_render
 
@@ -138,6 +143,38 @@ def test_render_edge_cells(monkeypatch, block_rows, fmt):
             expected = row_render(rows[:m], fmt, columns=columns)
             assert render(rows[:m], fmt, columns=columns) == expected
             assert render(_head(table, m), fmt, columns=columns) == expected
+
+
+#: JSON document values: scalars, non-ASCII text, and nested containers.
+DOC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(NAMES, DOC_VALUES, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 7),
+    st.sampled_from(list(INTS)),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_render_document_matches_json_dumps(doc, n_cols, n, dtype, block_rows, data):
+    # one column gives plain items, more give a list per row, in blocks of
+    # 1..3 rows: no row, one exact block, a short last block, several blocks
+    columns = [np.array(data.draw(st.lists(INTS[dtype], min_size=n, max_size=n)), dtype=dtype)
+               for _ in range(n_cols)]
+    key = data.draw(NAMES.filter(lambda k: k not in doc))
+    rows = [list(r) for r in zip(*(c.tolist() for c in columns))] if n_cols > 1 else columns[0].tolist()
+    expected = (json.dumps({**doc, key: rows}, ensure_ascii=False) + "\n").encode("utf-8", "surrogatepass")
+    saved, experiments._RENDER_ROWS = experiments._RENDER_ROWS, block_rows
+    try:
+        assert b"".join(render_document(doc, key, columns)) == expected
+    finally:
+        experiments._RENDER_ROWS = saved
 
 
 def _rows(coords, **extra):
