@@ -9,6 +9,22 @@ The package exports the names below; everything else is imported from its
 submodule (randfan.lattice, .fans, .blowdown, .sampling, .experiments).
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a thread pool when it loads, and an idle pool
+# thread spins for about 2**28 cycles before it sleeps; randfan makes no
+# BLAS call.  OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, at load, so load
+# numpy with the shortest spin (2**4 cycles), keeping the pool for a
+# caller's own BLAS calls.  A value the user set, or numpy loaded first,
+# wins, and os.environ ends as it was, so no child process inherits it.
+if "numpy" not in sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in os.environ:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 from .blowdown import blowdown_table, conjectured_ratio
 from .errors import InvariantError, ValidationError
 from .experiments import (

@@ -256,9 +256,10 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
 
     The per-position and per-run arrays are views of the buffers in
     scratch, which the caller keeps for all of its blocks, so a block
-    reuses the memory of the one before; only the run positions are
-    allocated per block.  Memory freed after every block can go back to
-    the system and be faulted in again by the next.
+    reuses the memory of the one before; only the run edges (positions in
+    the layout) and each run's row start, which turns them into columns,
+    are allocated per block.  Memory freed after every block can go back
+    to the system and be faulted in again by the next.
     """
     n = len(coords)
     p = len(keep) - 1
@@ -269,17 +270,20 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     # a row starts at a kept sentinel, so the edges before it pair up into runs
     bounds = np.searchsorted(edges, np.arange(b + 1) * (n + 1))
     bounds //= 2
+    runs = np.diff(bounds)  # dropped runs per row
+    # no run crosses a row, so a run's columns are its edges less its row's start
+    offset = np.repeat(np.arange(b) * (n + 1), runs)
     s = _buffer(scratch, "s", r + 1, np.int64)  # first dropped column of each run
     e = _buffer(scratch, "e", r + 1, np.int64)  # first kept column after it; n at the row's end
-    np.remainder(edges[0::2], n + 1, out=s[:r])
-    np.remainder(edges[1::2], n + 1, out=e[:r])
-    del edges
+    np.subtract(edges[0::2], offset, out=s[:r])
+    np.subtract(edges[1::2], offset, out=e[:r])
+    del edges, offset
     s[r] = e[r] = 0  # the entry past the last run, for _per_row
     kept = n - (_per_row(np.add, e, bounds) - _per_row(np.add, s, bounds))
     # a row's last run through position n - 1 and its first run through 0
     # are one run across the seam: the first takes the last's start, and
     # the last gets wedge 0 below, so it spans no cone
-    multi = np.flatnonzero(np.diff(bounds) >= 2)
+    multi = np.flatnonzero(runs >= 2)
     first, last = bounds[multi], bounds[multi + 1] - 1
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
@@ -293,7 +297,6 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
     w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
     w[last[seam]] = w[r] = 0
-    runs = np.diff(bounds)
     runs[multi[seam]] -= 1
     unit = kept - runs
     at = _buffer(scratch, "at", r + 1, bool)
@@ -312,14 +315,14 @@ def _block_bytes(positions: int, rows: int, n_ks: int) -> int:
     """Most bytes one worker holds for a block of the given keep positions
     (B * (n + 1) for B draws over n rays) and rows (B): 1 B per position
     for the keep layout and 1 B for its change mask; at most every second
-    position starts a dropped run, and a run takes 16 B of edges and 33 B
-    of buffers (s and e in int64, the int32 rows of its two flanking rays,
-    and one bool); one chunk of raw Philox words; 8 B per row for each of
-    16 per-row count arrays and n_ks threshold counts; and 64 KiB for the
-    array headers and scalars of a block.  A thread's buffers grow to its
-    largest block and are kept."""
+    position starts a dropped run, and a run takes 16 B of edges, 8 B of
+    row offset and 33 B of buffers (s and e in int64, the int32 rows of its
+    two flanking rays, and one bool); one chunk of raw Philox words; 8 B
+    per row for each of 16 per-row count arrays and n_ks threshold counts;
+    and 64 KiB for the array headers and scalars of a block.  A thread's
+    buffers grow to its largest block and are kept."""
     runs = positions // 2
-    per_run = 16 * runs + 33 * (runs + 1)
+    per_run = 24 * runs + 33 * (runs + 1)
     return 2 * positions + 1 + per_run + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
 
 

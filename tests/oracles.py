@@ -66,6 +66,13 @@ def naive_completion(vecs):
     return pts, cones, indices
 
 
+def cone_rays(fan):
+    """The boundary ray pairs of a Fan's cones in fan order: each cyclic
+    neighbour pair of its coords with a positive wedge, in Python ints."""
+    pts = [tuple(map(int, r)) for r in fan.coords]
+    return [(u, v) for u, v in zip(pts, pts[1:] + pts[:1]) if wedge(u, v) > 0]
+
+
 def comparison_order(rays):
     """The distinct rays in canonical order, sorted by exact pairwise
     angular_compare: the order complete_fan took before it sorted by

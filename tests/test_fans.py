@@ -3,12 +3,14 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from randfan import fans, lattice
 from randfan.cli import main
 from randfan.errors import ValidationError
 from randfan.experiments import render_document
@@ -21,18 +23,14 @@ from randfan.fans import (
 )
 from randfan.lattice import MAX_H, enumerate_rays
 
-from oracles import comparison_order, fan_to_record, naive_completion, spectrum_document, wedge
+from oracles import comparison_order, cone_rays, fan_to_record, naive_completion, spectrum_document, wedge
 
 
 def _assert_matches_oracle(rays):
     fan = complete_fan(rays)
     pts, cones, indices = naive_completion(rays)
     assert [tuple(map(int, r)) for r in fan.coords] == pts
-    got_cones = [
-        (tuple(map(int, fan.coords[c.a])), tuple(map(int, fan.coords[c.b])))
-        for c in fan.cones
-    ]
-    assert got_cones == cones
+    assert cone_rays(fan) == cones
     assert list(map(int, fan.cone_indices)) == indices
 
 
@@ -40,7 +38,7 @@ def test_empty_fan():
     fan = complete_fan([])
     assert fan.n_rays == 0
     assert fan.n_cones == 0
-    assert fan.cones == ()
+    assert fan.cone_indices.size == 0
     assert is_smooth(fan)
     assert delta_k(fan, 2) is None
 
@@ -124,14 +122,14 @@ def test_input_order_is_irrelevant():
     a = complete_fan(rays)
     b = complete_fan(rays[::-1])
     assert np.array_equal(a.coords, b.coords)
-    assert a.cones == b.cones
+    assert np.array_equal(a.cone_indices, b.cone_indices)
 
 
 def test_completion_is_idempotent():
     fan = complete_fan([(5, 2), (-1, 3), (0, -1), (1, 1), (-2, -5)])
     again = complete_fan(fan.coords.tolist())
     assert np.array_equal(fan.coords, again.coords)
-    assert fan.cones == again.cones
+    assert np.array_equal(fan.cone_indices, again.cone_indices)
 
 
 def test_all_subsets_of_unit_universe_match_oracle():
@@ -173,11 +171,11 @@ def test_delta_k_validation():
 
 
 def test_cone_index_for_every_cone():
-    # each cone's index is |wedge| of the boundary rays that .cones names
+    # each cone's index is |wedge| of its boundary rays, in fan order
     fan = complete_fan([(1, 0), (2, 3), (-1, 1), (-1, -4)])
-    c = fan.coords
-    for cone, idx in zip(fan.cones, fan.cone_indices):
-        assert abs(wedge(c[cone.a], c[cone.b])) == int(idx)
+    cones = cone_rays(fan)
+    assert len(cones) == fan.n_cones == 4
+    assert [abs(wedge(u, v)) for u, v in cones] == fan.cone_indices.tolist()
 
 
 def test_spectrum_counts_are_multiplicities(tmp_path, capsys):
@@ -207,7 +205,7 @@ def test_fan_record_round_trip():
     assert rec["rays"] == [[int(x), int(y)] for x, y in fan.coords]
     back = fan_from_record(rec)
     assert np.array_equal(back.coords, fan.coords)
-    assert back.cones == fan.cones
+    assert np.array_equal(back.cone_indices, fan.cone_indices)
 
 
 def test_fan_record_extra_metadata_and_no_cone_field():
@@ -251,11 +249,7 @@ def test_wide_gap_leaves_two_cones_from_three_rays():
     fan = complete_fan({(1, 0), (0, 1), (-1, 1)})
     assert fan.coords.tolist() == [[1, 0], [0, 1], [-1, 1]]
     assert fan.n_cones == 2
-    got = [
-        (tuple(map(int, fan.coords[c.a])), tuple(map(int, fan.coords[c.b])))
-        for c in fan.cones
-    ]
-    assert got == [((1, 0), (0, 1)), ((0, 1), (-1, 1))]
+    assert cone_rays(fan) == [((1, 0), (0, 1)), ((0, 1), (-1, 1))]
 
 
 def test_unimodular_triangle_is_smooth():
@@ -315,3 +309,28 @@ def test_fan_accepts_the_degenerate_canonical_arrays():
         assert Fan(np.array(coords, dtype=np.int64)).n_cones == 0
     universe = enumerate_rays(7)
     assert np.array_equal(Fan(universe.coords).coords, universe.coords)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_fan_of_a_universe_stays_within_its_memory_estimate(dtype):
+    # int32 is the universe's own array, taken without a copy; int64 is
+    # what complete_fan hands over, narrowed to an int32 copy
+    coords = enumerate_rays(300).coords.astype(dtype, copy=False)
+    tracemalloc.start()
+    try:
+        Fan(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fans._RAY_BYTES * len(coords)
+
+
+def test_fan_too_large_for_the_host_is_refused_before_its_checks(monkeypatch):
+    # the memory check comes first: these rays would fail the range check
+    coords = np.full((1000, 2), MAX_H + 1, dtype=np.int64)
+    monkeypatch.setattr(lattice, "_mem_available", lambda: fans._RAY_BYTES * 1000)
+    with pytest.raises(ValidationError, match="^a fan of 1000 rays needs about 0 MiB to build"):
+        Fan(coords)
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * fans._RAY_BYTES * 1000)
+    with pytest.raises(ValidationError, match="is outside"):
+        Fan(coords)

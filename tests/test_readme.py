@@ -98,6 +98,17 @@ def test_one_module_imports_json():
     assert importers == {"experiments"}
 
 
+def test_one_module_touches_the_environment():
+    # only the package's start-up sets a variable, for numpy's load, and
+    # restores it; no other module reads or writes os.environ
+    touchers = set()
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        names = _names(ast.parse(path.read_text(encoding="utf-8")))
+        if names & {"environ", "getenv", "putenv", "unsetenv"}:
+            touchers.add(path.name)
+    assert touchers == {"__init__.py"}
+
+
 #: Public top-level functions and classes kept with no caller in src, no
 #: mention in the README and no use in the acceptance tests, with the reason.
 UNREFERENCED = {

@@ -122,6 +122,23 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
+def test_a_whole_block_of_the_paper_sweep_matches_fan_oracle_row_by_row():
+    # one full _draw_block at h = 60, q = 0.5, as the paper sweep draws it:
+    # every row's runs are turned into columns by that row's own start
+    coords = enumerate_rays(60).coords
+    n = len(coords)
+    rows = experiments._BLOCK_RAYS // n
+    assert rows == 7
+    ks = [1, 2, 3, 5]
+    scratch = {}
+    block = experiments._draw_block(coords, sampling._keep_threshold(0.5), SEED, 0, rows, ks, scratch)
+    keep = scratch["keep"][1:].reshape(rows, n + 1)[:, :n]
+    assert (~keep[:, 0] & ~keep[:, -1]).any()  # some row has a run across its seam
+    kept, n_cones, max_index, at_least = (a.tolist() for a in block)
+    got = list(zip(kept, n_cones, max_index, at_least))
+    assert got == [fan_counts(60, row, ks) for row in keep]
+
+
 H = 3  # 32 rays: (1, 0) at 0, (0, 1) at 8, (-1, 0) at 16, (0, -1) at 24
 K_LIST = [1, 2, 3]
 
