@@ -8,7 +8,10 @@ checks that once per universe), so a draw differs from it only where maximal
 runs of consecutive rays were dropped, and no fan is built.  One plan of
 blocks of trials is sized by the memory check and run by the thread pool;
 each block is drawn straight into one padded keep layout and classified at
-once, reusing its thread's buffers, and a cell is aggregated from counts.
+once, or, when one trial has more rays than a block holds, drawn and
+scanned in windows of a fixed size, so a thread's buffers never grow with
+the height.  Blocks reuse their thread's buffers, and a cell is aggregated
+from counts.
 Trial RNG streams never depend on block size, worker count or scheduling,
 and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
@@ -49,7 +52,7 @@ from .lattice import (
     RayUniverse, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes, count_geq,
     enumerate_rays,
 )
-from .sampling import _MASK_CHUNK, UINT64_MAX, _keep_mask, _keep_threshold
+from .sampling import _MASK_CHUNK, UINT64_MAX, _keep_mask, _keep_stream, _keep_threshold
 
 FORMATS = ("csv", "json")
 
@@ -204,13 +207,17 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
-#: Rays per block of work.  A sweep draws and classifies
-#: max(1, _BLOCK_RAYS // n) trials at a time, so a block's arrays are
-#: bounded by about _BLOCK_RAYS rays while n <= _BLOCK_RAYS.  Above that a
-#: block is one trial: its keep layout takes n + 2 bytes (twice, with the
-#: mask of where it changes), and its per-run arrays grow with the number
-#: of dropped runs, up to n / 2.  _block_bytes bounds both.
+#: Keep positions per block of work.  A sweep draws and classifies
+#: max(1, _BLOCK_RAYS // n) whole rows (trials) at a time while n <=
+#: _BLOCK_RAYS; a longer row is a block of its own, drawn and scanned in
+#: windows of at most _BLOCK_RAYS positions by _stream_row.  So no buffer
+#: of a sweep thread grows with n; _block_bytes bounds them all.
 _BLOCK_RAYS = 1 << 16
+
+#: Dropped runs a streamed row collects before it classifies them: the
+#: length of its s and e buffers, less the one entry of the run across
+#: the seam.
+_EDGE_RUNS = 1 << 15
 
 #: Most worker threads a sweep may be asked for.
 MAX_WORKERS = 64
@@ -222,8 +229,8 @@ _K_CAP = 1 << 62
 
 def _per_row(ufunc, values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """ufunc.reduceat of values over the row segments bounds[i]:bounds[i + 1],
-    and 0 for an empty segment.  values has an entry past bounds[-1], so
-    every segment starts at an index of it."""
+    and 0 for an empty segment.  values has an entry at every bounds[i] but
+    the last, so every segment starts at an index of it."""
     out = ufunc.reduceat(values, bounds[:-1], dtype=np.int64)
     out[bounds[:-1] == bounds[1:]] = 0
     return out
@@ -238,6 +245,51 @@ def _buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
     return scratch[name][:size]
 
 
+def _wedges(coords: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> np.ndarray:
+    """wedge(c[s - 1], c[e]) of each dropped run s..e - 1 over coords, the
+    positions taken cyclically, written over s; e is overwritten too.  The
+    flanking rays are taken into int32 rows, and their products are formed
+    in int64 in the index buffers, which are free by then."""
+    s -= 1
+    before, after = (np.take(coords, i, axis=0, mode="wrap",
+                             out=_buffer(scratch, name, 2 * len(s), np.int32).reshape(-1, 2))
+                     for i, name in ((s, "before"), (e, "after")))
+    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
+    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
+    return w
+
+
+def _wedge_counts(w: np.ndarray, bounds: np.ndarray, ks, scratch: dict) -> tuple[np.ndarray, ...]:
+    """Per row segment of the run wedges w (see _per_row): the runs that
+    span a cone, the largest wedge (0 with none), and the runs of wedge >= k
+    for each k in ks as a (rows, len(ks)) matrix.  A gap of a half turn or
+    more (wedge <= 0) spans no cone; w is clamped to 0 in place."""
+    np.maximum(w, 0, out=w)
+    at = _buffer(scratch, "at", len(w), bool)
+    cones = _per_row(np.add, np.greater_equal(w, 1, out=at), bounds)
+    top = _per_row(np.maximum, w, bounds)
+    at_least = np.empty((len(bounds) - 1, len(ks)), dtype=np.int64)
+    for j, k in enumerate(ks):
+        at_least[:, j] = _per_row(np.add, np.greater_equal(w, min(k, _K_CAP), out=at), bounds)
+    return cones, top, at_least
+
+
+def _row_counts(n: int, dropped, runs, cones, top, at_least, ks) -> tuple[np.ndarray, ...]:
+    """Each draw's (kept, cones, largest index, cones of index >= k) from
+    its dropped rays, its cyclic dropped runs and their _wedge_counts.
+    Every cyclic neighbour pair of the full fan spans a cone of index 1, so
+    the kept - runs kept neighbours with nothing dropped between them give
+    unit cones.  A draw with fewer than 2 kept rays has no cone."""
+    kept = n - dropped
+    unit = kept - runs
+    n_cones = unit + cones
+    max_index = np.maximum(top, n_cones > 0)
+    at_least[:, [k == 1 for k in ks]] += unit[:, None]
+    few = kept < 2  # nothing kept, or a lone ray whose neighbour is itself
+    n_cones[few] = max_index[few] = at_least[few] = 0
+    return kept, n_cones, max_index, at_least
+
+
 def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[np.ndarray, ...]:
     """Classify a block of B draws over the smooth full fan coords (a
     universe's (n, 2) int32 array) from their padded keep layout.
@@ -247,12 +299,10 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     rays crosses into the next draw.  Returns, per draw: the kept ray
     count, the cone count, the largest cone index (0 with no cone), and the
     count of cones of index >= k for each k in ks, as a (B, len(ks))
-    matrix.  Every cyclic neighbour pair of the full fan spans a cone of
-    index 1, so kept neighbours with nothing dropped between them give unit
-    cones; across each maximal run of dropped rays the two flanking kept
-    rays span one cone of index wedge(before, after), or none when the gap
-    is at least a half turn (wedge <= 0).  A draw with fewer than 2 kept
-    rays has no cone.
+    matrix.  Kept neighbours with nothing dropped between them give unit
+    cones (_row_counts); across each maximal run of dropped rays the two
+    flanking kept rays span one cone of index wedge(before, after), or
+    none when the gap is at least a half turn (wedge <= 0).
 
     The per-position and per-run arrays are views of the buffers in
     scratch, which the caller keeps for all of its blocks, so a block
@@ -279,63 +329,133 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     np.subtract(edges[1::2], offset, out=e[:r])
     del edges, offset
     s[r] = e[r] = 0  # the entry past the last run, for _per_row
-    kept = n - (_per_row(np.add, e, bounds) - _per_row(np.add, s, bounds))
+    dropped = _per_row(np.add, e, bounds) - _per_row(np.add, s, bounds)
     # a row's last run through position n - 1 and its first run through 0
     # are one run across the seam: the first takes the last's start, and
-    # the last gets wedge 0 below, so it spans no cone
+    # the last gets wedge 0, so it spans no cone
     multi = np.flatnonzero(runs >= 2)
     first, last = bounds[multi], bounds[multi + 1] - 1
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
-    # w = wedge(c[s - 1], c[e]), positions taken cyclically: the flanking
-    # rays are taken into int32 rows, and their products are formed in
-    # int64 in the index buffers, which are free by then
-    s -= 1
-    before, after = (np.take(coords, i, axis=0, mode="wrap",
-                             out=_buffer(scratch, name, 2 * r + 2, np.int32).reshape(-1, 2))
-                     for i, name in ((s, "before"), (e, "after")))
-    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
-    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
+    w = _wedges(coords, s, e, scratch)
     w[last[seam]] = w[r] = 0
     runs[multi[seam]] -= 1
-    unit = kept - runs
-    at = _buffer(scratch, "at", r + 1, bool)
-    n_cones = unit + _per_row(np.add, np.greater_equal(w, 1, out=at), bounds)
-    max_index = np.maximum(_per_row(np.maximum, np.maximum(w, 0, out=e), bounds), n_cones > 0)
-    at_least = np.empty((b, len(ks)), dtype=np.int64)
-    for j, k in enumerate(ks):
-        at_or_above = np.greater_equal(w, min(k, _K_CAP), out=at)
-        at_least[:, j] = _per_row(np.add, at_or_above, bounds) + (unit if k == 1 else 0)
-    few = kept < 2  # nothing kept, or a lone ray whose neighbour is itself
-    n_cones[few] = max_index[few] = at_least[few] = 0
-    return kept, n_cones, max_index, at_least
+    return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
 
 
-def _block_bytes(positions: int, rows: int, n_ks: int) -> int:
-    """Most bytes one worker holds for a block of the given keep positions
-    (B * (n + 1) for B draws over n rays) and rows (B): 1 B per position
-    for the keep layout and 1 B for its change mask; at most every second
-    position starts a dropped run, and a run takes 16 B of edges, 8 B of
-    row offset and 33 B of buffers (s and e in int64, the int32 rows of its
-    two flanking rays, and one bool); one chunk of raw Philox words; 8 B
-    per row for each of 16 per-row count arrays and n_ks threshold counts;
-    and 64 KiB for the array headers and scalars of a block.  A thread's
-    buffers grow to its largest block and are kept."""
-    runs = positions // 2
-    per_run = 24 * runs + 33 * (runs + 1)
-    return 2 * positions + 1 + per_run + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
+def _stream_row(coords: np.ndarray, fill, ks, scratch: dict) -> tuple[np.ndarray, ...]:
+    """_classify's counts of one draw over coords, whose keep decisions
+    fill(out) writes in order, len(out) at a time, into windows of at most
+    _BLOCK_RAYS positions; every buffer is bounded by _BLOCK_RAYS and
+    _EDGE_RUNS, not by n.
+
+    A window holds the previous window's last decision (a kept one before
+    column 0), then its own, and at the row's end a kept sentinel at column
+    n, as a row of _classify's layout.  Where a window changes are the
+    starts and ends of dropped runs, in row columns; they are appended to
+    the s and e buffers, and whenever _EDGE_RUNS runs are complete, those
+    are classified and their counts added to the row's.  Two things cross
+    a window's edge: the start of a run still open, which stays in s, and
+    the end of the leading run through column 0, which is kept to the row's
+    end and closed there with the trailing run through column n - 1: the
+    one run across the seam that _classify forms.
+    """
+    n = len(coords)
+    keep = _buffer(scratch, "keep", _BLOCK_RAYS + 2, bool)
+    change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
+    s = _buffer(scratch, "s", _EDGE_RUNS + 1, np.int64)
+    e = _buffer(scratch, "e", _EDGE_RUNS + 1, np.int64)
+    counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
+    dropped = runs = lead = 0
+
+    def classify(r, end):
+        # add the complete runs s[:r], e[:r] to the row's counts
+        nonlocal dropped, runs, lead
+        dropped += int(e[:r].sum() - s[:r].sum())
+        first = 0
+        if r and s[0] == 0:  # the leading run: closed at the row's end
+            lead, first = int(e[0]), 1
+        if end:  # the trailing run, or column n - 1, is followed by column lead
+            if r > first and e[r - 1] == n:
+                e[r - 1] = lead
+            elif lead:
+                s[r], e[r] = n, lead
+                r += 1
+        runs += r - first
+        if r > first:
+            w = _wedges(coords, s[first:r], e[first:r], scratch)
+            cones, top, at_least = _wedge_counts(w, np.array([0, r - first]), ks, scratch)
+            counts[0] += cones
+            np.maximum(counts[1], top, out=counts[1])
+            counts[2] += at_least
+
+    keep[0] = True
+    ns = ne = 0  # starts and ends in s and e; a run is open when ns > ne
+    for lo in range(0, n, _BLOCK_RAYS):
+        m = min(_BLOCK_RAYS, n - lo)
+        fill(keep[1 : m + 1])
+        end = lo + m == n
+        keep[m + 1] = True  # the sentinel, read only at the row's end
+        edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
+        edges += lo
+        keep[0] = keep[m]
+        i = 0
+        while i < len(edges):  # as many edges as fill the buffers, at a time
+            if ne == _EDGE_RUNS:  # and so is ns; the row's last run is never classified here
+                classify(ne, False)
+                ns = ne = 0
+            j = i + 2 * _EDGE_RUNS - ns - ne
+            odd = ns > ne  # the first edge ends the open run
+            starts, ends = edges[i + odd : j : 2], edges[i + 1 - odd : j : 2]
+            s[ns : ns + len(starts)] = starts
+            e[ne : ne + len(ends)] = ends
+            ns, ne, i = ns + len(starts), ne + len(ends), j
+    classify(ne, True)
+    return _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
+
+
+def _block_shape(n: int, rows: int) -> tuple[int, int]:
+    """The keep positions and the most dropped runs one thread holds at once
+    for a block of rows draws over n rays: a layout of rows * (n + 1) + 1
+    positions with a run at most every second one, or, for a row longer
+    than _BLOCK_RAYS, _stream_row's window and its s and e buffers."""
+    if n > _BLOCK_RAYS:
+        return _BLOCK_RAYS + 2, _EDGE_RUNS + 1
+    positions = rows * (n + 1) + 1
+    return positions, positions // 2 + 1
+
+
+def _block_bytes(positions: int, runs: int, rows: int, n_ks: int) -> int:
+    """Most bytes one worker holds for a block of the given _block_shape and
+    rows: per position, 1 B for the keep decision, 1 B for its change mask
+    and 8 B for the edges found at once (at most one per position); per
+    run, 8 B of row offset and 33 B of buffers (s and e in int64, the int32
+    rows of its two flanking rays, and one bool); one chunk of raw Philox
+    words; 8 B per row for each of 16 per-row count arrays and n_ks
+    threshold counts; and 64 KiB for the array headers and scalars of a
+    block.  A thread's buffers grow to its largest block and are kept;
+    none of these terms grows with n once a row is longer than _BLOCK_RAYS."""
+    return 10 * positions + 41 * runs + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
 
 
 def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks, scratch: dict):
     """Draw trials lo..hi-1 of one cell at the given keep threshold, with
-    one Philox re-keyed for each, straight into one padded keep layout
-    held in scratch, and _classify them as one block."""
+    the thread's one Philox (held in scratch) re-keyed for each, and
+    classify them: rows of at most _BLOCK_RAYS rays straight into one
+    padded keep layout, _classify'd as one block, and a longer row through
+    _stream_row."""
     n = len(coords)
+    bitgen = scratch.get("philox")
+    if bitgen is None:
+        bitgen = scratch["philox"] = np.random.Philox(0)
+    if n > _BLOCK_RAYS:
+        rows = [_stream_row(coords, _keep_stream(bitgen, master_seed, t, threshold), ks, scratch)
+                for t in range(lo, hi)]
+        return tuple(np.concatenate(counts) for counts in zip(*rows))
     keep = _buffer(scratch, "keep", 1 + (hi - lo) * (n + 1), bool)
     keep[0] = True
     rows = keep[1:].reshape(hi - lo, n + 1)
     rows[:, n] = True
-    bitgen = np.random.Philox(0)
     for row, t in zip(rows, range(lo, hi)):
         _keep_mask(bitgen, master_seed, t, threshold, row[:n])
     return _classify(coords, keep, ks, scratch)
@@ -357,14 +477,23 @@ def _nearest_rank(sorted_vals, frac: float):
     return sorted_vals[max(0, math.ceil(frac * len(sorted_vals)) - 1)]
 
 
+def _exact_mean(numerators, denominators, count: int) -> float:
+    """The sum of the fractions numerators[i] / denominators[i], over count,
+    as the float nearest to it: one integer sum over the least common
+    multiple of the denominators, and one int / int division, which Python
+    rounds correctly."""
+    lcm = math.lcm(*denominators)
+    return sum(a * (lcm // d) for a, d in zip(numerators, denominators)) / (lcm * count)
+
+
 def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRow:
     """The row of one cell from its trials' cone counts, largest indices
     and (trials, len(k_list)) counts of cones of index >= k.
 
-    mean_delta is the exact mean of the defined densities at_least / n_cones,
-    floated once: the numerators are summed per denominator, and one
-    Fraction sum runs over the distinct denominators.  A density is above
-    c_density = P/Q exactly when at_least > floor(P * n_cones / Q).
+    mean_delta is the exact mean of the defined densities at_least / n_cones
+    (_exact_mean), with the numerators summed per denominator first.  A
+    density is above c_density = P/Q exactly when at_least > floor(P *
+    n_cones / Q).
     """
     t = len(n_cones)
     n_smooth = int(np.count_nonzero(max_index <= 1))
@@ -383,8 +512,7 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     mean_delta = {}
     frac_above = {}
     for k, numerators, n_above in zip(k_list, sums, above):
-        total = sum(map(Fraction, numerators, denominators), Fraction(0))
-        mean_delta[k] = float(total / len(m)) if len(m) else None
+        mean_delta[k] = _exact_mean(numerators, denominators, len(m)) if len(m) else None
         frac_above[k] = n_above / t
     frac_smooth = n_smooth / t
     return SweepRow(
@@ -404,15 +532,16 @@ def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, Iterator, int
     threshold, lo, hi) of max(1, _BLOCK_RAYS // n) trials of one cell, in
     grid order, from a generator that makes each as it is taken; the thread
     count, min(workers, blocks); and the bytes held beside the universes:
-    per thread, the _block_bytes of the largest block, and at most 16 B per
+    per thread, the _block_bytes of the largest _block_shape and the most
+    rows, which no height past _BLOCK_RAYS rays raises, and at most 16 B per
     trial for each of the 3 + len(k_list) counts (8 B for the counts of every
     cell, kept to the end, and 8 B for the copies made to aggregate a cell)."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
     per_block = [min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])) for h, _ in cells]
     threads = min(workers, sum(-(-spec.trials // b) for b in per_block))
-    positions = max(b * (sizes[h] + 1) for (h, _), b in zip(cells, per_block))
-    per_thread = _block_bytes(positions, max(per_block), len(spec.k_list))
+    positions, runs = map(max, zip(*(_block_shape(sizes[h], b) for (h, _), b in zip(cells, per_block))))
+    per_thread = _block_bytes(positions, runs, max(per_block), len(spec.k_list))
     thresholds = [_keep_threshold(1.0 - q) for _, q in cells]
     blocks = ((i, h, thresholds[i], lo, min(lo + b, spec.trials))
               for i, ((h, _), b) in enumerate(zip(cells, per_block)) for lo in range(0, spec.trials, b))
@@ -433,9 +562,11 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     held at once: their memory is checked with the plan's bytes, and each is
     built (and checked by enumerate_rays) once, before the first block.  One
     pool of the plan's threads serves all cells: each thread keeps one
-    scratch, takes the next block until none is left, and writes the block's
-    counts into its trials' rows.  A trial's stream is keyed by its index
-    alone, so neither scheduling nor finish order can leak into a row.
+    scratch (its buffers and its one Philox), takes the next block until
+    none is left, and writes the block's counts into its trials' rows; past
+    _BLOCK_RAYS rays a trial is streamed, so a thread holds the same bytes
+    at every such height.  A trial's stream is keyed by its index alone, so
+    neither window size, scheduling nor finish order can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     cells, blocks, threads, plan_bytes = _sweep_plan(spec, workers)

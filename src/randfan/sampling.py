@@ -84,22 +84,32 @@ def _rekey(bitgen: np.random.Philox, master_seed: int, trial_index: int) -> None
     }
 
 
-def _keep_mask(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int, out: np.ndarray) -> None:
-    """Write the keep decisions of trial (master_seed, trial_index) into out,
-    re-keying bitgen.
+def _keep_stream(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int):
+    """The keep decisions of trial (master_seed, trial_index) as a function
+    fill(out) that writes the next len(out) of them into out, re-keying
+    bitgen once, now.
 
-    out[i] is True when the i-th uniform of the trial's stream is below p,
-    threshold being _keep_threshold(p).  The raw words are read in chunks of
-    at most _MASK_CHUNK.
+    A decision is True when its uniform of the trial's stream is below p,
+    threshold being _keep_threshold(p); successive calls read the stream on,
+    in order.  The raw words are read in chunks of at most _MASK_CHUNK.
     """
     if threshold > UINT64_MAX:
-        out[:] = True
-        return
+        return lambda out: out.fill(True)
     _rekey(bitgen, master_seed, trial_index)
     threshold = np.uint64(threshold)
-    for lo in range(0, len(out), _MASK_CHUNK):
-        chunk = out[lo : lo + _MASK_CHUNK]
-        np.less(bitgen.random_raw(len(chunk)), threshold, out=chunk)
+
+    def fill(out):
+        for lo in range(0, len(out), _MASK_CHUNK):
+            chunk = out[lo : lo + _MASK_CHUNK]
+            np.less(bitgen.random_raw(len(chunk)), threshold, out=chunk)
+
+    return fill
+
+
+def _keep_mask(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int, out: np.ndarray) -> None:
+    """Write the keep decisions of trial (master_seed, trial_index) into out,
+    re-keying bitgen: out[i] is the i-th decision of _keep_stream."""
+    _keep_stream(bitgen, master_seed, trial_index, threshold)(out)
 
 
 def sample_fan(cfg: SampleConfig) -> Fan:

@@ -340,6 +340,21 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_dense_sweep(work
     assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, workers)[3]
 
 
+def test_sweep_memory_per_thread_does_not_grow_with_the_height():
+    # past _BLOCK_RAYS rays a row is streamed through one window, so a
+    # thread's bytes are the same at every such height
+    def per_thread(h):
+        spec = _spec(h_values=[h], q_schedule=[0.5], trials=2)
+        return experiments._sweep_plan(spec, 2)[3] - experiments._sweep_plan(spec, 1)[3]
+
+    assert per_thread(300) == per_thread(1000) == per_thread(2000) < 3 * 2**20
+
+
+def test_sparse_sweep_at_height_1000_is_checked_at_under_40_mib():
+    spec = _spec(h_values=[1000], q_schedule=[1e-4], trials=40)
+    assert lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, 2)[3] < 40 * 2**20
+
+
 def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     # room for the universe and one thread's blocks is not room for two threads
     spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)

@@ -65,13 +65,12 @@ def test_readme_states_the_memory_estimate():
 
 
 def test_readme_states_the_sweep_memory_per_thread():
-    # a block of one trial over the rays of h = 2000, per ray
-    from randfan.experiments import _block_bytes
+    # a block of one trial over the rays of h = 2000, streamed in windows
+    from randfan.experiments import _block_bytes, _block_shape
     from randfan.lattice import count_geq
 
-    n = count_geq(2000, 1)
-    per_ray = round(_block_bytes(n + 1, 1, 1) / n)
-    assert f"about {per_ray} B per ray" in README.read_text(encoding="utf-8")
+    per_thread = _block_bytes(*_block_shape(count_geq(2000, 1), 1), 1, 1)
+    assert f"about {per_thread / 2**20:.1f} MiB per thread" in README.read_text(encoding="utf-8")
 
 
 def test_one_function_reads_the_available_memory():

@@ -122,6 +122,49 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
+def _reader(row):
+    """fill(out) over the decisions of row: the next len(out) of them."""
+    rest = row
+
+    def fill(out):
+        nonlocal rest
+        out[:], rest = rest[: len(out)], rest[len(out) :]
+
+    return fill
+
+
+_SMALL = st.sampled_from([1, 2, 3, 5, 8])
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=_blocks(), window=_SMALL, edge_runs=_SMALL, ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
+def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, edge_runs, ks):
+    # windows and edge buffers of a few positions, so the seam's runs, open
+    # runs and full buffers all fall across window edges; one scratch
+    # serves every row, as a sweep thread's does
+    h, dropped = block
+    coords = enumerate_rays(h).coords
+    scratch = {}
+    with mock.patch.multiple(experiments, _BLOCK_RAYS=window, _EDGE_RUNS=edge_runs):
+        for drops in dropped:
+            kept, n_cones, max_index, at_least = experiments._stream_row(coords, _reader(~drops), ks, scratch)
+            got = (int(kept[0]), int(n_cones[0]), int(max_index[0]), at_least[0].tolist())
+            assert got == fan_counts(h, ~drops, ks), np.flatnonzero(drops)
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.5, 0.999])
+def test_streamed_row_at_height_300_matches_its_whole_row_layout(q):
+    # 219,184 rays: four windows, and at q = 0.5 about 55,000 runs, so the
+    # run buffers fill once before the row's end
+    coords = enumerate_rays(300).coords
+    threshold = sampling._keep_threshold(1.0 - q)
+    keep = np.ones(len(coords) + 2, dtype=bool)
+    sampling._keep_mask(np.random.Philox(0), SEED, 5, threshold, keep[1:-1])
+    want = _classify(coords, keep, [1, 2, 3], {})
+    got = experiments._draw_block(coords, threshold, SEED, 5, 6, [1, 2, 3], {})
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_a_whole_block_of_the_paper_sweep_matches_fan_oracle_row_by_row():
     # one full _draw_block at h = 60, q = 0.5, as the paper sweep draws it:
     # every row's runs are turned into columns by that row's own start
@@ -278,6 +321,17 @@ def test_array_aggregation_equals_the_record_oracle(trials, c_density):
     assert _aggregate(3, 0.5, n_cones, max_index, at_least, _K, c_density) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    fractions=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)), min_size=1, max_size=400),
+    count=st.integers(1, 10**4),
+)
+def test_exact_mean_is_the_fraction_mean_floated_once(fractions, count):
+    numerators, denominators = map(list, zip(*fractions))
+    want = float(sum(map(Fraction, numerators, denominators), Fraction(0)) / count)
+    assert experiments._exact_mean(numerators, denominators, count) == want
+
+
 def test_sweep_rows_equal_the_record_oracle_with_ties_at_c_density():
     # at h = 1 and 2 most draws have a handful of cones, so delta = 1/2 and
     # 1/4 occur exactly
@@ -300,12 +354,16 @@ def _sweep_csv(spec, workers=1):
 
 @pytest.mark.parametrize("budget", [1, 50, 1 << 10, 1 << 20])
 def test_sweep_bytes_do_not_depend_on_block_budget_or_workers(monkeypatch, budget):
+    # a row longer than the budget is streamed through windows of that many
+    # positions, and its runs through buffers of edge_runs
     spec = ExperimentSpec(h_values=[2, 5, 12], q_schedule=[0.3, 0.6, 0.05], trials=23,
                           k_list=[1, 2, 3], c_density=0.25, master_seed=SEED)
     want = _sweep_csv(spec)
     monkeypatch.setattr(experiments, "_BLOCK_RAYS", budget)
-    for workers in (1, 2, 3):
-        assert _sweep_csv(spec, workers) == want
+    for edge_runs in (1, 3, 1 << 15):
+        monkeypatch.setattr(experiments, "_EDGE_RUNS", edge_runs)
+        for workers in (1, 2, 3):
+            assert _sweep_csv(spec, workers) == want
 
 
 @pytest.fixture
