@@ -5,13 +5,13 @@ number of seeded trials (one draw per trial, keyed by master_seed and the
 trial index alone) and aggregates them into a single summary row.  A trial is
 classified from its dropped runs: the full fan is smooth (enumerate_rays
 checks that once per universe), so a draw differs from it only where maximal
-runs of consecutive rays were dropped, and no fan is built.  One plan of
-blocks of trials is sized by the memory check and run by the thread pool;
-each block is drawn straight into one padded keep layout and classified at
-once, or, when one trial has more rays than a block holds, drawn and
-scanned in windows of a fixed size, so a thread's buffers never grow with
-the height.  Blocks reuse their thread's buffers, and a cell is aggregated
-from counts.
+runs of consecutive rays were dropped, and no fan is built.  One plan,
+sized by the memory check, is run by the thread pool a trial at a time:
+every cell's trial t reads the same stream, so a thread draws it once and
+hands its windows to every cell.  A cell's short rows are gathered into
+one padded keep layout and classified a block at a time; a row of more
+rays than a block holds is scanned window by window, so a thread's buffers
+never grow with the height.  A cell is aggregated from counts.
 Trial RNG streams never depend on block size, worker count or scheduling,
 and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
@@ -52,7 +52,7 @@ from .lattice import (
     RayUniverse, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes, count_geq,
     enumerate_rays,
 )
-from .sampling import _MASK_CHUNK, UINT64_MAX, _keep_mask, _keep_stream, _keep_threshold
+from .sampling import UINT64_MAX, _keep_threshold, _trial_words
 
 FORMATS = ("csv", "json")
 
@@ -207,9 +207,9 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
-#: Keep positions per block of work.  A sweep draws and classifies
-#: max(1, _BLOCK_RAYS // n) whole rows (trials) at a time while n <=
-#: _BLOCK_RAYS; a longer row is a block of its own, drawn and scanned in
+#: Keep positions per block of work, and raw words per window of a trial.
+#: A sweep classifies max(1, _BLOCK_RAYS // n) whole rows (trials) of a
+#: cell at a time while n <= _BLOCK_RAYS; a longer row is scanned in
 #: windows of at most _BLOCK_RAYS positions by _stream_row.  So no buffer
 #: of a sweep thread grows with n; _block_bytes bounds them all.
 _BLOCK_RAYS = 1 << 16
@@ -343,11 +343,15 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
 
 
-def _stream_row(coords: np.ndarray, fill, ks, scratch: dict) -> tuple[np.ndarray, ...]:
-    """_classify's counts of one draw over coords, whose keep decisions
-    fill(out) writes in order, len(out) at a time, into windows of at most
-    _BLOCK_RAYS positions; every buffer is bounded by _BLOCK_RAYS and
-    _EDGE_RUNS, not by n.
+def _stream_row(coords: np.ndarray, ks, scratch: dict, own: dict):
+    """_classify's counts of one draw over coords, scanned a window at a
+    time: a generator that yields each window, a view of at most
+    _BLOCK_RAYS positions, for the caller to fill with the row's next keep
+    decisions, scans it when the next item is asked for, and yields the
+    row's counts after the last window.  The row's window and its s and e
+    buffers are its own, in own, so several rows can be scanned at once;
+    its other buffers are shared through scratch.  Every buffer is bounded
+    by _BLOCK_RAYS and _EDGE_RUNS, not by n.
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
@@ -361,10 +365,9 @@ def _stream_row(coords: np.ndarray, fill, ks, scratch: dict) -> tuple[np.ndarray
     one run across the seam that _classify forms.
     """
     n = len(coords)
-    keep = _buffer(scratch, "keep", _BLOCK_RAYS + 2, bool)
-    change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
-    s = _buffer(scratch, "s", _EDGE_RUNS + 1, np.int64)
-    e = _buffer(scratch, "e", _EDGE_RUNS + 1, np.int64)
+    keep = _buffer(own, "keep", _BLOCK_RAYS + 2, bool)
+    s = _buffer(own, "s", _EDGE_RUNS + 1, np.int64)
+    e = _buffer(own, "e", _EDGE_RUNS + 1, np.int64)
     counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
     dropped = runs = lead = 0
 
@@ -393,9 +396,10 @@ def _stream_row(coords: np.ndarray, fill, ks, scratch: dict) -> tuple[np.ndarray
     ns = ne = 0  # starts and ends in s and e; a run is open when ns > ne
     for lo in range(0, n, _BLOCK_RAYS):
         m = min(_BLOCK_RAYS, n - lo)
-        fill(keep[1 : m + 1])
+        yield keep[1 : m + 1]
         end = lo + m == n
         keep[m + 1] = True  # the sentinel, read only at the row's end
+        change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
         edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
         edges += lo
         keep[0] = keep[m]
@@ -411,12 +415,12 @@ def _stream_row(coords: np.ndarray, fill, ks, scratch: dict) -> tuple[np.ndarray
             e[ne : ne + len(ends)] = ends
             ns, ne, i = ns + len(starts), ne + len(ends), j
     classify(ne, True)
-    return _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
+    yield _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
 
 
 def _block_shape(n: int, rows: int) -> tuple[int, int]:
-    """The keep positions and the most dropped runs one thread holds at once
-    for a block of rows draws over n rays: a layout of rows * (n + 1) + 1
+    """The keep positions and the most dropped runs one thread classifies
+    at once for rows draws over n rays: a layout of rows * (n + 1) + 1
     positions with a run at most every second one, or, for a row longer
     than _BLOCK_RAYS, _stream_row's window and its s and e buffers."""
     if n > _BLOCK_RAYS:
@@ -426,39 +430,107 @@ def _block_shape(n: int, rows: int) -> tuple[int, int]:
 
 
 def _block_bytes(positions: int, runs: int, rows: int, n_ks: int) -> int:
-    """Most bytes one worker holds for a block of the given _block_shape and
-    rows: per position, 1 B for the keep decision, 1 B for its change mask
-    and 8 B for the edges found at once (at most one per position); per
-    run, 8 B of row offset and 33 B of buffers (s and e in int64, the int32
-    rows of its two flanking rays, and one bool); one chunk of raw Philox
-    words; 8 B per row for each of 16 per-row count arrays and n_ks
-    threshold counts; and 64 KiB for the array headers and scalars of a
-    block.  A thread's buffers grow to its largest block and are kept;
-    none of these terms grows with n once a row is longer than _BLOCK_RAYS."""
-    return 10 * positions + 41 * runs + 8 * _MASK_CHUNK + 8 * rows * (16 + n_ks) + (1 << 16)
+    """Most bytes one thread holds to classify a block of the given
+    _block_shape and rows: per position, 1 B for the keep decision, 1 B for
+    its change mask and 8 B for the edges found at once (at most one per
+    position); per run, 8 B of row offset and 33 B of buffers (s and e in
+    int64, the int32 rows of its two flanking rays, and one bool); one
+    window of raw Philox words; 8 B per row for the trial of each row and
+    for each of 16 per-row count arrays and n_ks threshold counts; and 64
+    KiB for the array headers and scalars of a block.  A thread's buffers
+    grow to its largest block and are kept; none of these terms grows with
+    n once a row is longer than _BLOCK_RAYS."""
+    return 10 * positions + 41 * runs + 8 * _BLOCK_RAYS + 8 * rows * (17 + n_ks) + (1 << 16)
 
 
-def _draw_block(coords: np.ndarray, threshold: int, master_seed: int, lo: int, hi: int, ks, scratch: dict):
-    """Draw trials lo..hi-1 of one cell at the given keep threshold, with
-    the thread's one Philox (held in scratch) re-keyed for each, and
-    classify them: rows of at most _BLOCK_RAYS rays straight into one
-    padded keep layout, _classify'd as one block, and a longer row through
-    _stream_row."""
-    n = len(coords)
-    bitgen = scratch.get("philox")
-    if bitgen is None:
-        bitgen = scratch["philox"] = np.random.Philox(0)
-    if n > _BLOCK_RAYS:
-        rows = [_stream_row(coords, _keep_stream(bitgen, master_seed, t, threshold), ks, scratch)
-                for t in range(lo, hi)]
-        return tuple(np.concatenate(counts) for counts in zip(*rows))
-    keep = _buffer(scratch, "keep", 1 + (hi - lo) * (n + 1), bool)
-    keep[0] = True
-    rows = keep[1:].reshape(hi - lo, n + 1)
-    rows[:, n] = True
-    for row, t in zip(rows, range(lo, hi)):
-        _keep_mask(bitgen, master_seed, t, threshold, row[:n])
-    return _classify(coords, keep, ks, scratch)
+class _Bin:
+    """Draws of at most _BLOCK_RAYS rays over coords, compared a row at a
+    time into one padded keep layout of the given rows (see _classify),
+    with the column of each row's trial, to be classified together."""
+
+    def __init__(self, coords: np.ndarray, threshold: int, rows: int):
+        n = len(coords)
+        self.coords, self.threshold = coords, np.uint64(threshold)
+        self.keep = np.ones(1 + rows * (n + 1), dtype=bool)  # the kept sentinels are set once
+        self.rows = self.keep[1:].reshape(rows, n + 1)[:, :n]
+        self.columns = np.empty(rows, dtype=np.int64)
+        self.filled = 0
+
+    def add(self, words: np.ndarray, column: int) -> bool:
+        """Compare the first n words into the next row; True once the bin is full."""
+        np.less(words[: self.rows.shape[1]], self.threshold, out=self.rows[self.filled])
+        self.columns[self.filled] = column
+        self.filled += 1
+        return self.filled == len(self.columns)
+
+    def classify(self, ks, scratch: dict) -> tuple[np.ndarray, tuple]:
+        """The filled rows' columns and _classify counts, emptying the bin."""
+        end = 1 + self.filled * (self.rows.shape[1] + 1)
+        columns, self.filled = self.columns[: self.filled], 0
+        return columns, _classify(self.coords, self.keep[:end], ks, scratch)
+
+
+def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> None:
+    """Draw each trial t that trials yields once, and classify it in every
+    lane: lanes holds one (coords, keep threshold, bin rows) per cell, and
+    lane j's counts of trial t (kept, cones, largest index, cones of index
+    >= k) go into out[j, t - first] of out's four arrays.
+
+    Every cell's trial t reads the stream keyed (master_seed, t), so one
+    Philox, re-keyed once per trial, serves them all: the trial's words are
+    read once, in windows of _BLOCK_RAYS up to the longest row of any lane
+    with p < 1, and each window goes to every lane whose row reaches it.  A
+    row of at most _BLOCK_RAYS rays is compared into its lane's _Bin, which
+    is classified when full and when trials runs out; a longer row is
+    compared into its _stream_row's window, and the words are freed before
+    the windows are scanned.  A lane at p = 1 keeps every ray and reads no
+    word: it gets the full fan's counts.
+    """
+    scratch = {}
+    bitgen = np.random.Philox(0)
+    full, bins, streams = [], [], []
+    for j, (coords, threshold, rows) in enumerate(lanes):
+        if threshold > UINT64_MAX:
+            zero = np.zeros(1, dtype=np.int64)
+            full.append((j, _row_counts(len(coords), zero, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
+        elif len(coords) <= _BLOCK_RAYS:
+            bins.append((j, _Bin(coords, threshold, rows)))
+        else:
+            streams.append((j, coords, np.uint64(threshold), {}))
+    longest = max([len(b.coords) for _, b in bins] + [len(coords) for _, coords, *_ in streams], default=0)
+
+    def put(j, columns, counts):
+        for a, c in zip(out, counts):
+            a[j, columns] = c
+
+    for t in trials:
+        column = [t - first]
+        for j, counts in full:
+            put(j, column, counts)
+        if not longest:
+            continue
+        rows = []  # (lane, row length, keep threshold, scan, the window it waits for)
+        for j, coords, threshold, own in streams:
+            scan = _stream_row(coords, ks, scratch, own)
+            rows.append((j, len(coords), threshold, scan, next(scan)))
+        windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
+        for lo in range(0, longest, _BLOCK_RAYS):
+            words = next(windows)
+            if not lo:
+                for j, b in bins:
+                    if b.add(words, t - first):
+                        put(j, *b.classify(ks, scratch))
+            rows = [row for row in rows if lo < row[1]]
+            for *_, threshold, _, window in rows:
+                np.less(words[: len(window)], threshold, out=window)
+            del words  # freed before the rows are scanned and the next window is drawn
+            rows = [(j, n, threshold, scan, next(scan)) for j, n, threshold, scan, _ in rows]
+            for j, n, *_, counts in rows:
+                if lo + _BLOCK_RAYS >= n:  # the row's last window: next(scan) gave its counts
+                    put(j, column, counts)
+    for j, b in bins:
+        if b.filled:
+            put(j, *b.classify(ks, scratch))
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
@@ -526,26 +598,31 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     )
 
 
-def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, Iterator, int, int]:
+def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
     """The work of a sweep, by arithmetic on the exact ray counts before any
-    ray is built: the cells (h, q) in grid order; the blocks (cell, h, keep
-    threshold, lo, hi) of max(1, _BLOCK_RAYS // n) trials of one cell, in
-    grid order, from a generator that makes each as it is taken; the thread
-    count, min(workers, blocks); and the bytes held beside the universes:
-    per thread, the _block_bytes of the largest _block_shape and the most
-    rows, which no height past _BLOCK_RAYS rays raises, and at most 16 B per
-    trial for each of the 3 + len(k_list) counts (8 B for the counts of every
-    cell, kept to the end, and 8 B for the copies made to aggregate a cell)."""
+    ray is built: the cells (h, q) in grid order; their lanes (h, keep
+    threshold, bin rows) for _draw_trials, with min(trials, max(1,
+    _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers,
+    trials), one trial being one work item; and the bytes held beside the
+    universes.  Per thread, those are the _block_bytes of the largest
+    _block_shape and the most rows, which no height past _BLOCK_RAYS rays
+    raises, plus what each lane that draws keeps from trial to trial: its
+    keep layout (its bin, or a longer row's window) and a longer row's s
+    and e buffers, less the one layout that _block_bytes counts.  Per trial,
+    they are at most 16 B for each of the 3 + len(k_list) counts of each
+    cell (8 B for the counts, kept to the end, and 8 B for the copies made
+    to aggregate a cell)."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
-    per_block = [min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])) for h, _ in cells]
-    threads = min(workers, sum(-(-spec.trials // b) for b in per_block))
-    positions, runs = map(max, zip(*(_block_shape(sizes[h], b) for (h, _), b in zip(cells, per_block))))
-    per_thread = _block_bytes(positions, runs, max(per_block), len(spec.k_list))
-    thresholds = [_keep_threshold(1.0 - q) for _, q in cells]
-    blocks = ((i, h, thresholds[i], lo, min(lo + b, spec.trials))
-              for i, ((h, _), b) in enumerate(zip(cells, per_block)) for lo in range(0, spec.trials, b))
-    return cells, blocks, threads, threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
+    lanes = [(h, _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h]))) for h, q in cells]
+    shapes = [_block_shape(sizes[h], rows) for h, _, rows in lanes]
+    positions, runs = map(max, zip(*shapes))
+    drawing = [(p, 16 * r if sizes[h] > _BLOCK_RAYS else 0)
+               for (h, threshold, _), (p, r) in zip(lanes, shapes) if threshold <= UINT64_MAX]
+    held = sum(p + runs_held for p, runs_held in drawing) - max((p for p, _ in drawing), default=0)
+    per_thread = _block_bytes(positions, runs, max(rows for *_, rows in lanes), len(spec.k_list)) + held
+    threads = min(workers, spec.trials)
+    return cells, lanes, threads, threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
 
 
 def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
@@ -557,39 +634,40 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     failures there and are tallied in n_no_cones.  run_density_sweep is the
     same function.
 
-    _sweep_plan works out the blocks once, for both the memory check and
-    the thread pool.  The universes of all the spec's distinct heights are
-    held at once: their memory is checked with the plan's bytes, and each is
-    built (and checked by enumerate_rays) once, before the first block.  One
-    pool of the plan's threads serves all cells: each thread keeps one
-    scratch (its buffers and its one Philox), takes the next block until
-    none is left, and writes the block's counts into its trials' rows; past
-    _BLOCK_RAYS rays a trial is streamed, so a thread holds the same bytes
-    at every such height.  A trial's stream is keyed by its index alone, so
-    neither window size, scheduling nor finish order can leak into a row.
+    _sweep_plan works out the lanes once, for both the memory check and the
+    thread pool.  The universes of all the spec's distinct heights are held
+    at once: their memory is checked with the plan's bytes, and each is
+    built (and checked by enumerate_rays) once, before the first trial.
+    One pool of the plan's threads serves all cells: each thread runs
+    _draw_trials, taking the next trial until none is left, draws it once
+    for every cell and writes each cell's counts into that trial's entry of
+    the cell's rows; past _BLOCK_RAYS rays a trial is streamed, so a thread
+    holds the same bytes at every such height.  A trial's stream is keyed
+    by its index alone, so neither window size, scheduling nor finish order
+    can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
-    cells, blocks, threads, plan_bytes = _sweep_plan(spec, workers)
+    cells, lanes, threads, plan_bytes = _sweep_plan(spec, workers)
     heights = list(dict.fromkeys(spec.h_values))
     which = f"height {heights[0]} needs" if len(heights) == 1 else f"heights {', '.join(map(str, heights))} need"
     _check_bytes(_universe_bytes(heights) + plan_bytes, which, "to run the sweep")
     universes = {h: enumerate_rays(h).coords for h in heights}
-    n_cones, max_index = np.empty((2, len(cells), spec.trials), dtype=np.int64)
+    lanes = [(universes[h], threshold, rows) for h, threshold, rows in lanes]
+    counts = np.empty((3, len(cells), spec.trials), dtype=np.int64)
     at_least = np.empty((len(cells), spec.trials, len(spec.k_list)), dtype=np.int64)
+    trials = iter(range(spec.trials))
     lock = threading.Lock()
 
-    def next_block():
-        with lock:  # two threads may not advance one generator at once
-            return next(blocks, None)
+    def next_trial():
+        with lock:  # two threads may not advance one iterator at once
+            return next(trials, None)
 
     def work(_):
-        scratch = {}
-        for i, h, threshold, lo, hi in iter(next_block, None):
-            _, n_cones[i, lo:hi], max_index[i, lo:hi], at_least[i, lo:hi] = _draw_block(
-                universes[h], threshold, spec.master_seed, lo, hi, spec.k_list, scratch)
+        _draw_trials(lanes, spec.master_seed, iter(next_trial, None), spec.k_list, (*counts, at_least))
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(work, range(threads)))  # raises what a thread raised
+    _, n_cones, max_index = counts
     return [_aggregate(h, q, n_cones[i], max_index[i], at_least[i], spec.k_list, spec.c_density)
             for i, (h, q) in enumerate(cells)]
 

@@ -84,32 +84,33 @@ def _rekey(bitgen: np.random.Philox, master_seed: int, trial_index: int) -> None
     }
 
 
-def _keep_stream(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int):
-    """The keep decisions of trial (master_seed, trial_index) as a function
-    fill(out) that writes the next len(out) of them into out, re-keying
-    bitgen once, now.
+def _trial_words(bitgen: np.random.Philox, master_seed: int, trial_index: int, n: int, window: int):
+    """The first n raw words of trial (master_seed, trial_index)'s stream,
+    as arrays of window words (the last one may be shorter), read from
+    bitgen, which is re-keyed once, when the first is taken.
 
-    A decision is True when its uniform of the trial's stream is below p,
-    threshold being _keep_threshold(p); successive calls read the stream on,
-    in order.  The raw words are read in chunks of at most _MASK_CHUNK.
+    This is the one reader of Philox words: sample_fan's masks and the
+    sweeps, whose cells all read trial t's stream, go through it.
     """
-    if threshold > UINT64_MAX:
-        return lambda out: out.fill(True)
     _rekey(bitgen, master_seed, trial_index)
-    threshold = np.uint64(threshold)
-
-    def fill(out):
-        for lo in range(0, len(out), _MASK_CHUNK):
-            chunk = out[lo : lo + _MASK_CHUNK]
-            np.less(bitgen.random_raw(len(chunk)), threshold, out=chunk)
-
-    return fill
+    for lo in range(0, n, window):
+        yield bitgen.random_raw(min(window, n - lo))
 
 
 def _keep_mask(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int, out: np.ndarray) -> None:
     """Write the keep decisions of trial (master_seed, trial_index) into out,
-    re-keying bitgen: out[i] is the i-th decision of _keep_stream."""
-    _keep_stream(bitgen, master_seed, trial_index, threshold)(out)
+    re-keying bitgen.
+
+    Decision i is True when the i-th uniform of the trial's stream is below
+    p, threshold being _keep_threshold(p).  The raw words are read in chunks
+    of at most _MASK_CHUNK; at p = 1 none is read.
+    """
+    if threshold > UINT64_MAX:
+        out.fill(True)
+        return
+    words = _trial_words(bitgen, master_seed, trial_index, len(out), _MASK_CHUNK)
+    for lo in range(0, len(out), _MASK_CHUNK):
+        np.less(next(words), np.uint64(threshold), out=out[lo : lo + _MASK_CHUNK])
 
 
 def sample_fan(cfg: SampleConfig) -> Fan:

@@ -23,7 +23,7 @@ from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError, check_int
 from randfan.experiments import ExperimentSpec, emit, write_blocks
 from randfan.fans import complete_fan
-from randfan.lattice import MAX_H, _universe_bytes, count_geq, enumerate_rays
+from randfan.lattice import MAX_H, _universe_bytes, enumerate_rays
 from randfan.cli import main
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
@@ -334,33 +334,32 @@ def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
 
 
 def test_blocks_finishing_out_of_order_give_the_pinned_bytes(tmp_path, capsys, monkeypatch):
-    # in each group of three blocks, every block but the last waits until the
-    # next one has finished, so at 3 workers each group finishes in reverse
+    # in each group of three trials, every trial but the last waits until the
+    # next one has been drawn, so at 3 workers each group finishes in reverse
     # (three threads are never all waiting: one of them holds a group's last)
     argv, digest = GOLDEN_OUTPUTS[0]
     spec = ExperimentSpec(h_values=[40, 60, 80], q_schedule=[0.5, 0.5, 0.2], trials=1000, k_list=[2, 3])
-    _, blocks, threads, _ = experiments._sweep_plan(spec, 3)
-    blocks = list(blocks)
-    assert threads == 3 and len(blocks) > 100
-    index = {(count_geq(h, 1), threshold, lo): i for i, (_, h, threshold, lo, _) in enumerate(blocks)}
-    finished = [threading.Event() for _ in blocks]
+    assert experiments._sweep_plan(spec, 3)[2] == 3
+    finished = [threading.Event() for _ in range(spec.trials)]
     order = []
-    draw = experiments._draw_block
+    draw = experiments._draw_trials
 
-    def out_of_order(coords, threshold, master_seed, lo, hi, ks, scratch):
-        i = index[len(coords), threshold, lo]
-        if i % 3 != 2 and i + 1 < len(blocks):
-            assert finished[i + 1].wait(timeout=60)
-        result = draw(coords, threshold, master_seed, lo, hi, ks, scratch)
-        order.append(i)
-        finished[i].set()
-        return result
+    def out_of_order(lanes, master_seed, trials, ks, out, first=0):
+        def paced():
+            for t in trials:
+                if t % 3 != 2 and t + 1 < len(finished):
+                    assert finished[t + 1].wait(timeout=60)
+                yield t  # the thread asks for its next trial once t is drawn
+                order.append(t)
+                finished[t].set()
 
-    monkeypatch.setattr(experiments, "_draw_block", out_of_order)
+        draw(lanes, master_seed, paced(), ks, out, first)
+
+    monkeypatch.setattr(experiments, "_draw_trials", out_of_order)
     out = tmp_path / "three.csv"
     code, _, err = run_cli(capsys, *argv, "--workers", "3", "--out", str(out))
     assert code == 0 and err == ""
-    assert sorted(order) == list(range(len(blocks))) and order != sorted(order)
+    assert sorted(order) == list(range(spec.trials)) and order != sorted(order)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     monkeypatch.undo()
     one = tmp_path / "one.csv"

@@ -340,6 +340,22 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_dense_sweep(work
     assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, workers)[3]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_grid(workers):
+    # one draw a trial feeds a bin at h = 40 and two streamed rows, and the
+    # thread keeps each cell's bin or run buffers from trial to trial
+    spec = _spec(h_values=[40, 300, 1000], q_schedule=[0.5, 0.5, 0.5], trials=3)
+    lattice.enumerate_rays.cache_clear()
+    tracemalloc.start()
+    try:
+        run_threshold_sweep(spec, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        lattice.enumerate_rays.cache_clear()
+    assert peak <= lattice._universe_bytes([40, 300, 1000]) + experiments._sweep_plan(spec, workers)[3]
+
+
 def test_sweep_memory_per_thread_does_not_grow_with_the_height():
     # past _BLOCK_RAYS rays a row is streamed through one window, so a
     # thread's bytes are the same at every such height
@@ -437,7 +453,7 @@ def test_one_pool_starts_at_most_one_thread_per_work_item(monkeypatch):
     run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=2), workers=bound)
     assert pools == [1, 2]
     run_threshold_sweep(_spec(h_values=[3, 4], q_schedule=[0.5, 0.5], trials=2), workers=3)
-    assert pools == [1, 2, 3]  # one pool serves both cells
+    assert pools == [1, 2, 2]  # one pool serves both cells, a trial at a time
 
 
 def test_sweep_columns_layout():

@@ -108,6 +108,22 @@ def test_one_module_touches_the_environment():
     assert touchers == {"__init__.py"}
 
 
+def test_one_call_reads_philox_words():
+    # sampling._trial_words is the one reader of a trial's stream, so no
+    # second draw path (a cell drawing its own copy of the words) can return;
+    # the method is named nowhere else, so no alias of it can be called
+    named, called = [], []
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(stmt, 'name', None)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr == "random_raw":
+                    named.append(where)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "random_raw":
+                    called.append(where)
+    assert named == called == ["sampling._trial_words"]
+
+
 #: Public top-level functions and classes kept with no caller in src, no
 #: mention in the README and no use in the acceptance tests, with the reason.
 UNREFERENCED = {

@@ -2,6 +2,8 @@
 integer keep mask against Generator.random, and the array aggregation
 against the record-by-record oracle."""
 
+import dataclasses
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -122,15 +124,14 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
-def _reader(row):
-    """fill(out) over the decisions of row: the next len(out) of them."""
-    rest = row
-
-    def fill(out):
-        nonlocal rest
-        out[:], rest = rest[: len(out)], rest[len(out) :]
-
-    return fill
+def _streamed(coords, keep, ks, scratch, own):
+    """_stream_row's counts of the draw keep over coords, its windows filled
+    with the next decisions of keep in turn."""
+    rest = keep
+    for window in experiments._stream_row(coords, ks, scratch, own):
+        if isinstance(window, tuple):
+            return window
+        window[:], rest = rest[: len(window)], rest[len(window) :]
 
 
 _SMALL = st.sampled_from([1, 2, 3, 5, 8])
@@ -140,16 +141,25 @@ _SMALL = st.sampled_from([1, 2, 3, 5, 8])
 @given(block=_blocks(), window=_SMALL, edge_runs=_SMALL, ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
 def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, edge_runs, ks):
     # windows and edge buffers of a few positions, so the seam's runs, open
-    # runs and full buffers all fall across window edges; one scratch
-    # serves every row, as a sweep thread's does
+    # runs and full buffers all fall across window edges; one scratch and
+    # one pair of run buffers serve every row, as a sweep thread's do
     h, dropped = block
     coords = enumerate_rays(h).coords
-    scratch = {}
+    scratch, own = {}, {}
     with mock.patch.multiple(experiments, _BLOCK_RAYS=window, _EDGE_RUNS=edge_runs):
         for drops in dropped:
-            kept, n_cones, max_index, at_least = experiments._stream_row(coords, _reader(~drops), ks, scratch)
+            kept, n_cones, max_index, at_least = _streamed(coords, ~drops, ks, scratch, own)
             got = (int(kept[0]), int(n_cones[0]), int(max_index[0]), at_least[0].tolist())
             assert got == fan_counts(h, ~drops, ks), np.flatnonzero(drops)
+
+
+def _drawn(lanes, trials, ks, first=0):
+    """_draw_trials' four count arrays for the given trials (columns t -
+    first) of the lanes at seed SEED."""
+    out = (*np.empty((3, len(lanes), len(trials)), dtype=np.int64),
+           np.empty((len(lanes), len(trials), len(ks)), dtype=np.int64))
+    experiments._draw_trials(lanes, SEED, trials, ks, out, first)
+    return out
 
 
 @pytest.mark.parametrize("q", [1e-4, 0.5, 0.999])
@@ -161,23 +171,25 @@ def test_streamed_row_at_height_300_matches_its_whole_row_layout(q):
     keep = np.ones(len(coords) + 2, dtype=bool)
     sampling._keep_mask(np.random.Philox(0), SEED, 5, threshold, keep[1:-1])
     want = _classify(coords, keep, [1, 2, 3], {})
-    got = experiments._draw_block(coords, threshold, SEED, 5, 6, [1, 2, 3], {})
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    got = _drawn([(coords, threshold, 1)], [5], [1, 2, 3], first=5)
+    assert all(np.array_equal(a[0], b) for a, b in zip(got, want))
 
 
 def test_a_whole_block_of_the_paper_sweep_matches_fan_oracle_row_by_row():
-    # one full _draw_block at h = 60, q = 0.5, as the paper sweep draws it:
-    # every row's runs are turned into columns by that row's own start
+    # one full bin at h = 60, q = 0.5, as the paper sweep draws it: every
+    # row's runs are turned into columns by that row's own start
     coords = enumerate_rays(60).coords
     n = len(coords)
     rows = experiments._BLOCK_RAYS // n
     assert rows == 7
     ks = [1, 2, 3, 5]
-    scratch = {}
-    block = experiments._draw_block(coords, sampling._keep_threshold(0.5), SEED, 0, rows, ks, scratch)
-    keep = scratch["keep"][1:].reshape(rows, n + 1)[:, :n]
+    threshold = sampling._keep_threshold(0.5)
+    block = _drawn([(coords, threshold, rows)], range(rows), ks)
+    keep = np.empty((rows, n), dtype=bool)
+    for t, row in enumerate(keep):
+        sampling._keep_mask(np.random.Philox(0), SEED, t, threshold, row)
     assert (~keep[:, 0] & ~keep[:, -1]).any()  # some row has a run across its seam
-    kept, n_cones, max_index, at_least = (a.tolist() for a in block)
+    kept, n_cones, max_index, at_least = (a[0].tolist() for a in block)
     got = list(zip(kept, n_cones, max_index, at_least))
     assert got == [fan_counts(60, row, ks) for row in keep]
 
@@ -364,6 +376,69 @@ def test_sweep_bytes_do_not_depend_on_block_budget_or_workers(monkeypatch, budge
         monkeypatch.setattr(experiments, "_EDGE_RUNS", edge_runs)
         for workers in (1, 2, 3):
             assert _sweep_csv(spec, workers) == want
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_each_row_of_a_grid_equals_the_sweep_of_its_cell_alone(monkeypatch, workers):
+    # the cells of a grid share each trial's one draw; with windows of 50
+    # words and run buffers of 3, h <= 4 (48 rays) goes into bins and
+    # h >= 5 (80 rays) is streamed; h = 5 and h = 12 come twice, and each
+    # grid has a cell at q = 0 (no word read) and one at q = 1; the threads
+    # switch often, so two taking one trial would show
+    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 50)
+    monkeypatch.setattr(experiments, "_EDGE_RUNS", 3)
+    grids = [
+        ("q-small", [2, 5, 12, 5, 4, 9, 3, 1], [0.3, 0.6, 0.05, 0.01, 0.0, 1.0, 0.5, 0.4]),
+        ("q-large", [3, 12, 1, 12, 6], [0.2, 0.9, 0.0, 0.5, 1.0]),
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for regime, heights, schedule in grids:
+            spec = ExperimentSpec(h_values=heights, q_schedule=schedule, regime=regime, trials=23,
+                                  k_list=[1, 2, 3], c_density=0.25, master_seed=SEED)
+            assert {0.0, 1.0} <= set(spec.q_values())
+            rows = run_threshold_sweep(spec, workers=workers)
+            for h, value, row in zip(heights, schedule, rows):
+                alone = dataclasses.replace(spec, h_values=[h], q_schedule=[value])
+                assert run_threshold_sweep(alone, workers=workers) == [row], (h, row.q)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_grid_reads_each_trial_stream_once(monkeypatch):
+    # a Philox that counts the words it returns and its re-keys
+    drawn = {}
+    base = np.random.Philox
+
+    class Philox(base):  # the state setter checks the class name
+        def random_raw(self, size=None, output=True):
+            words = super().random_raw(size, output)
+            drawn["words"] += np.size(words)
+            return words
+
+        @property
+        def state(self):
+            return base.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            drawn["rekeys"] += 1
+            base.state.__set__(self, value)
+
+    monkeypatch.setattr(np.random, "Philox", Philox)
+
+    def draws(heights, schedule, trials):
+        drawn.update(words=0, rekeys=0)
+        run_threshold_sweep(ExperimentSpec(h_values=heights, q_schedule=schedule, trials=trials, k_list=[2, 3]))
+        return drawn["words"], drawn["rekeys"]
+
+    # the paper's cells: their longest row, 15,728 rays at h = 80, is read
+    # once per trial, not 3,920 + 8,816 + 15,728 = 28,464 words in 3 streams
+    assert draws([40, 60, 80], [0.5, 0.5, 0.2], 7) == (7 * 15_728, 7)
+    for h, q in [(40, 0.5), (80, 1.0), (300, 1e-4)]:  # a cell alone reads its own rows
+        assert draws([h], [q], 3) == (3 * lattice.count_geq(h, 1), 3)
+    assert draws([40, 300], [0.0, 0.0], 3) == (0, 0)  # every ray kept: nothing read
 
 
 @pytest.fixture
