@@ -11,7 +11,8 @@ every cell's trial t reads the same stream, so a thread draws it once and
 hands its windows to every cell.  A cell's short rows are gathered into
 one padded keep layout and classified a block at a time; a row of more
 rays than a block holds is scanned window by window, so a thread's buffers
-never grow with the height.  A cell is aggregated from counts.
+never grow with the height, and its runs' wedges are read from the checked
+first octant, so its circle is never built.  A cell is aggregated from counts.
 Trial RNG streams never depend on block size, worker count or scheduling,
 and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
@@ -49,8 +50,8 @@ import numpy as np
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import ValidationError, brief, check_int, check_real
 from .lattice import (
-    RayUniverse, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes, count_geq,
-    enumerate_rays,
+    RayUniverse, _check_bytes, _check_height, _circle_ray, _count_geq, _mertens, _octant, _universe_bytes,
+    count_geq, enumerate_rays,
 )
 from .sampling import UINT64_MAX, _keep_threshold, _trial_words
 
@@ -259,6 +260,50 @@ def _wedges(coords: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> 
     return w
 
 
+def _octant_wedges(octant: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> np.ndarray:
+    """_wedges of the dropped runs s..e - 1 over the circle of n = 8q rays
+    unfolded from the checked octant of q + 1 rays (lattice._octant), read
+    from the octant: the runs are disjoint and in row order, save that the
+    last may be the run across the seam, which ends before it starts.
+
+    Sector j of the circle, positions jq to jq + q - 1, is the octant turned
+    by j // 2 quarter turns, and in odd sectors first reflected across
+    y = x, so that its t-th ray is octant[q - t] (lattice._circle_ray).  One
+    searchsorted on e splits the runs by the sector of their end.  A run in
+    sector j takes its flanking rays from the octant at t = s - 1 - jq and
+    t = e - jq, at q - t in an odd sector, whose reflection (of determinant
+    -1) negates the wedge; the turns keep it.  Only the first run of a
+    sector can start in an earlier one, and only the seam run wraps: those
+    few are mapped ray by ray."""
+    q = len(octant) - 1
+    s -= 1
+    r = len(s)
+    m = r - int(r > 0 and e[-1] <= s[-1])  # the runs in row order
+    bounds = [*np.searchsorted(e[:m], np.arange(8) * q).tolist(), m]
+    # (run, before, after) of the runs across a sector start or the seam
+    mapped = [(i, int(s[i]), int(e[i])) for i in range(m, r)]
+    for j in range(8):
+        a, z = bounds[j], bounds[j + 1]
+        if a < z and s[a] < j * q:
+            mapped.append((a, int(s[a]), int(e[a])))
+        for x in (s[a:z], e[a:z]):
+            if j % 2:
+                np.subtract((j + 1) * q, x, out=x)
+            elif j:
+                x -= j * q
+    before, after = (np.take(octant, i, axis=0, mode="clip",  # the mapped runs' positions may be out of range
+                             out=_buffer(scratch, name, 2 * r, np.int32).reshape(-1, 2))
+                     for i, name in ((s, "before"), (e, "after")))
+    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
+    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
+    for j in range(1, 8, 2):
+        np.negative(w[bounds[j] : bounds[j + 1]], out=w[bounds[j] : bounds[j + 1]])
+    for i, b, f in mapped:
+        (ux, uy), (vx, vy) = _circle_ray(octant, b), _circle_ray(octant, f)
+        w[i] = ux * vy - uy * vx
+    return w
+
+
 def _wedge_counts(w: np.ndarray, bounds: np.ndarray, ks, scratch: dict) -> tuple[np.ndarray, ...]:
     """Per row segment of the run wedges w (see _per_row): the runs that
     span a cone, the largest wedge (0 with none), and the runs of wedge >= k
@@ -343,15 +388,17 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
 
 
-def _stream_row(coords: np.ndarray, ks, scratch: dict, own: dict):
-    """_classify's counts of one draw over coords, scanned a window at a
-    time: a generator that yields each window, a view of at most
-    _BLOCK_RAYS positions, for the caller to fill with the row's next keep
-    decisions, scans it when the next item is asked for, and yields the
-    row's counts after the last window.  The row's window and its s and e
+def _stream_row(octant: np.ndarray, ks, scratch: dict, own: dict):
+    """_classify's counts of one draw over the circle of n = 8 * (len(octant)
+    - 1) rays unfolded from octant, scanned a window at a time: a generator
+    that yields each window, a view of at most _BLOCK_RAYS positions, for
+    the caller to fill with the row's next keep decisions, scans it when the
+    next item is asked for, and yields the row's counts after the last
+    window.  The row's window and its s and e
     buffers are its own, in own, so several rows can be scanned at once;
     its other buffers are shared through scratch.  Every buffer is bounded
-    by _BLOCK_RAYS and _EDGE_RUNS, not by n.
+    by _BLOCK_RAYS and _EDGE_RUNS, not by n, and the circle is never built:
+    the runs' wedges are read from the octant (_octant_wedges).
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
@@ -364,7 +411,7 @@ def _stream_row(coords: np.ndarray, ks, scratch: dict, own: dict):
     end and closed there with the trailing run through column n - 1: the
     one run across the seam that _classify forms.
     """
-    n = len(coords)
+    n = 8 * (len(octant) - 1)
     keep = _buffer(own, "keep", _BLOCK_RAYS + 2, bool)
     s = _buffer(own, "s", _EDGE_RUNS + 1, np.int64)
     e = _buffer(own, "e", _EDGE_RUNS + 1, np.int64)
@@ -386,7 +433,7 @@ def _stream_row(coords: np.ndarray, ks, scratch: dict, own: dict):
                 r += 1
         runs += r - first
         if r > first:
-            w = _wedges(coords, s[first:r], e[first:r], scratch)
+            w = _octant_wedges(octant, s[first:r], e[first:r], scratch)
             cones, top, at_least = _wedge_counts(w, np.array([0, r - first]), ks, scratch)
             counts[0] += cones
             np.maximum(counts[1], top, out=counts[1])
@@ -472,9 +519,11 @@ class _Bin:
 
 def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> None:
     """Draw each trial t that trials yields once, and classify it in every
-    lane: lanes holds one (coords, keep threshold, bin rows) per cell, and
-    lane j's counts of trial t (kept, cones, largest index, cones of index
-    >= k) go into out[j, t - first] of out's four arrays.
+    lane: lanes holds one (n, rays, keep threshold, bin rows) per cell, the
+    rays being the universe's coordinates for a row of at most _BLOCK_RAYS
+    rays, its first octant (lattice._octant) for a longer one, and None at
+    p = 1, and lane j's counts of trial t (kept, cones, largest index,
+    cones of index >= k) go into out[j, t - first] of out's four arrays.
 
     Every cell's trial t reads the stream keyed (master_seed, t), so one
     Philox, re-keyed once per trial, serves them all: the trial's words are
@@ -489,15 +538,15 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
     scratch = {}
     bitgen = np.random.Philox(0)
     full, bins, streams = [], [], []
-    for j, (coords, threshold, rows) in enumerate(lanes):
+    for j, (n, rays, threshold, rows) in enumerate(lanes):
         if threshold > UINT64_MAX:
             zero = np.zeros(1, dtype=np.int64)
-            full.append((j, _row_counts(len(coords), zero, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
-        elif len(coords) <= _BLOCK_RAYS:
-            bins.append((j, _Bin(coords, threshold, rows)))
+            full.append((j, _row_counts(n, zero, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
+        elif n <= _BLOCK_RAYS:
+            bins.append((j, _Bin(rays, threshold, rows)))
         else:
-            streams.append((j, coords, np.uint64(threshold), {}))
-    longest = max([len(b.coords) for _, b in bins] + [len(coords) for _, coords, *_ in streams], default=0)
+            streams.append((j, n, rays, np.uint64(threshold), {}))
+    longest = max((n for n, _, threshold, _ in lanes if threshold <= UINT64_MAX), default=0)
 
     def put(j, columns, counts):
         for a, c in zip(out, counts):
@@ -510,9 +559,9 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
         if not longest:
             continue
         rows = []  # (lane, row length, keep threshold, scan, the window it waits for)
-        for j, coords, threshold, own in streams:
-            scan = _stream_row(coords, ks, scratch, own)
-            rows.append((j, len(coords), threshold, scan, next(scan)))
+        for j, n, octant, threshold, own in streams:
+            scan = _stream_row(octant, ks, scratch, own)
+            rows.append((j, n, threshold, scan, next(scan)))
         windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
         for lo in range(0, longest, _BLOCK_RAYS):
             words = next(windows)
@@ -600,29 +649,38 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
 
 def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
     """The work of a sweep, by arithmetic on the exact ray counts before any
-    ray is built: the cells (h, q) in grid order; their lanes (h, keep
+    ray is built: the cells (h, q) in grid order; their lanes (h, n, keep
     threshold, bin rows) for _draw_trials, with min(trials, max(1,
     _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers,
-    trials), one trial being one work item; and the bytes held beside the
-    universes.  Per thread, those are the _block_bytes of the largest
-    _block_shape and the most rows, which no height past _BLOCK_RAYS rays
-    raises, plus what each lane that draws keeps from trial to trial: its
-    keep layout (its bin, or a longer row's window) and a longer row's s
-    and e buffers, less the one layout that _block_bytes counts.  Per trial,
-    they are at most 16 B for each of the 3 + len(k_list) counts of each
-    cell (8 B for the counts, kept to the end, and 8 B for the copies made
-    to aggregate a cell)."""
+    trials), one trial being one work item; and the bytes the sweep holds.
+    Those are the rays of each height that a lane draws from (_universe_bytes
+    of the universes of heights of at most _BLOCK_RAYS rays and the octants
+    of longer ones; a height whose every cell has p = 1 builds none), the
+    buffers of each thread and the counts of each trial.  Per thread, over
+    the lanes that draw: the _block_bytes of the largest _block_shape and
+    the most rows, which no height past _BLOCK_RAYS rays raises, plus what
+    each of those lanes keeps from trial to trial: its keep layout (its bin,
+    or a longer row's window) and a longer row's s and e buffers, less the
+    one layout that _block_bytes counts.  Per trial, at most 16 B for each
+    of the 3 + len(k_list) counts of each cell (8 B for the counts, kept to
+    the end, and 8 B for the copies made to aggregate a cell)."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
-    lanes = [(h, _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h]))) for h, q in cells]
-    shapes = [_block_shape(sizes[h], rows) for h, _, rows in lanes]
-    positions, runs = map(max, zip(*shapes))
-    drawing = [(p, 16 * r if sizes[h] > _BLOCK_RAYS else 0)
-               for (h, threshold, _), (p, r) in zip(lanes, shapes) if threshold <= UINT64_MAX]
-    held = sum(p + runs_held for p, runs_held in drawing) - max((p for p, _ in drawing), default=0)
-    per_thread = _block_bytes(positions, runs, max(rows for *_, rows in lanes), len(spec.k_list)) + held
+    lanes = [(h, sizes[h], _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])))
+             for h, q in cells]
+    drawing = [(h, n, rows) for h, n, threshold, rows in lanes if threshold <= UINT64_MAX]
+    built = dict.fromkeys(h for h, *_ in drawing)
+    streamed = [h for h in built if sizes[h] > _BLOCK_RAYS]
+    rays = _universe_bytes([h for h in built if h not in streamed], streamed)
+    per_thread = 0
+    if drawing:
+        shapes = [_block_shape(n, rows) for _, n, rows in drawing]
+        positions, runs = map(max, zip(*shapes))
+        held = sum(p + (16 * r if n > _BLOCK_RAYS else 0) for (_, n, _), (p, r) in zip(drawing, shapes))
+        per_thread = (_block_bytes(positions, runs, max(rows for *_, rows in drawing), len(spec.k_list))
+                      + held - max(p for p, _ in shapes))
     threads = min(workers, spec.trials)
-    return cells, lanes, threads, threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
+    return cells, lanes, threads, rays + threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
 
 
 def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
@@ -635,24 +693,29 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     same function.
 
     _sweep_plan works out the lanes once, for both the memory check and the
-    thread pool.  The universes of all the spec's distinct heights are held
-    at once: their memory is checked with the plan's bytes, and each is
-    built (and checked by enumerate_rays) once, before the first trial.
-    One pool of the plan's threads serves all cells: each thread runs
-    _draw_trials, taking the next trial until none is left, draws it once
-    for every cell and writes each cell's counts into that trial's entry of
-    the cell's rows; past _BLOCK_RAYS rays a trial is streamed, so a thread
-    holds the same bytes at every such height.  A trial's stream is keyed
-    by its index alone, so neither window size, scheduling nor finish order
-    can leak into a row.
+    thread pool.  The rays of all the spec's distinct heights are held at
+    once: their memory is checked with the plan's bytes, and each is built
+    once, before the first trial: the universe (checked by enumerate_rays)
+    of a height of at most _BLOCK_RAYS rays, the checked first octant
+    (lattice._octant) of a longer one, whose rows are streamed, and nothing
+    for a height whose every cell keeps every ray.  One pool of the plan's
+    threads serves all cells: each thread runs _draw_trials, taking the
+    next trial until none is left, draws it once for every cell and writes
+    each cell's counts into that trial's entry of the cell's rows; past
+    _BLOCK_RAYS rays a trial is streamed, so a thread holds the same bytes
+    at every such height.  A trial's stream is keyed by its index alone, so
+    neither window size, scheduling nor finish order can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     cells, lanes, threads, plan_bytes = _sweep_plan(spec, workers)
     heights = list(dict.fromkeys(spec.h_values))
     which = f"height {heights[0]} needs" if len(heights) == 1 else f"heights {', '.join(map(str, heights))} need"
-    _check_bytes(_universe_bytes(heights) + plan_bytes, which, "to run the sweep")
-    universes = {h: enumerate_rays(h).coords for h in heights}
-    lanes = [(universes[h], threshold, rows) for h, threshold, rows in lanes]
+    _check_bytes(plan_bytes, which, "to run the sweep")
+    rays = {}
+    for h, n, threshold, _ in lanes:
+        if threshold <= UINT64_MAX and h not in rays:
+            rays[h] = enumerate_rays(h).coords if n <= _BLOCK_RAYS else _octant(h)
+    lanes = [(n, rays.get(h), threshold, rows) for h, n, threshold, rows in lanes]
     counts = np.empty((3, len(cells), spec.trials), dtype=np.int64)
     at_least = np.empty((len(cells), spec.trials, len(spec.k_list)), dtype=np.int64)
     trials = iter(range(spec.trials))

@@ -7,10 +7,14 @@ the wedge determinant, and the counter-clockwise angular order starting at
 (1, 0).  Floating point appears nowhere in this module.
 
 The rays are enumerated by a Farey walk over the first octant, run as
-numpy lanes in lock step, and unfolded to the circle by symmetry.  Before a
-universe is cached it is checked once, in blocks: every pair of cyclic
-neighbours has wedge exactly 1 (the full fan is smooth), and the ray count
-is count_geq(h, 1).  Two unit wedges wedge(tau, u) = wedge(u, omega) = 1
+numpy lanes in lock step, and unfolded to the circle by symmetry.  The
+octant is checked first (_octant): it runs from (1, 0) to (1, 1), its
+neighbours have wedge exactly 1 and 8 * (len - 1) = count_geq(h, 1), so the
+circle unfolded from it is smooth and complete, and a caller that reads the
+circle only through its symmetries need not build it.  Before a universe is
+cached it is checked once more, in blocks: every pair of cyclic neighbours
+has wedge exactly 1 (the full fan is smooth), and the ray count is
+count_geq(h, 1).  Two unit wedges wedge(tau, u) = wedge(u, omega) = 1
 give tau + omega = k * u with k = wedge(tau, omega), so the blowdown module
 reads each index off the wedge of a ray's two neighbours.  count_geq counts
 the rays of index >= k without the walk, from the coprime pairs of
@@ -112,16 +116,22 @@ def _mem_available() -> int | None:
     return None
 
 
-def _universe_bytes(heights) -> int:
-    """Bytes to hold the universes of all the given heights at once, plus
-    the largest octant walk that builds one of them and the temporaries of
-    one block of checks: 8 B (two int32) per ray of each universe, 8 B (x
-    and y) per lane and step of the walk, and 32 B per row of a _BLOCK-row
-    block (two wrapped int32 coordinate copies and two int64 wedge products
-    in _block_wedges).  The octant a walk yields is smaller than both its
-    buffer and its universe, so the sum bounds the peak of every build."""
-    walk = max(8 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in heights)
-    return walk + 32 * _BLOCK + sum(8 * count_geq(h, 1) for h in heights)
+def _universe_bytes(heights, octants=()) -> int:
+    """Bytes to hold the universes of all the given heights and the first
+    octants of the heights in octants at once, plus the largest octant walk
+    that builds one of them and the temporaries of one block of checks: 8 B
+    (two int32) per ray of each universe and per octant ray (count_geq(h, 1)
+    // 8 + 1 of them), 8 B (x and y) per lane and step of the walk, and 32 B
+    per row of a _BLOCK-row block (two wrapped int32 coordinate copies and
+    two int64 wedge products in _block_wedges).  The walk's buffer and the
+    octant it yields are held together, so the sum bounds the peak of every
+    build; it is 0 when nothing is built."""
+    built = [*heights, *octants]
+    if not built:
+        return 0
+    walk = max(8 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in built)
+    return (walk + 32 * _BLOCK + sum(8 * count_geq(h, 1) for h in heights)
+            + sum(count_geq(h, 1) + 8 for h in octants))
 
 
 def _check_bytes(need: int, which: str, purpose: str) -> None:
@@ -180,11 +190,12 @@ def _farey_walk(h: int) -> np.ndarray:
             f"is still live after step {step}, where it wrote the ray "
             f"({xs[step, lane]}, {ys[step, lane]})"
         )
-    taken = np.arange(step + 1) < length[:, None]  # lane-major, like the arc
-    m = int(length.sum()) + 1
-    octant = np.empty((m, 2), dtype=np.int32)
-    octant[:-1, 0] = xs[: step + 1].T[taken]
-    octant[:-1, 1] = ys[: step + 1].T[taken]
+    octant = np.empty((int(length.sum()) + 1, 2), dtype=np.int32)
+    lo = 0
+    for lane, hi in enumerate(np.cumsum(length).tolist()):  # lane-major, like the arc
+        octant[lo:hi, 0] = xs[: hi - lo, lane]
+        octant[lo:hi, 1] = ys[: hi - lo, lane]
+        lo = hi
     octant[-1] = 1
     return octant
 
@@ -261,6 +272,23 @@ def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
     return out
 
 
+def _circle_ray(octant: np.ndarray, p: int) -> tuple[int, int]:
+    """The ray at position p, taken cyclically, of the circle that
+    _unfold_full_circle makes of an octant from (1, 0) to (1, 1), as Python
+    ints.  With q = len(octant) - 1, position p lies in sector p // q of
+    eight: an even sector holds octant[t] at its t-th position, an odd one
+    octant[q - t] reflected across y = x, and sector s is turned by s // 2
+    quarter turns."""
+    q = len(octant) - 1
+    sector, t = divmod(p % (8 * q), q)
+    x, y = octant[q - t if sector % 2 else t].tolist()
+    if sector % 2:
+        x, y = y, x
+    for _ in range(sector // 2):
+        x, y = -y, x
+    return x, y
+
+
 class RayUniverse:
     """All primitive rays of sup-norm at most h, in canonical angular order.
 
@@ -335,57 +363,94 @@ def _block_wedges(c: np.ndarray, lo: int, hi: int, a: int, b: int) -> np.ndarray
 _BLOCK = 1 << 16
 
 
+def _check_wedges(h: int, c: np.ndarray, pairs: int, n: int) -> None:
+    """Raise for the first i < pairs whose neighbours c[i], c[i + 1] (taken
+    cyclically) do not have wedge 1, naming them as rays of a circle of n,
+    in blocks of _BLOCK pairs."""
+    for lo in range(0, pairs, _BLOCK):
+        w = _block_wedges(c, lo, min(lo + _BLOCK, pairs), 0, 1)
+        if not (w == 1).all():
+            i = lo + int(np.argmax(w != 1))
+            u, v = tuple(c[i].tolist()), tuple(c[(i + 1) % len(c)].tolist())
+            raise InvariantError(
+                f"height {h}: neighbouring rays {u} at position {i} and {v} at "
+                f"position {(i + 1) % n} have wedge {int(w[i - lo])}, not 1"
+            )
+
+
+def _octant(h: int) -> np.ndarray:
+    """The first octant of the universe of height h, as _farey_walk gives
+    it, checked as enumerate_rays checks the circle that
+    _unfold_full_circle makes of it.  It runs from (1, 0) to (1, 1), so
+    every sector of that circle is the octant under a symmetry of the
+    square (_circle_ray): a pair of neighbours within a sector is the image
+    of an octant pair, and a pair across a sector start is the image of
+    the octant's first or last pair, the turns keeping a wedge and the
+    reflection negating it while it swaps the pair.  So the circle is
+    smooth when every pair of octant neighbours has wedge exactly 1, and
+    it holds count_geq(h, 1) rays when 8 * (len - 1) does.  InvariantError
+    otherwise, naming the height and the octant's ends, or the first bad
+    pair's positions and rays, or the first missing ray.  Nothing caches
+    the octant, and its callers check its bytes (_universe_bytes)."""
+    octant = _farey_walk(h)
+    q = len(octant) - 1
+    n = 8 * q
+    ends = tuple(octant[0].tolist()), tuple(octant[-1].tolist())
+    if ends != ((1, 0), (1, 1)):
+        raise InvariantError(
+            f"height {h}: the octant runs from {ends[0]} at position 0 to {ends[1]} at "
+            f"position {q}, not from (1, 0) to (1, 1)"
+        )
+    _check_wedges(h, octant, q, n)
+    want = count_geq(h, 1)
+    if n != want:
+        _fail_count(h, octant, q, n, want)
+    return octant
+
+
 @lru_cache(maxsize=4, typed=True)  # typed: True or 5.0 must miss, not hit 1 or 5
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
 
     The first octant comes out of a lock-step Farey walk already in
-    ascending order and the rest of the circle is unfolded from it by
-    symmetry, so the result is exactly sorted with no comparisons and no
-    floating point.  Before it is cached, the universe is checked to be the
-    smooth full fan: every pair of cyclic neighbours has wedge exactly 1,
-    and there are count_geq(h, 1) rays; InvariantError otherwise, naming
-    the first bad pair or the first missing ray.  Heights whose estimated
-    build exceeds half of MemAvailable are refused with ValidationError
-    before anything is allocated.
+    ascending order (checked by _octant) and the rest of the circle is
+    unfolded from it by symmetry, so the result is exactly sorted with no
+    comparisons and no floating point.  Before it is cached, the universe
+    is checked to be the smooth full fan: every pair of cyclic neighbours
+    has wedge exactly 1, and there are count_geq(h, 1) rays; InvariantError
+    otherwise, naming the first bad pair or the first missing ray.  Heights
+    whose estimated build exceeds half of MemAvailable are refused with
+    ValidationError before anything is allocated.
     """
     h = _check_height(h)
     _check_bytes(_universe_bytes((h,)), f"height {h} needs", "to enumerate the rays")
-    c = _unfold_full_circle(_farey_walk(h))
+    c = _unfold_full_circle(_octant(h))
     n = len(c)
-    for lo in range(0, n, _BLOCK):
-        w = _block_wedges(c, lo, min(lo + _BLOCK, n), 0, 1)
-        if not (w == 1).all():
-            i = lo + int(np.argmax(w != 1))
-            j = (i + 1) % n
-            u, v = tuple(c[i].tolist()), tuple(c[j].tolist())
-            raise InvariantError(
-                f"height {h}: neighbouring rays {u} at position {i} and {v} at "
-                f"position {j} have wedge {int(w[i - lo])}, not 1"
-            )
+    _check_wedges(h, c, n, n)
     want = count_geq(h, 1)
     if n != want:
-        _fail_count(h, c, want)
+        _fail_count(h, c, n, n, want)
     return RayUniverse(h, c)
 
 
-def _fail_count(h: int, c: np.ndarray, want: int) -> NoReturn:
-    """Raise for a smooth walk of the wrong length, naming the first gap.
+def _fail_count(h: int, c: np.ndarray, pairs: int, n: int, want: int) -> NoReturn:
+    """Raise for a smooth walk of n rays where want have sup-norm <= h,
+    naming the first gap among the first pairs neighbour pairs of c (the
+    circle, its last pair wrapping, or its first octant).
 
     Every wedge is 1, so the sum of two neighbours is a primitive ray
     between them; where that sum has sup-norm <= h, it is a ray the walk
     missed.
     """
-    n = len(c)
     message = f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}"
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+    for lo in range(0, pairs, _BLOCK):
+        hi = min(lo + _BLOCK, pairs)
         pair_sum = c[lo:hi] + np.take(c, np.arange(lo + 1, hi + 1), axis=0, mode="wrap")
         inside = np.abs(pair_sum).max(axis=1) <= h
         if inside.any():
             i = lo + int(np.argmax(inside))
             j = (i + 1) % n
-            u, v, s = (tuple(a.tolist()) for a in (c[i], c[j], pair_sum[i - lo]))
+            u, v, s = (tuple(a.tolist()) for a in (c[i], c[(i + 1) % len(c)], pair_sum[i - lo]))
             raise InvariantError(
                 f"{message}; the ray {s} between {u} at position {i} and {v} at position {j} is missing"
             )

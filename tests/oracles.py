@@ -247,13 +247,14 @@ def block_trial(h, q, master_seed, trial_index, k_list):
     """The TrialRecord of one draw from the sweep's own classifier: one
     trial of _draw_trials over one cell at drop probability q.  Not an
     oracle; the record that tests compare with fan_trial."""
-    from randfan.experiments import _draw_trials
-    from randfan.lattice import enumerate_rays
+    from randfan.experiments import _BLOCK_RAYS, _draw_trials
+    from randfan.lattice import _octant, count_geq, enumerate_rays
     from randfan.sampling import _keep_threshold
 
-    coords = enumerate_rays(h).coords
+    n = count_geq(h, 1)
+    rays = enumerate_rays(h).coords if n <= _BLOCK_RAYS else _octant(h)
     block = (*np.empty((3, 1, 1), dtype=np.int64), np.empty((1, 1, len(k_list)), dtype=np.int64))
-    _draw_trials([(coords, _keep_threshold(1.0 - q), 1)], master_seed, [trial_index], k_list, block, trial_index)
+    _draw_trials([(n, rays, _keep_threshold(1.0 - q), 1)], master_seed, [trial_index], k_list, block, trial_index)
     kept, m, max_index, at_least = (a[0, 0].tolist() for a in block)
     return TrialRecord(
         h=h, q=q, trial_index=trial_index, n_rays_drawn=kept,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randfan import cli, experiments
+from randfan import cli, experiments, lattice
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError, check_int
 from randfan.experiments import ExperimentSpec, emit, write_blocks
@@ -329,6 +329,23 @@ GOLDEN_OUTPUTS = [
 def test_sweep_output_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "sweep.csv"
     code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_streamed_sweep_gives_the_pinned_bytes_without_its_circle(tmp_path, capsys, monkeypatch, workers):
+    # every row at h = 1000 (2,433,536 rays) is streamed, so the sweep reads
+    # its checked first octant and never unfolds the circle
+    def refuse(octant):
+        raise AssertionError("a streamed sweep unfolded its circle")
+
+    argv, digest = GOLDEN_OUTPUTS[1]
+    assert argv[-2:] == ("--workers", "2")
+    monkeypatch.setattr(lattice, "_unfold_full_circle", refuse)
+    enumerate_rays.cache_clear()
+    out = tmp_path / "threshold.csv"
+    code, _, err = run_cli(capsys, *argv[:-1], workers, "--out", str(out))
     assert code == 0 and err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 

@@ -309,13 +309,14 @@ def test_threaded_sweep_builds_the_universe_once(monkeypatch):
 
 
 def test_sweep_checks_the_memory_of_all_its_heights_together(monkeypatch):
-    # the sweep holds every distinct height's universe at once: room for
-    # each height alone is not room for the spec
+    # the sweep holds every distinct height's octant at once: room for the
+    # sweep of each height alone is not room for the spec
     heights = [800, 801, 802, 803]
-    available = 2 * max(lattice._universe_bytes([h]) for h in heights)
+    alone = [experiments._sweep_plan(_spec(h_values=[h], q_schedule=[0.5], trials=1), 1)[3] for h in heights]
+    available = 2 * max(alone)
     monkeypatch.setattr(lattice, "_mem_available", lambda: available)
-    for h in heights:
-        lattice._check_bytes(lattice._universe_bytes([h]), f"height {h} needs", "to enumerate the rays")
+    for h, need in zip(heights, alone):
+        lattice._check_bytes(need, f"height {h} needs", "to run the sweep")
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)
     lattice.enumerate_rays.cache_clear()
@@ -337,7 +338,7 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_dense_sweep(work
     finally:
         tracemalloc.stop()
         lattice.enumerate_rays.cache_clear()
-    assert peak <= lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, workers)[3]
+    assert peak <= experiments._sweep_plan(spec, workers)[3]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -353,7 +354,7 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_a_cold_grid(workers):
     finally:
         tracemalloc.stop()
         lattice.enumerate_rays.cache_clear()
-    assert peak <= lattice._universe_bytes([40, 300, 1000]) + experiments._sweep_plan(spec, workers)[3]
+    assert peak <= experiments._sweep_plan(spec, workers)[3]
 
 
 def test_sweep_memory_per_thread_does_not_grow_with_the_height():
@@ -366,15 +367,37 @@ def test_sweep_memory_per_thread_does_not_grow_with_the_height():
     assert per_thread(300) == per_thread(1000) == per_thread(2000) < 3 * 2**20
 
 
-def test_sparse_sweep_at_height_1000_is_checked_at_under_40_mib():
+def test_sparse_sweep_at_height_1000_is_checked_at_under_20_mib():
+    # the octant's 8 B per ray of 304,192, not the circle's 2,433,536
     spec = _spec(h_values=[1000], q_schedule=[1e-4], trials=40)
-    assert lattice._universe_bytes([1000]) + experiments._sweep_plan(spec, 2)[3] < 40 * 2**20
+    assert experiments._sweep_plan(spec, 2)[3] < 20 * 2**20
+
+
+def test_sweep_of_cells_that_keep_every_ray_builds_no_ray(monkeypatch):
+    # a cell at q = 0 reads no word and gets the full fan's counts from n
+    # alone: no walk, and no thread buffer in the memory check
+    def refuse(h):
+        raise AssertionError(f"the walk of height {h} ran")
+
+    monkeypatch.setattr(lattice, "_farey_walk", refuse)
+    lattice.enumerate_rays.cache_clear()
+    spec = _spec(h_values=[300, 2000, 300], q_schedule=[0.0, 0.0, 0.0], trials=4, k_list=[1, 2])
+    assert experiments._sweep_plan(spec, 2)[3] == 16 * (3 + 2) * 4 * 3
+    rows = run_threshold_sweep(spec, workers=2)
+    for row in rows:
+        assert (row.frac_smooth, row.n_no_cones, row.max_index_p90) == (1.0, 0, 1)
+        assert row.mean_delta == {1: 1.0, 2: 0.0}
+    # a drawing cell at another height sizes only its own lanes and rays
+    mixed = _spec(h_values=[300, 40], q_schedule=[0.0, 0.5], trials=4)
+    alone = _spec(h_values=[40], q_schedule=[0.5], trials=4)
+    counts = 16 * (3 + 1) * 4
+    assert experiments._sweep_plan(mixed, 2)[3] - counts == experiments._sweep_plan(alone, 2)[3]
 
 
 def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     # room for the universe and one thread's blocks is not room for two threads
     spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)
-    one, two = (lattice._universe_bytes([300]) + experiments._sweep_plan(spec, w)[3] for w in (1, 2))
+    one, two = (experiments._sweep_plan(spec, w)[3] for w in (1, 2))
     assert one < two and experiments._sweep_plan(spec, 64)[2:] == experiments._sweep_plan(spec, 4)[2:]  # 4 blocks
     monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
     walks = []
@@ -402,7 +425,7 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_many_one_trial_blocks(w
     finally:
         tracemalloc.stop()
         lattice.enumerate_rays.cache_clear()
-    assert peak <= lattice._universe_bytes([170]) + experiments._sweep_plan(spec, workers)[3]
+    assert peak <= experiments._sweep_plan(spec, workers)[3]
 
 
 def test_sweep_of_more_trials_than_fit_is_refused_before_its_blocks_are_made(monkeypatch):

@@ -285,6 +285,14 @@ def test_memory_estimate_bounds_the_traced_peak_of_a_cold_build(h):
         cold()
 
 
+@pytest.mark.parametrize("h", [300, 1000, 2000])
+def test_octant_estimate_bounds_the_traced_peak_of_its_build(h):
+    # the walk's buffer and the octant copied out of it lane by lane
+    octant = []
+    assert _traced_peak(lambda: octant.append(lattice._octant(h))) <= lattice._universe_bytes((), (h,))
+    assert octant[0].nbytes == lattice._universe_bytes((h,), (h,)) - lattice._universe_bytes((h,))
+
+
 @pytest.mark.parametrize("h", [1, 7, 300, 1000])
 def test_universe_holds_two_int32_per_ray(h):
     c = enumerate_rays(h).coords
@@ -379,6 +387,10 @@ def test_memory_guard_counts_the_rays_it_would_enumerate(monkeypatch):
     walk = lattice._universe_bytes([2000]) - 8 * count(2000, 1)
     assert counted == [(2000, 1)]
     assert lattice._universe_bytes([2000, 1000]) == walk + 8 * (count(2000, 1) + count(1000, 1))
+    # an octant holds count_geq(h, 1) / 8 + 1 rays; the walk is counted once
+    assert lattice._universe_bytes([1000], [2000]) == walk + 8 * count(1000, 1) + count(2000, 1) + 8
+    assert lattice._universe_bytes([], []) == 0
+
 
 
 def test_walk_overrun_names_a_live_lane_its_step_and_last_ray(monkeypatch):
@@ -390,3 +402,60 @@ def test_walk_overrun_names_a_live_lane_its_step_and_last_ray(monkeypatch):
         "height 50: the octant walk overran its 2 rows per lane; lane 1 is still live "
         "after step 1, where it wrote the ray (49, 1)"
     )
+
+def test_circle_ray_is_the_unfolded_ray_at_every_position():
+    for h in [*range(1, 41), 170]:
+        octant = lattice._octant(h)
+        circle = lattice._unfold_full_circle(octant)
+        n = len(circle)
+        got = [lattice._circle_ray(octant, p) for p in range(-n, 2 * n)]
+        assert got == [tuple(circle[p % n].tolist()) for p in range(-n, 2 * n)], h
+
+
+def _full_circle_error(h, octant) -> str:
+    """The message of enumerate_rays' own checks of the circle unfolded from
+    a tampered octant."""
+    c = lattice._unfold_full_circle(octant)
+    n = len(c)
+    with pytest.raises(InvariantError) as exc:
+        lattice._check_wedges(h, c, n, n)
+        lattice._fail_count(h, c, n, n, lattice.count_geq(h, 1))
+    return str(exc.value)
+
+
+_OCTANT_EDITS = {  # each keeps the ends (1, 0) and (1, 1)
+    "swap": lambda o: o[[0, 1, 3, 2, *range(4, len(o))]],
+    "ray of index 1 dropped": lambda o: np.delete(o, 2, axis=0),
+    "ray inserted": lambda o: np.insert(o, 1, o[1] + (1, 0), axis=0),
+    "doubled": lambda o: np.concatenate((o, o[1:])),
+}
+
+
+@pytest.mark.parametrize("edit", _OCTANT_EDITS, ids=list(_OCTANT_EDITS))
+@pytest.mark.parametrize("h", [4, 9, 170])
+def test_tampered_octant_is_named_as_the_full_circle_check_names_it(monkeypatch, h, edit):
+    # the octant's pairs and its count find the first bad pair or missing
+    # ray of the unfolded circle, by the circle's positions
+    walk = lattice._farey_walk
+    monkeypatch.setattr(lattice, "_farey_walk", lambda h: _OCTANT_EDITS[edit](walk(h)))
+    want = _full_circle_error(h, lattice._farey_walk(h))
+    assert want.startswith(f"height {h}: ")
+    with pytest.raises(InvariantError) as exc:
+        lattice._octant(h)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("edit, ends", [
+    (lambda o: o[1:], "(9, 1) at position 0 to (1, 1) at position 27"),
+    (lambda o: o[:-1], "(1, 0) at position 0 to (9, 8) at position 27"),
+    (lambda o: o[:, ::-1].copy(), "(0, 1) at position 0 to (1, 1) at position 28"),
+    (lambda o: o[::-1].copy(), "(1, 1) at position 0 to (1, 0) at position 28"),
+], ids=["first dropped", "last dropped", "reflected", "reversed"])
+def test_octant_with_other_ends_is_refused_naming_them(monkeypatch, edit, ends):
+    # a circle unfolded from other ends is not the octant's images under the
+    # symmetries of the square, which a streamed sweep reads
+    walk = lattice._farey_walk
+    monkeypatch.setattr(lattice, "_farey_walk", lambda h: edit(walk(h)))
+    with pytest.raises(InvariantError) as exc:
+        lattice._octant(9)
+    assert str(exc.value) == f"height 9: the octant runs from {ends}, not from (1, 0) to (1, 1)"

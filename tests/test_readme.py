@@ -64,6 +64,16 @@ def test_readme_states_the_memory_estimate():
     assert f"about `{per_h2} * h^2`" in README.read_text(encoding="utf-8")
 
 
+def test_readme_states_the_octant_bytes_of_a_streamed_height():
+    # a sweep holds a long row's octant: 8 B per octant ray, n / 8 + 1 of them
+    from randfan.lattice import _universe_bytes, count_geq
+
+    octant = _universe_bytes([1000], [1000]) - _universe_bytes([1000])
+    assert round(octant / count_geq(1000, 1)) == 1
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"about 1 B per ray of the circle ({octant / 1e6:.1f} MB at `h = 1000`)" in text
+
+
 def test_readme_states_the_sweep_memory_per_thread():
     # a block of one trial over the rays of h = 2000, streamed in windows
     from randfan.experiments import _block_bytes, _block_shape

@@ -3,13 +3,14 @@ integer keep mask against Generator.random, and the array aggregation
 against the record-by-record oracle."""
 
 import dataclasses
+import functools
 import sys
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import TrialRecord, aggregate_records, block_trial, fan_counts, fan_trial, wedge
@@ -124,11 +125,11 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
-def _streamed(coords, keep, ks, scratch, own):
-    """_stream_row's counts of the draw keep over coords, its windows filled
-    with the next decisions of keep in turn."""
+def _streamed(octant, keep, ks, scratch, own):
+    """_stream_row's counts of the draw keep over the circle unfolded from
+    octant, its windows filled with the next decisions of keep in turn."""
     rest = keep
-    for window in experiments._stream_row(coords, ks, scratch, own):
+    for window in experiments._stream_row(octant, ks, scratch, own):
         if isinstance(window, tuple):
             return window
         window[:], rest = rest[: len(window)], rest[len(window) :]
@@ -144,13 +145,62 @@ def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, edge
     # runs and full buffers all fall across window edges; one scratch and
     # one pair of run buffers serve every row, as a sweep thread's do
     h, dropped = block
-    coords = enumerate_rays(h).coords
+    octant = lattice._octant(h)
     scratch, own = {}, {}
     with mock.patch.multiple(experiments, _BLOCK_RAYS=window, _EDGE_RUNS=edge_runs):
         for drops in dropped:
-            kept, n_cones, max_index, at_least = _streamed(coords, ~drops, ks, scratch, own)
+            kept, n_cones, max_index, at_least = _streamed(octant, ~drops, ks, scratch, own)
             got = (int(kept[0]), int(n_cones[0]), int(max_index[0]), at_least[0].tolist())
             assert got == fan_counts(h, ~drops, ks), np.flatnonzero(drops)
+
+
+@functools.lru_cache(maxsize=None)
+def _octant_and_circle(h):
+    octant = lattice._octant(h)
+    return octant, lattice._unfold_full_circle(octant)
+
+
+_GATHER_HEIGHTS = st.one_of(st.integers(1, 60), st.sampled_from([170, 300, 1000]))
+
+
+@st.composite
+def _sorted_runs(draw):
+    """A height and the dropped runs (s, e) of one batch, as _stream_row
+    hands them over: at least one, disjoint, in row order, many across one
+    of the eight sector starts jq, and at times a last run across the seam,
+    which ends before it starts."""
+    h = draw(_GATHER_HEIGHTS)
+    n = lattice.count_geq(h, 1)
+    near = st.builds(lambda j, d: j * (n // 8) + d, st.integers(0, 8), st.integers(-2, 2))
+    points = sorted({p for p in draw(st.lists(st.one_of(near, st.integers(0, n)), max_size=40)) if 0 <= p <= n})
+    s, e = points[0 : len(points) - 1 : 2], points[1::2]
+    if draw(st.booleans()) and (not e or e[-1] < n) and (not s or s[0] > 0):
+        start = draw(st.integers(e[-1] + 1 if e else 1, n))
+        e.append(draw(st.integers(0, s[0] - 1 if s else start - 1)))
+        s.append(start)
+    assume(s)
+    return h, s, e
+
+
+def _sector_runs(h):
+    """A run across each of the eight sector starts, and one across the seam."""
+    q = lattice.count_geq(h, 1) // 8
+    return h, [j * q - 1 for j in range(1, 8)] + [8 * q - 1], [j * q + 1 for j in range(1, 8)] + [1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs=_sorted_runs())
+@example(runs=_sector_runs(1000))
+@example(runs=_sector_runs(5))
+@example(runs=(1, [1, 3, 5], [2, 4, 8]))  # one ray per sector, and a run to the row's end
+def test_octant_wedges_match_the_unfolded_circle(runs):
+    h, s, e = runs
+    octant, circle = _octant_and_circle(h)
+    before = np.take(circle, np.array(s, dtype=np.int64) - 1, axis=0, mode="wrap").astype(np.int64)
+    after = np.take(circle, np.array(e, dtype=np.int64), axis=0, mode="wrap").astype(np.int64)
+    want = before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0]
+    got = experiments._octant_wedges(octant, np.array(s, dtype=np.int64), np.array(e, dtype=np.int64), {})
+    assert got.tolist() == want.tolist()
 
 
 def _drawn(lanes, trials, ks, first=0):
@@ -171,7 +221,7 @@ def test_streamed_row_at_height_300_matches_its_whole_row_layout(q):
     keep = np.ones(len(coords) + 2, dtype=bool)
     sampling._keep_mask(np.random.Philox(0), SEED, 5, threshold, keep[1:-1])
     want = _classify(coords, keep, [1, 2, 3], {})
-    got = _drawn([(coords, threshold, 1)], [5], [1, 2, 3], first=5)
+    got = _drawn([(len(coords), lattice._octant(300), threshold, 1)], [5], [1, 2, 3], first=5)
     assert all(np.array_equal(a[0], b) for a, b in zip(got, want))
 
 
@@ -184,7 +234,7 @@ def test_a_whole_block_of_the_paper_sweep_matches_fan_oracle_row_by_row():
     assert rows == 7
     ks = [1, 2, 3, 5]
     threshold = sampling._keep_threshold(0.5)
-    block = _drawn([(coords, threshold, rows)], range(rows), ks)
+    block = _drawn([(n, coords, threshold, rows)], range(rows), ks)
     keep = np.empty((rows, n), dtype=bool)
     for t, row in enumerate(keep):
         sampling._keep_mask(np.random.Philox(0), SEED, t, threshold, row)
@@ -501,6 +551,20 @@ def test_tampered_universe_is_refused(tamper):
             f"height 4: the walk gave 47 rays, but 48 have sup-norm <= 4; the ray (4, 3) "
             f"between (3, 2) at position {i - 1} and (1, 1) at position {i} is missing"
         )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tampered_walk_is_named_by_a_streamed_sweep(monkeypatch, workers):
+    # a row of h = 170 is streamed from the octant alone, which is checked:
+    # two octant rays swapped are named by height, circle position and rays
+    walk = lattice._farey_walk
+    first, u, v = _first_bad_pair(lattice._unfold_full_circle(_swapped(walk(170), 100)))
+    monkeypatch.setattr(lattice, "_farey_walk", lambda h: _swapped(walk(h), 100))
+    enumerate_rays.cache_clear()
+    with pytest.raises(InvariantError) as exc:
+        run_threshold_sweep(ExperimentSpec(h_values=[170], q_schedule=[0.5], trials=2), workers=workers)
+    assert str(exc.value) == (f"height 170: neighbouring rays {u} at position {first} and {v} "
+                              f"at position {first + 1} have wedge {wedge(u, v)}, not 1")
 
 
 def test_count_check_in_blocks_names_the_missing_ray(monkeypatch, tamper):
