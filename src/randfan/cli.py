@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 input validation failure (including bad arguments),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -231,5 +233,29 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> int:
+    """The process entry of `python -m randfan.cli` and the `randfan` script:
+    `main` on sys.argv, then stdout and stderr flushed, then os._exit, which
+    skips the interpreter's teardown (it reads and writes nothing).  With a
+    tracer, profiler or monitoring tool attached (trace, coverage, cProfile
+    report at exit) or a second thread running (a normal exit joins it), it
+    returns the code instead, for a normal exit."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError as exc:
+        # the bytes still buffered cannot be written, and a normal exit would try again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if code != EXIT_IO:  # main reported no failure of this stream
+            print(f"i/o error: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, tool ids 0-5
+    if (sys.gettrace() is None and sys.getprofile() is None and threading.active_count() == 1
+            and (monitoring is None or all(monitoring.get_tool(i) is None for i in range(6)))):
+        os._exit(code)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior, including exit codes and file output."""
 
+import ast
 import copy
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,6 +16,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -634,3 +638,186 @@ def test_write_blocks_refuses_a_path_no_file_can_have(tmp_path, monkeypatch, pat
     with pytest.raises(ValidationError, match="output path"):
         emit([{"a": 1}], "csv", path, columns=["a"])
     assert list(tmp_path.iterdir()) == []
+
+
+# --- the process entry: `cli.run` ends the process without teardown ----------
+
+THRESHOLD_3 = ["threshold", "--h", "20", "--q", "0.5", "--trials", "3", "--seed", "7"]
+
+#: Runs the command line in sys.argv through `cli.run` after {setup}, with an
+#: exit handler that says whether the interpreter's teardown ran.
+WRAPPER = """
+import atexit, sys, threading, time
+from randfan import cli
+atexit.register(print, "exit handler ran", file=sys.stderr)
+{setup}
+sys.exit(cli.run())
+"""
+
+
+def run_process(*argv, wrapper=None, unbuffered=True, **kwargs):
+    # a fresh `python -m randfan.cli` (or a -c wrapper) with stdout and stderr
+    # as bytes, unless kwargs redirect stdout; unbuffered=False drops
+    # PYTHONUNBUFFERED, so stdout holds what it could not write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    entry = ["-c", wrapper] if wrapper is not None else ["-m", "randfan.cli"]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *entry, *argv], stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["rays", "--h", "5"], ["rays", "--h", "5", "--format", "json"], THRESHOLD_3],
+                         ids=["rays-csv", "rays-json", "threshold"])
+def test_a_process_writes_the_bytes_of_main(tmp_path, capsysbinary, argv):
+    assert main(argv) == 0
+    want = capsysbinary.readouterr().out
+    assert main([*argv, "--out", str(tmp_path / "main.out")]) == 0
+    for unbuffered in (True, False):
+        proc = run_process(*argv, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, b"")
+        proc = run_process(*argv, "--out", str(tmp_path / "process.out"), unbuffered=unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert (tmp_path / "process.out").read_bytes() == (tmp_path / "main.out").read_bytes() == want
+
+
+def test_process_exit_codes(tmp_path):
+    proc = run_process("rays", "--h", "5", "--bogus")
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr == b"error: unrecognized arguments: --bogus\n"
+    proc = run_process("rays", "--h", "5", "--out", str(tmp_path))
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"i/o error: cannot write") and proc.stderr.count(b"\n") == 1
+    proc = run_process("--help")
+    assert proc.returncode == 0 and proc.stdout.startswith(b"usage: randfan") and proc.stderr == b""
+    # with no stdout at all (sys.stdout is None), a refused command is still exit 1
+    proc = run_process("rays", "--h", "0", stdout=None, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1 and proc.stderr.startswith(b"error: height bound") and proc.stderr.count(b"\n") == 1
+
+
+def test_a_tampered_walk_in_a_process_is_exit_3():
+    tamper = "from randfan import lattice; walk = lattice._farey_walk; lattice._farey_walk = lambda h: walk(h)[::-1]"
+    proc = run_process("rays", "--h", "5", wrapper=WRAPPER.format(setup=tamper))
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert proc.stderr.startswith(b"internal error: height 5") and proc.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["module", "traced"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink", ["closed-pipe", "dev-full"])
+def test_stdout_that_cannot_be_written_is_one_io_error_line(traced, unbuffered, sink):
+    # buffered, stdout keeps the bytes it could not write: the process ends
+    # with exit 2 and main's one line, also after a normal exit's own flush
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    wrapper = WRAPPER.format(setup="sys.settrace(lambda *args: None)") if traced else None
+    try:
+        proc = run_process("rays", "--h", "5", wrapper=wrapper, unbuffered=unbuffered, stdout=fd)
+    finally:
+        os.close(fd)
+    first, *rest = proc.stderr.splitlines()
+    assert proc.returncode == 2 and first.startswith(b"i/o error: [Errno "), proc.stderr
+    assert rest == ([b"exit handler ran"] if traced else []), proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [(["rays", "--h", "1"], 0), (["rays", "--h", "0"], 1)], ids=["ok", "bad"])
+@pytest.mark.parametrize("setup", ["sys.setprofile(lambda *args: None)", "sys.settrace(lambda *args: None)"],
+                         ids=["profiler", "tracer"])
+def test_a_tracer_or_profiler_gets_a_normal_exit(setup, argv, code):
+    proc = run_process(*argv, wrapper=WRAPPER.format(setup=setup))
+    assert proc.returncode == code and proc.stderr.endswith(b"exit handler ran\n")
+    assert proc.stdout == (RAYS_H1_CSV.encode() if code == 0 else b"")
+
+
+def test_a_running_thread_gets_a_normal_exit(tmp_path):
+    done = tmp_path / "done"
+    setup = (f"threading.Thread(target=lambda: (time.sleep(0.5), open({str(done)!r}, 'w').write('x'))).start()")
+    proc = run_process("rays", "--h", "1", wrapper=WRAPPER.format(setup=setup))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, RAYS_H1_CSV.encode(), b"exit handler ran\n")
+    assert done.read_text() == "x"
+
+
+def test_without_a_tracer_profiler_or_thread_the_process_skips_teardown(capsysbinary):
+    # the sweep's pool is joined by the time main returns, so no exit handler runs
+    argv = [*THRESHOLD_3, "--workers", "2"]
+    assert main(argv) == 0
+    proc = run_process(*argv, wrapper=WRAPPER.format(setup=""))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsysbinary.readouterr().out, b"")
+
+
+def test_the_console_script_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    entry = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["randfan"]
+    module, func = entry.split(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called == {func} and callable(getattr(cli, func))
+
+
+class _Exited(Exception):
+    """Raised in place of os._exit, so the test process goes on."""
+
+
+@pytest.fixture
+def no_exit(monkeypatch):
+    # cli.run() on `rays --h 0`, which main refuses with exit 1
+    def exit_(code):
+        raise _Exited(code)
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["randfan", "rays", "--h", "0"])
+
+
+@pytest.mark.parametrize("condition", ["tracer", "profiler", "monitoring", "thread"])
+def test_run_returns_the_code_when_teardown_is_needed(no_exit, monkeypatch, capsys, condition):
+    # so that the console script's sys.exit(run()) exits with it
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    if condition == "monitoring":
+        monkeypatch.setattr(sys, "monitoring", SimpleNamespace(get_tool=lambda i: "cov" if i == 1 else None),
+                            raising=False)
+    elif condition == "thread":
+        thread.start()
+    hook = {"tracer": sys.settrace, "profiler": sys.setprofile}.get(condition)
+    if hook is not None:
+        hook(lambda *args: None)
+    try:
+        assert cli.run() == 1
+    finally:
+        if hook is not None:
+            hook(None)
+        stop.set()
+        if thread.is_alive():
+            thread.join(60)
+    assert not thread.is_alive()
+    assert capsys.readouterr().err.startswith("error: height bound")
+
+
+def test_a_final_flush_that_fails_is_one_io_error_line(no_exit, monkeypatch, capsys, tmp_path):
+    # main wrote nothing to stdout and reported its own error; the failed flush
+    # makes the exit code 2 and adds the one i/o error line
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+
+    class Full(io.StringIO):
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fileno(self):
+            return sink
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    try:
+        code = cli.run()  # returned if a thread of the test process needs the teardown
+    except _Exited as exc:
+        code, = exc.args
+    finally:
+        os.close(sink)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[1:] == ["i/o error: [Errno 28] No space left on device"]
