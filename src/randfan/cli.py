@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from .experiments import (
     RAY_COLUMNS,
     SPACE_COLUMNS,
     ExperimentSpec,
-    _check_path,
     _read_json,
     blowdown_array,
     conjecture_report,
+    open_sink,
     ray_array,
     render,
     render_document,
@@ -34,7 +35,6 @@ from .experiments import (
     spec_from_file,
     sweep_columns,
     sweep_rows_as_dicts,
-    write_blocks,
 )
 from .fans import fan_from_record, is_smooth
 from .lattice import enumerate_rays
@@ -53,42 +53,38 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message if len(message) <= 400 else f"{message[:200]}...{message[-200:]}")
 
 
-def _write(out, blocks) -> None:
-    # blocks of bytes into the file out, atomically, or to standard output
-    if out is not None:
-        write_blocks(out, blocks)
-        return
+def _write_stdout(blocks) -> None:
+    # text already printed first; a closed standard output is an i/o error
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     sys.stdout.flush()
     for block in blocks:
         sys.stdout.buffer.write(block)
+        del block  # freed before the next block is made
     sys.stdout.buffer.flush()
 
 
-def _emit_rows(args, table, columns) -> None:
-    _write(args.out, render(table, args.format, columns=columns))
-
-
-def _emit_record(args, doc, coords) -> None:
+def _record(doc, coords):
     # a fan record: doc, then the rays as [x, y] pairs
-    _write(args.out, render_document(doc, "rays", [coords[:, 0], coords[:, 1]]))
+    return render_document(doc, "rays", [coords[:, 0], coords[:, 1]])
 
 
-def _cmd_rays(args) -> None:
-    _emit_rows(args, ray_array(enumerate_rays(args.h)), RAY_COLUMNS)
+def _cmd_rays(args):
+    return render(ray_array(enumerate_rays(args.h)), args.format, columns=RAY_COLUMNS)
 
 
-def _cmd_complete(args) -> None:
+def _cmd_complete(args):
     # the universe is the full fan's ray list, checked and in fan order
-    _emit_record(args, {"h": args.h}, enumerate_rays(args.h).coords)
+    return _record({"h": args.h}, enumerate_rays(args.h).coords)
 
 
-def _cmd_sample(args) -> None:
+def _cmd_sample(args):
     cfg = SampleConfig(h=args.h, p=args.p, master_seed=args.seed, trial_index=args.trial)
     doc = {"h": args.h, "p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index}
-    _emit_record(args, doc, sample_fan(cfg).coords)
+    return _record(doc, sample_fan(cfg).coords)
 
 
-def _cmd_spectrum(args) -> None:
+def _cmd_spectrum(args):
     fan = fan_from_record(_read_json(args.infile))
     values, counts = np.unique(fan.cone_indices, return_counts=True)
     doc = {
@@ -98,19 +94,19 @@ def _cmd_spectrum(args) -> None:
         "max_index": int(fan.cone_indices.max(initial=0)),
         "counts": dict(zip(map(str, values.tolist()), counts.tolist())),
     }
-    _write(args.out, render_document(doc, "indices", [fan.cone_indices]))
+    return render_document(doc, "indices", [fan.cone_indices])
 
 
-def _cmd_blowdown(args) -> None:
-    _emit_rows(args, blowdown_array(blowdown_table(args.h)), BLOWDOWN_COLUMNS)
+def _cmd_blowdown(args):
+    return render(blowdown_array(blowdown_table(args.h)), args.format, columns=BLOWDOWN_COLUMNS)
 
 
-def _cmd_ratios(args) -> None:
-    _emit_rows(args, conjecture_report(args.h, args.kmax), RATIO_COLUMNS)
+def _cmd_ratios(args):
+    return render(conjecture_report(args.h, args.kmax), args.format, columns=RATIO_COLUMNS)
 
 
-def _cmd_space(args) -> None:
-    _emit_rows(args, space_array(args.h), SPACE_COLUMNS)
+def _cmd_space(args):
+    return render(space_array(args.h), args.format, columns=SPACE_COLUMNS)
 
 
 def _spec_from_args(args) -> ExperimentSpec:
@@ -141,13 +137,19 @@ def _spec_from_args(args) -> ExperimentSpec:
     return spec_from_dict(doc)
 
 
-def _cmd_sweep(args) -> None:
-    spec = _spec_from_args(args)
+def _read_sweep(args) -> None:
+    # the sweep's spec, read before the output is opened: it may name the
+    # output and its format, which the --out and --format flags override
+    args.experiment = _spec_from_args(args)
+    output = args.experiment.output or {}
+    args.out = args.out if args.out is not None else output.get("path")
+    args.format = args.format or output.get("format") or "csv"
+
+
+def _cmd_sweep(args):
+    spec = args.experiment
     rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=args.workers), spec.k_list)
-    cols = sweep_columns(spec.k_list)
-    out = args.out if args.out is not None else (spec.output or {}).get("path")
-    fmt = args.format or (spec.output or {}).get("format") or "csv"
-    _write(out, render(rows, fmt, columns=cols))
+    return render(rows, args.format, columns=sweep_columns(spec.k_list))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_sweep)
 
     for p in sub.choices.values():
-        p.add_argument("--out", help="write here (atomically) instead of stdout")
+        p.add_argument("--out", help="write here instead of stdout (a regular file atomically)")
     return parser
 
 
@@ -218,9 +220,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.out is not None:  # every command has --out; refused before any work
-            _check_path(args.out)
-        args.func(args)
+        if args.func is _cmd_sweep:
+            _read_sweep(args)
+        # every command has --out; its file is opened before any work
+        with nullcontext(_write_stdout) if args.out is None else open_sink(args.out) as write:
+            write(args.func(args))
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,19 +18,10 @@ and rows are emitted in grid order with a canonical number format, so a
 sweep's output is byte-identical across runs and thread pools.
 
 Report builders for the deterministic tables (ray and blowdown exports,
-ratio tables, first-quadrant shells) live here too, sharing the same
-emission path.  Tables are emitted column-wise and streamed: the large
-exports hand render() views of their coordinate and index arrays, with
-the sup norm computed per block, and row dicts are transposed onto the
-same path.  render() yields each block of rows as bytes: one byte matrix,
-a fixed-width field per column with the row's literals between them and
-0xFF in every unused byte, with the pad byte deleted; an integer column is
-written digit by digit in numpy, with no Python object per cell.  Fan
-records and spectra stream their rays or indices through the same blocks
-(render_document()), so every output leaves through one block writer.
-write_blocks() streams the blocks into a temp file that is renamed onto
-the target, so nothing the size of the output is held.  The byte format
-(canonical cells, LF newlines, atomic write) is the same for every table.
+ratio tables, first-quadrant shells) live here too, with the one emission
+path of every output: render() and render_document() yield a table or a
+record a block of rows at a time, and open_sink() writes the blocks.
+README "File formats" tells how a block is made and where it goes.
 """
 
 from __future__ import annotations
@@ -38,10 +29,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import tempfile
 import threading
 from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -902,67 +895,67 @@ _RENDER_ROWS = 1 << 14
 _PAD = 0xFF
 
 
-def _int_field(col: np.ndarray) -> np.ndarray:
-    """Decimal text of an integer column as an (m, w) uint8 field: a sign
-    byte when any cell is negative, then the digits, right-aligned.
+def _int_field(col: np.ndarray):
+    """The width of an integer column's field and the writer of its digits
+    into a view of that width (README "File formats"); the magnitudes come
+    from the two's complement, so -2**63 comes out exact."""
+    neg = col < 0
+    sign, q = int(neg.any()), np.abs(col).view(f"u{col.itemsize}")
+    top = int(q.max())
+    width, q = sign + len(str(top)), q.astype(np.min_scalar_type(top), copy=False)
 
-    The magnitudes are read as uint64 from the two's complement, so -2**63
-    (whose int64 absolute value wraps to itself) and uint64 values >= 2**63
-    come out exact.
-    """
-    mag = col.astype(np.int64 if col.dtype.kind == "i" else np.uint64)
-    neg = mag < 0
-    mag = np.abs(mag, out=mag).view(np.uint64)
-    sign = int(neg.any())
-    digits = len(str(int(mag.max())))
-    field = np.full((len(mag), sign + digits), _PAD, dtype=np.uint8)
-    if sign:
-        field[neg, 0] = ord("-")
-    ten = np.uint64(10)
-    q = mag
-    for j in range(1, digits + 1):
-        rest = q // ten
-        digit = q - rest * ten
-        digit += ord("0")
-        if j > 1:
-            digit[q == 0] = _PAD  # no leading zeros
-        field[:, -j] = digit
-        q = rest
-    return field
+    def fill(view, q=q):
+        if sign:
+            view[:, 0] = _PAD - neg * np.uint8(_PAD - ord("-"))
+        for j in range(width - 1, sign - 1, -1):
+            rest = q // 10
+            digit = q - rest * 10
+            digit += ord("0")
+            if j < width - 1:
+                digit |= (q == 0) * q.dtype.type(_PAD)  # a leading '0' becomes the pad
+            view[:, j] = digit
+            q = rest
+    return width, fill
 
 
-def _text_field(cells) -> np.ndarray:
-    """The UTF-8 bytes of each str cell as an (m, w) uint8 field, left-aligned."""
-    data = [c.encode("utf-8", "surrogatepass") for c in cells]
-    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
-    field = np.full((len(data), lengths.max()), _PAD, dtype=np.uint8)
-    field[np.arange(field.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(data), dtype=np.uint8)
-    return field
+def _text_field(cells: list[str]):
+    """The width of a field of str cells and the writer that lays them in, left-aligned."""
+    cells = [c.encode("utf-8", "surrogatepass") for c in cells]
+    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    width = int(lengths.max())
+
+    def fill(view):
+        view[np.arange(width) < lengths[:, None]] = np.frombuffer(b"".join(cells), dtype=np.uint8)
+    return width, fill
 
 
 def _byte_blocks(head: str, n: int, cols, leads, end: str, last_end: str, encode) -> Iterator[bytes]:
-    # head, then the n rows of cols as one padded byte matrix per block of
-    # _RENDER_ROWS rows: leads[j] before each cell of column j (a non-integer
-    # cell through encode), end after each row but the last, then last_end
+    # head, then the n rows of cols a block of _RENDER_ROWS rows at a time:
+    # leads[j] before each cell of column j (a non-integer cell through
+    # encode), end after each row but the last, then last_end
     yield head.encode("utf-8", "surrogatepass")
-    leads = [np.frombuffer(s.encode("utf-8", "surrogatepass"), dtype=np.uint8) for s in leads]
-    tail = np.frombuffer(end.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    leads, end = [s.encode("utf-8", "surrogatepass") for s in leads], end.encode("utf-8", "surrogatepass")
     for lo in range(0, n, _RENDER_ROWS):
         m = min(_RENDER_ROWS, n - lo)
-        parts = []
+        row, fields = bytearray(), []  # the row template; each field's start, width and writer
         for col, lead in zip(cols, leads):
             col = col[lo : lo + m]
-            parts.append(np.broadcast_to(lead, (m, len(lead))))
-            if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
-                parts.append(_int_field(col))
-            else:
-                parts.append(_text_field([encode(v) for v in col]))
-        parts.append(np.broadcast_to(tail, (m, len(tail))))
-        block = np.concatenate(parts, axis=1).tobytes().translate(None, bytes([_PAD]))
-        del parts  # the fields are not held while the block is written
+            is_int = isinstance(col, np.ndarray) and col.dtype.kind in "iu"
+            width, fill = _int_field(col) if is_int else _text_field([encode(v) for v in col])
+            row += lead
+            fields.append((len(row), width, fill))
+            row += bytes([_PAD]) * width
+        row += end
+        data = row * m
+        block = np.frombuffer(data, dtype=np.uint8).reshape(m, len(row))
+        for start, width, fill in fields:
+            fill(block[:, start : start + width])
+        del block, fields  # the fields' arrays are not held while the pad is deleted
+        data = data.translate(None, bytes([_PAD]))
         if lo + m == n:
-            block = block[: len(block) - len(tail)] + last_end.encode("utf-8", "surrogatepass")
-        yield block
+            data[len(data) - len(end) :] = last_end.encode("utf-8", "surrogatepass")
+        yield data
+        del data  # the writer frees the block it wrote before the next one is made
 
 
 def render(table, format: str, *, columns) -> Iterator[bytes]:
@@ -1030,32 +1023,71 @@ def _check_path(path) -> str:
     return path
 
 
-def write_blocks(path, blocks) -> None:
-    """Atomic write of byte blocks: a temp file in the target directory,
-    written block by block, then renamed onto path.
-
-    A path no file can have is refused first.  A write that fails or is
-    interrupted, an exception raised while the blocks are made among them,
-    never leaves a partial file at the target path; the temp file is removed.
-    """
-    path = _check_path(path)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+@contextmanager
+def _naming(path):
+    # an OSError raised in the with block, as one that names the output path
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emit-", suffix=".part")
-        with os.fdopen(fd, "wb") as fh:
-            for block in blocks:
-                fh.write(block)
-        os.replace(tmp, path)
-        tmp = None
+        yield
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if tmp is not None:
+
+
+@contextmanager
+def open_sink(path):
+    """The writer of byte blocks into the file path, for a with block that
+    opens the file before any block is made; see README "File formats".
+
+    A path no file can have is a ValidationError.  A path that exists and,
+    after its symlinks are followed, is not a regular file (a FIFO or a
+    device) is opened and written in place.  Any other path gets a temp file
+    in the directory it resolves to, renamed onto the resolved path when the
+    with block ends without an exception (so a symlink stays a symlink and
+    its target gets the bytes atomically) and removed otherwise.  Opening,
+    writing and renaming fail with an OSError that names the path.  Each
+    block is freed once written, before the next one is made.
+    """
+    path = _check_path(path)
+    fh = tmp = None
+
+    def write(blocks):
+        with _naming(path):
+            for block in blocks:
+                fh.write(block)
+                del block
+
+    try:
+        with _naming(path):
             try:
+                regular = stat.S_ISREG(os.stat(path).st_mode)
+            except FileNotFoundError:
+                regular = True  # a new file, or a dangling symlink's target
+            if regular:
+                target = os.path.realpath(path)
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".emit-", suffix=".part")
+                fh = os.fdopen(fd, "wb")
+            else:
+                fh = open(path, "wb")
+        yield write
+        with _naming(path):
+            fh.close()
+            if tmp is not None:
+                os.replace(tmp, target)
+                tmp = None
+    finally:
+        if fh is not None:
+            with suppress(OSError):
+                fh.close()  # the with block raised, or the file could not be closed
+        if tmp is not None:
+            with suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
+
+
+def write_blocks(path, blocks) -> None:
+    """Write byte blocks into path through open_sink; a write that fails or
+    is interrupted, by an exception raised while the blocks are made among
+    them, never leaves a partial file in place of a regular one."""
+    with open_sink(path) as write:
+        write(blocks)
 
 
 def emit(rows, format: str, path, *, columns) -> None:

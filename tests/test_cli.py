@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -640,6 +641,32 @@ def test_write_blocks_refuses_a_path_no_file_can_have(tmp_path, monkeypatch, pat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["flag", "spec"])
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_an_output_that_cannot_be_opened_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch, where, target):
+    runs = []
+    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "sweep.csv"
+    argv = ["threshold", "--h", "200", "--q", "0.5", "--trials", "300", "--out", str(out)]
+    if where == "spec":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "output": {"path": str(out), "format": "csv"}}))
+        argv = ["threshold", "--spec", str(spec)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, runs) == (2, "", [])
+    assert err.startswith(f"i/o error: cannot write {out}") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == (["spec.json"] if where == "spec" else [])
+
+
+def test_a_refused_command_leaves_an_existing_output_as_it_was(tmp_path, capsys):
+    # the temp file is made before the work, and removed when the work fails
+    out = tmp_path / "rays.csv"
+    out.write_text("old\n")
+    code, _, err = run_cli(capsys, "rays", "--h", "0", "--out", str(out))
+    assert code == 1 and err.startswith("error: height bound")
+    assert [p.name for p in tmp_path.iterdir()] == ["rays.csv"] and out.read_text() == "old\n"
+
+
 # --- the process entry: `cli.run` ends the process without teardown ----------
 
 THRESHOLD_3 = ["threshold", "--h", "20", "--q", "0.5", "--trials", "3", "--seed", "7"]
@@ -693,6 +720,65 @@ def test_process_exit_codes(tmp_path):
     # with no stdout at all (sys.stdout is None), a refused command is still exit 1
     proc = run_process("rays", "--h", "0", stdout=None, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 1 and proc.stderr.startswith(b"error: height bound") and proc.stderr.count(b"\n") == 1
+
+
+def test_a_closed_stdout_is_one_io_error_line():
+    proc = run_process("rays", "--h", "1", stdout=None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (2, b"i/o error: standard output is closed\n")
+
+
+def _sink(kind, tmp_path):
+    # the --out argument of a sink of the given kind under tmp_path (None:
+    # standard output, closed), and a check of what it received, given the
+    # bytes of a successful run
+    target = tmp_path / "target.csv"
+    out = tmp_path / "out.csv"
+    if kind == "new-file":
+        return out, lambda want: out.read_bytes() == want
+    if kind == "existing-file":
+        out.write_bytes(b"old\n")
+        return out, lambda want: out.read_bytes() == want
+    if kind == "directory":
+        out.mkdir()
+        return out, lambda want: list(out.iterdir()) == []
+    if kind == "missing-parent":
+        return tmp_path / "missing" / "out.csv", lambda want: not (tmp_path / "missing").exists()
+    if kind == "fifo":
+        os.mkfifo(out)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(out.read_bytes()), daemon=True)
+        reader.start()
+        return out, lambda want: (reader.join(30), got) == (None, [want])
+    if kind in ("symlink", "dangling-symlink"):
+        if kind == "symlink":
+            target.write_bytes(b"old\n")
+        out.symlink_to(target.name)
+        return out, lambda want: os.readlink(out) == target.name and target.read_bytes() == want
+    return None, lambda want: True
+
+
+SINKS = {  # kind: the exit code of `rays --h 1` into it
+    "new-file": 0, "existing-file": 0, "directory": 2, "missing-parent": 2,
+    "fifo": 0, "symlink": 0, "dangling-symlink": 0, "closed-stdout": 2,
+}
+
+
+@pytest.mark.parametrize("kind", list(SINKS))
+def test_every_sink_gets_the_bytes_or_one_error_line(tmp_path, kind):
+    # a non-regular target is written in place and keeps its file type; a
+    # regular one is replaced atomically, through a symlink too, and no
+    # temp file is left behind
+    out, received = _sink(kind, tmp_path)
+    modes = {p: stat.S_IFMT(os.lstat(p).st_mode) for p in tmp_path.iterdir()}
+    if out is None:
+        proc = run_process("rays", "--h", "1", stdout=None, preexec_fn=lambda: os.close(1))
+    else:
+        proc = run_process("rays", "--h", "1", "--out", str(out))
+    assert proc.returncode == SINKS[kind] and proc.returncode in (0, 1, 2)
+    assert proc.stderr.count(b"\n") == (proc.returncode != 0) and b"Traceback" not in proc.stderr
+    assert received(RAYS_H1_CSV.encode())
+    assert not [p for p in tmp_path.rglob(".emit-*.part")]
+    assert {p: stat.S_IFMT(os.lstat(p).st_mode) for p in modes} == modes
 
 
 def test_a_tampered_walk_in_a_process_is_exit_3():

@@ -113,14 +113,17 @@ def test_render_block_boundaries(monkeypatch, block_rows, fmt):
         assert render(head, fmt, columns=columns) == row_render(rows, fmt, columns=columns)
 
 
-#: Integer cells at the digit-count and sign edges, and str cells holding
-#: NUL, U+00FF (whose Latin-1 byte is the pad byte) and a lone surrogate.
+#: Integer cells at the digit-count and sign edges and at the magnitudes
+#: where the digit loop's dtype widens (uint8 to uint16, uint32, uint64),
+#: and str cells holding NUL, U+00FF (whose Latin-1 byte is the pad byte)
+#: and a lone surrogate.
+DTYPE_EDGES = [255, 256, 65_535, 65_536, 2**32 - 1, 2**32]
 EDGE_INTS = sorted({
-    -(2**63), 2**63 - 1, 0,
+    -(2**63), 2**63 - 1, 0, -128, -(2**31), -(2**31) - 1, *DTYPE_EDGES,
     *(s * v for s in (1, -1) for v in (9, 10, 999, 1000)),
     *(s * 10**e for s in (1, -1) for e in range(19)),
 })
-EDGE_UINTS = [0, 9, 10, 10**19, 2**63 - 1, 2**63, 2**64 - 1]
+EDGE_UINTS = [0, 9, 10, *DTYPE_EDGES, 10**19, 2**63 - 1, 2**63, 2**64 - 1]
 EDGE_TEXTS = ["\x00", "ÿ", "a\x00ÿ", "", "\ud800"]
 
 
@@ -143,6 +146,18 @@ def test_render_edge_cells(monkeypatch, block_rows, fmt):
             expected = row_render(rows[:m], fmt, columns=columns)
             assert render(rows[:m], fmt, columns=columns) == expected
             assert render(_head(table, m), fmt, columns=columns) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_render_a_block_of_zero_and_the_largest_uint64(monkeypatch, block_rows, fmt):
+    # one block whose digit loop runs in uint64 over a cell of 1 digit and
+    # one of 20, in every order
+    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    for cells in ([0, 2**64 - 1], [2**64 - 1, 0], [0, 2**64 - 1, 0], [2**64 - 1, 0, 2**64 - 1]):
+        rows = [{"u": v} for v in cells]
+        expected = row_render(rows, fmt, columns=["u"])
+        assert render({"u": np.array(cells, dtype=np.uint64)}, fmt, columns=["u"]) == expected
 
 
 #: JSON document values: scalars, non-ASCII text, and nested containers.
