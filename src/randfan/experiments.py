@@ -1,27 +1,13 @@
 """Monte Carlo sweeps, report tables, and deterministic CSV/JSON emission.
 
-A sweep is a grid of (height, drop-probability) cells; each cell runs a fixed
-number of seeded trials (one draw per trial, keyed by master_seed and the
-trial index alone) and aggregates them into a single summary row.  A trial is
-classified from its dropped runs: the full fan is smooth (enumerate_rays
-checks that once per universe), so a draw differs from it only where maximal
-runs of consecutive rays were dropped, and no fan is built.  One plan,
-sized by the memory check, is run by the thread pool a trial at a time:
-every cell's trial t reads the same stream, so a thread draws it once and
-hands its windows to every cell.  A cell's short rows are gathered into
-one padded keep layout and classified a block at a time; a row of more
-rays than a block holds is scanned window by window, so a thread's buffers
-never grow with the height, and its runs' wedges are read from the checked
-first octant, so its circle is never built.  A cell is aggregated from counts.
-Trial RNG streams never depend on block size, worker count or scheduling,
-and rows are emitted in grid order with a canonical number format, so a
-sweep's output is byte-identical across runs and thread pools.
-
-Report builders for the deterministic tables (ray and blowdown exports,
+A sweep is a grid of (height, drop-probability) cells, each aggregated from
+a fixed number of seeded trials into one SweepRow: run_threshold_sweep
+plans it and _draw_trials runs its trials, and README "Sweeps" tells how.
+The report builders for the deterministic tables (ray and blowdown exports,
 ratio tables, first-quadrant shells) live here too, with the one emission
 path of every output: render() and render_document() yield a table or a
-record a block of rows at a time, and open_sink() writes the blocks.
-README "File formats" tells how a block is made and where it goes.
+record a block of rows at a time, and open_sink() writes the blocks (README
+"File formats").
 """
 
 from __future__ import annotations
@@ -43,10 +29,10 @@ import numpy as np
 from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
 from .errors import ValidationError, brief, check_int, check_real
 from .lattice import (
-    RayUniverse, _check_bytes, _check_height, _circle_ray, _count_geq, _mertens, _octant, _universe_bytes,
+    RayUniverse, _check_bytes, _check_height, _circle_ray, _count_geq, _mertens, _octant, _universe_bytes, _wedge,
     count_geq, enumerate_rays,
 )
-from .sampling import UINT64_MAX, _keep_threshold, _trial_words
+from .sampling import _BLOCK_RAYS, UINT64_MAX, _keep_threshold, _trial_words
 
 FORMATS = ("csv", "json")
 
@@ -201,13 +187,6 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
-#: Keep positions per block of work, and raw words per window of a trial.
-#: A sweep classifies max(1, _BLOCK_RAYS // n) whole rows (trials) of a
-#: cell at a time while n <= _BLOCK_RAYS; a longer row is scanned in
-#: windows of at most _BLOCK_RAYS positions by _stream_row.  So no buffer
-#: of a sweep thread grows with n; _block_bytes bounds them all.
-_BLOCK_RAYS = 1 << 16
-
 #: Dropped runs a streamed row collects before it classifies them: the
 #: length of its s and e buffers, less the one entry of the run across
 #: the seam.
@@ -239,25 +218,24 @@ def _buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
     return scratch[name][:size]
 
 
-def _wedges(coords: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> np.ndarray:
-    """wedge(c[s - 1], c[e]) of each dropped run s..e - 1 over coords, the
-    positions taken cyclically, written over s; e is overwritten too.  The
-    flanking rays are taken into int32 rows, and their products are formed
-    in int64 in the index buffers, which are free by then."""
-    s -= 1
-    before, after = (np.take(coords, i, axis=0, mode="wrap",
+def _wedges(rays: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict, mode: str) -> np.ndarray:
+    """wedge(rays[s], rays[e]) of the positions s and e of the rays flanking
+    each dropped run, taken by np.take's mode, written over s; e is
+    overwritten too.  The rays are taken into int32 rows of scratch, and
+    their products are formed in int64 in the index buffers, which are free
+    by then."""
+    before, after = (np.take(rays, i, axis=0, mode=mode,
                              out=_buffer(scratch, name, 2 * len(s), np.int32).reshape(-1, 2))
                      for i, name in ((s, "before"), (e, "after")))
-    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
-    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
-    return w
+    return _wedge(before, after, out=s, spare=e)
 
 
 def _octant_wedges(octant: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> np.ndarray:
-    """_wedges of the dropped runs s..e - 1 over the circle of n = 8q rays
-    unfolded from the checked octant of q + 1 rays (lattice._octant), read
-    from the octant: the runs are disjoint and in row order, save that the
-    last may be the run across the seam, which ends before it starts.
+    """wedge(c[s - 1], c[e]) of the dropped runs s..e - 1 over the circle c
+    of n = 8q rays unfolded from the checked octant of q + 1 rays
+    (lattice._octant), read from the octant: the runs are disjoint and in
+    row order, save that the last may be the run across the seam, which
+    ends before it starts.
 
     Sector j of the circle, positions jq to jq + q - 1, is the octant turned
     by j // 2 quarter turns, and in odd sectors first reflected across
@@ -284,11 +262,7 @@ def _octant_wedges(octant: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: di
                 np.subtract((j + 1) * q, x, out=x)
             elif j:
                 x -= j * q
-    before, after = (np.take(octant, i, axis=0, mode="clip",  # the mapped runs' positions may be out of range
-                             out=_buffer(scratch, name, 2 * r, np.int32).reshape(-1, 2))
-                     for i, name in ((s, "before"), (e, "after")))
-    w = np.multiply(before[:, 0], after[:, 1], dtype=np.int64, out=s)
-    w -= np.multiply(before[:, 1], after[:, 0], dtype=np.int64, out=e)
+    w = _wedges(octant, s, e, scratch, "clip")  # the mapped runs' positions may be out of range
     for j in range(1, 8, 2):
         np.negative(w[bounds[j] : bounds[j + 1]], out=w[bounds[j] : bounds[j + 1]])
     for i, b, f in mapped:
@@ -343,11 +317,7 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     none when the gap is at least a half turn (wedge <= 0).
 
     The per-position and per-run arrays are views of the buffers in
-    scratch, which the caller keeps for all of its blocks, so a block
-    reuses the memory of the one before; only the run edges (positions in
-    the layout) and each run's row start, which turns them into columns,
-    are allocated per block.  Memory freed after every block can go back
-    to the system and be faulted in again by the next.
+    scratch, which the caller keeps from block to block (_THREAD_BYTES).
     """
     n = len(coords)
     p = len(keep) - 1
@@ -375,7 +345,8 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     first, last = bounds[multi], bounds[multi + 1] - 1
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
-    w = _wedges(coords, s, e, scratch)
+    s -= 1  # the kept ray before each run
+    w = _wedges(coords, s, e, scratch, "wrap")
     w[last[seam]] = w[r] = 0
     runs[multi[seam]] -= 1
     return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
@@ -387,11 +358,10 @@ def _stream_row(octant: np.ndarray, ks, scratch: dict, own: dict):
     that yields each window, a view of at most _BLOCK_RAYS positions, for
     the caller to fill with the row's next keep decisions, scans it when the
     next item is asked for, and yields the row's counts after the last
-    window.  The row's window and its s and e
-    buffers are its own, in own, so several rows can be scanned at once;
-    its other buffers are shared through scratch.  Every buffer is bounded
-    by _BLOCK_RAYS and _EDGE_RUNS, not by n, and the circle is never built:
-    the runs' wedges are read from the octant (_octant_wedges).
+    window.  The row's window and its s and e buffers are its own, in own,
+    so several rows can be scanned at once; its other buffers are shared
+    through scratch (_lane_bytes).  The circle is never built: the runs'
+    wedges are read from the octant (_octant_wedges).
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
@@ -456,31 +426,6 @@ def _stream_row(octant: np.ndarray, ks, scratch: dict, own: dict):
             ns, ne, i = ns + len(starts), ne + len(ends), j
     classify(ne, True)
     yield _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
-
-
-def _block_shape(n: int, rows: int) -> tuple[int, int]:
-    """The keep positions and the most dropped runs one thread classifies
-    at once for rows draws over n rays: a layout of rows * (n + 1) + 1
-    positions with a run at most every second one, or, for a row longer
-    than _BLOCK_RAYS, _stream_row's window and its s and e buffers."""
-    if n > _BLOCK_RAYS:
-        return _BLOCK_RAYS + 2, _EDGE_RUNS + 1
-    positions = rows * (n + 1) + 1
-    return positions, positions // 2 + 1
-
-
-def _block_bytes(positions: int, runs: int, rows: int, n_ks: int) -> int:
-    """Most bytes one thread holds to classify a block of the given
-    _block_shape and rows: per position, 1 B for the keep decision, 1 B for
-    its change mask and 8 B for the edges found at once (at most one per
-    position); per run, 8 B of row offset and 33 B of buffers (s and e in
-    int64, the int32 rows of its two flanking rays, and one bool); one
-    window of raw Philox words; 8 B per row for the trial of each row and
-    for each of 16 per-row count arrays and n_ks threshold counts; and 64
-    KiB for the array headers and scalars of a block.  A thread's buffers
-    grow to its largest block and are kept; none of these terms grows with
-    n once a row is longer than _BLOCK_RAYS."""
-    return 10 * positions + 41 * runs + 8 * _BLOCK_RAYS + 8 * rows * (17 + n_ks) + (1 << 16)
 
 
 class _Bin:
@@ -640,38 +585,50 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
     )
 
 
+#: Bytes a sweep thread holds, past its lanes' (_lane_bytes), for a block of
+#: up to _BLOCK_RAYS + 2 keep positions (a streamed row's window, or a bin's
+#: layout less its rows' extra positions): per position, 1 B of change mask
+#: and 8 B of the edges found at once, and per dropped run, at most one per
+#: two positions, 41 B (s and e in int64, 8 B of row offset, the int32 rows
+#: of its two flanking rays and one bool), so 29.5 B in all; one window of
+#: raw Philox words; and 64 KiB of array headers and scalars.
+_THREAD_BYTES = 59 * (_BLOCK_RAYS + 2) // 2 + 8 * _BLOCK_RAYS + (1 << 16)
+
+
+def _lane_bytes(rows: int, n_ks: int) -> int:
+    """Bytes a sweep thread holds, past _THREAD_BYTES, for one lane that
+    draws, with the given bin rows and n_ks = len(k_list): its keep layout
+    of rows * (n + 1) + 1 <= _BLOCK_RAYS + rows + 1 positions (or a streamed
+    row's window of _BLOCK_RAYS + 2), its s and e run buffers of _EDGE_RUNS
+    + 1 entries, and per row, 30 B for the row's position past
+    _THREAD_BYTES' block and 8 B for its trial and each of 16 per-row count
+    arrays and n_ks threshold counts.  A thread keeps its buffers from
+    block to block and each lane's from trial to trial, so _THREAD_BYTES
+    plus the sum over its lanes bounds it; no term grows with n once a row
+    is streamed."""
+    return _BLOCK_RAYS + rows + 1 + 16 * (_EDGE_RUNS + 1) + rows * (30 + 8 * (17 + n_ks))
+
+
 def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
     """The work of a sweep, by arithmetic on the exact ray counts before any
     ray is built: the cells (h, q) in grid order; their lanes (h, n, keep
     threshold, bin rows) for _draw_trials, with min(trials, max(1,
     _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers,
-    trials), one trial being one work item; and the bytes the sweep holds.
-    Those are the rays of each height that a lane draws from (_universe_bytes
-    of the universes of heights of at most _BLOCK_RAYS rays and the octants
-    of longer ones; a height whose every cell has p = 1 builds none), the
-    buffers of each thread and the counts of each trial.  Per thread, over
-    the lanes that draw: the _block_bytes of the largest _block_shape and
-    the most rows, which no height past _BLOCK_RAYS rays raises, plus what
-    each of those lanes keeps from trial to trial: its keep layout (its bin,
-    or a longer row's window) and a longer row's s and e buffers, less the
-    one layout that _block_bytes counts.  Per trial, at most 16 B for each
-    of the 3 + len(k_list) counts of each cell (8 B for the counts, kept to
-    the end, and 8 B for the copies made to aggregate a cell)."""
+    trials), one trial being one work item; and the bytes the sweep holds:
+    the rays that the lanes that draw read (_universe_bytes of a universe of
+    at most _BLOCK_RAYS rays, or of a longer one's octant), each thread's
+    _THREAD_BYTES and _lane_bytes, and per trial, at most 16 B for each of
+    the 3 + len(k_list) counts of each cell (8 B for the counts, kept to the
+    end, and 8 B for the copies made to aggregate a cell)."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
     lanes = [(h, sizes[h], _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])))
              for h, q in cells]
-    drawing = [(h, n, rows) for h, n, threshold, rows in lanes if threshold <= UINT64_MAX]
-    built = dict.fromkeys(h for h, *_ in drawing)
+    drawing = [(h, rows) for h, _, threshold, rows in lanes if threshold <= UINT64_MAX]
+    built = dict.fromkeys(h for h, _ in drawing)
     streamed = [h for h in built if sizes[h] > _BLOCK_RAYS]
     rays = _universe_bytes([h for h in built if h not in streamed], streamed)
-    per_thread = 0
-    if drawing:
-        shapes = [_block_shape(n, rows) for _, n, rows in drawing]
-        positions, runs = map(max, zip(*shapes))
-        held = sum(p + (16 * r if n > _BLOCK_RAYS else 0) for (_, n, _), (p, r) in zip(drawing, shapes))
-        per_thread = (_block_bytes(positions, runs, max(rows for *_, rows in drawing), len(spec.k_list))
-                      + held - max(p for p, _ in shapes))
+    per_thread = _THREAD_BYTES + sum(_lane_bytes(rows, len(spec.k_list)) for _, rows in drawing) if drawing else 0
     threads = min(workers, spec.trials)
     return cells, lanes, threads, rays + threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
 
@@ -685,19 +642,11 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     failures there and are tallied in n_no_cones.  run_density_sweep is the
     same function.
 
-    _sweep_plan works out the lanes once, for both the memory check and the
-    thread pool.  The rays of all the spec's distinct heights are held at
-    once: their memory is checked with the plan's bytes, and each is built
-    once, before the first trial: the universe (checked by enumerate_rays)
-    of a height of at most _BLOCK_RAYS rays, the checked first octant
-    (lattice._octant) of a longer one, whose rows are streamed, and nothing
-    for a height whose every cell keeps every ray.  One pool of the plan's
-    threads serves all cells: each thread runs _draw_trials, taking the
-    next trial until none is left, draws it once for every cell and writes
-    each cell's counts into that trial's entry of the cell's rows; past
-    _BLOCK_RAYS rays a trial is streamed, so a thread holds the same bytes
-    at every such height.  A trial's stream is keyed by its index alone, so
-    neither window size, scheduling nor finish order can leak into a row.
+    The plan's bytes (_sweep_plan) are checked before any ray is built.
+    Each height's rays are built once, and one pool of the plan's threads
+    runs _draw_trials on all cells, a trial at a time.  A trial's stream is
+    keyed by its index alone, so neither window size, scheduling nor finish
+    order can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     cells, lanes, threads, plan_bytes = _sweep_plan(spec, workers)
@@ -1040,11 +989,13 @@ def open_sink(path):
     A path no file can have is a ValidationError.  A path that exists and,
     after its symlinks are followed, is not a regular file (a FIFO or a
     device) is opened and written in place.  Any other path gets a temp file
-    in the directory it resolves to, renamed onto the resolved path when the
-    with block ends without an exception (so a symlink stays a symlink and
-    its target gets the bytes atomically) and removed otherwise.  Opening,
-    writing and renaming fail with an OSError that names the path.  Each
-    block is freed once written, before the next one is made.
+    in the directory it resolves to, with the mode of the file it replaces
+    or, for a new file, 0666 less the umask, renamed onto the resolved path
+    when the with block ends without an exception (so a symlink stays a
+    symlink and its target gets the bytes atomically) and removed
+    otherwise.  Opening, writing and renaming fail with an OSError that
+    names the path.  Each block is freed once written, before the next one
+    is made.
     """
     path = _check_path(path)
     fh = tmp = None
@@ -1058,13 +1009,18 @@ def open_sink(path):
     try:
         with _naming(path):
             try:
-                regular = stat.S_ISREG(os.stat(path).st_mode)
+                mode = os.stat(path).st_mode
             except FileNotFoundError:
-                regular = True  # a new file, or a dangling symlink's target
-            if regular:
+                mode = None  # a new file, or a dangling symlink's target
+            if mode is None or stat.S_ISREG(mode):
                 target = os.path.realpath(path)
                 fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".emit-", suffix=".part")
                 fh = os.fdopen(fd, "wb")
+                if mode is None:  # what open() would create; mkstemp's is 0600
+                    umask = os.umask(0)
+                    os.umask(umask)
+                    mode = 0o666 & ~umask
+                os.fchmod(fd, stat.S_IMODE(mode))
             else:
                 fh = open(path, "wb")
         yield write
@@ -1082,14 +1038,6 @@ def open_sink(path):
                 os.unlink(tmp)
 
 
-def write_blocks(path, blocks) -> None:
-    """Write byte blocks into path through open_sink; a write that fails or
-    is interrupted, by an exception raised while the blocks are made among
-    them, never leaves a partial file in place of a regular one."""
-    with open_sink(path) as write:
-        write(blocks)
-
-
 def emit(rows, format: str, path, *, columns) -> None:
     """Render rows and stream the blocks atomically into path.
 
@@ -1098,4 +1046,6 @@ def emit(rows, format: str, path, *, columns) -> None:
     row list.  A bad format or column is refused before the temp file is
     made.
     """
-    write_blocks(path, render(rows, format, columns=columns))
+    blocks = render(rows, format, columns=columns)
+    with open_sink(path) as write:
+        write(blocks)

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import _INTEGERS, ValidationError, brief, check_int
-from .lattice import MAX_H, RayUniverse, _check_bytes
+from .lattice import MAX_H, RayUniverse, _check_bytes, _wedge
 
 #: Bytes Fan holds per input ray at its peak: the int32 copy of an input of
 #: another dtype (8 B), the int64 wedge it keeps (8 B) and the temporaries
@@ -77,8 +77,7 @@ class Fan:
         coords = np.ascontiguousarray(coords, dtype=np.int32)
         coords.flags.writeable = False
         x, y = coords[:, 0], coords[:, 1]
-        w = np.multiply(x, np.roll(y, -1), dtype=np.int64)  # wedge with the next ray
-        w -= np.multiply(y, np.roll(x, -1), dtype=np.int64)
+        w = _wedge(coords, np.roll(coords, -1, axis=0))  # wedge with the next ray
         step = np.append(np.diff(_arc_classes(x, y)), 1)  # class step to the next ray; the last has none
         _refuse(coords, np.gcd(x, y) != 1, "is not primitive")
         # canonical order never steps back a class and turns strictly

@@ -347,16 +347,23 @@ def _check_height(h) -> int:
     return check_int(h, "height bound", 1, MAX_H)
 
 
+def _wedge(u: np.ndarray, v: np.ndarray, out=None, spare=None) -> np.ndarray:
+    """wedge(u[i], v[i]) of two (m, 2) integer row arrays, formed in int64,
+    so int32 coordinates up to MAX_H give exact wedges.  The result goes
+    into out and the second product into spare, when the caller has int64
+    buffers of length m free for them."""
+    w = np.multiply(u[:, 0], v[:, 1], dtype=np.int64, out=out)
+    w -= np.multiply(u[:, 1], v[:, 0], dtype=np.int64, out=spare)
+    return w
+
+
 def _block_wedges(c: np.ndarray, lo: int, hi: int, a: int, b: int) -> np.ndarray:
     """wedge(c[i + a], c[i + b]) for lo <= i < hi as int64, positions taken
     cyclically; slices of c, except in a block that wraps around an end."""
     n = len(c)
-    u, v = (c[lo + s : hi + s] if 0 <= lo + s and hi + s <= n
-            else np.take(c, np.arange(lo + s, hi + s), axis=0, mode="wrap")
-            for s in (a, b))
-    w = np.multiply(u[:, 0], v[:, 1], dtype=np.int64)
-    w -= np.multiply(u[:, 1], v[:, 0], dtype=np.int64)
-    return w
+    return _wedge(*(c[lo + s : hi + s] if 0 <= lo + s and hi + s <= n
+                    else np.take(c, np.arange(lo + s, hi + s), axis=0, mode="wrap")
+                    for s in (a, b)))
 
 
 #: Rows per block of the vectorized checks; bounds their temporaries.

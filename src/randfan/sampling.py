@@ -55,9 +55,10 @@ class SampleConfig:
         return 1.0 - self.p
 
 
-#: Raw Philox words drawn per chunk of a keep mask, so a draw at any height
-#: allocates no n-sized float64 or uint64 temporary.
-_MASK_CHUNK = 1 << 16
+#: Raw Philox words per window of a trial's stream, so a draw at any
+#: height allocates no n-sized uint64 temporary; also the keep positions of
+#: a block of a sweep's work (randfan.experiments).
+_BLOCK_RAYS = 1 << 16
 
 #: The counter and buffer a new Philox starts with.
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -89,28 +90,12 @@ def _trial_words(bitgen: np.random.Philox, master_seed: int, trial_index: int, n
     as arrays of window words (the last one may be shorter), read from
     bitgen, which is re-keyed once, when the first is taken.
 
-    This is the one reader of Philox words: sample_fan's masks and the
-    sweeps, whose cells all read trial t's stream, go through it.
+    This is the one reader of Philox words: sample_fan and the sweeps,
+    whose cells all read trial t's stream, go through it.
     """
     _rekey(bitgen, master_seed, trial_index)
     for lo in range(0, n, window):
         yield bitgen.random_raw(min(window, n - lo))
-
-
-def _keep_mask(bitgen: np.random.Philox, master_seed: int, trial_index: int, threshold: int, out: np.ndarray) -> None:
-    """Write the keep decisions of trial (master_seed, trial_index) into out,
-    re-keying bitgen.
-
-    Decision i is True when the i-th uniform of the trial's stream is below
-    p, threshold being _keep_threshold(p).  The raw words are read in chunks
-    of at most _MASK_CHUNK; at p = 1 none is read.
-    """
-    if threshold > UINT64_MAX:
-        out.fill(True)
-        return
-    words = _trial_words(bitgen, master_seed, trial_index, len(out), _MASK_CHUNK)
-    for lo in range(0, len(out), _MASK_CHUNK):
-        np.less(next(words), np.uint64(threshold), out=out[lo : lo + _MASK_CHUNK])
 
 
 def sample_fan(cfg: SampleConfig) -> Fan:
@@ -122,8 +107,13 @@ def sample_fan(cfg: SampleConfig) -> Fan:
     the raw Philox words plus one boolean mask even at large h.
     """
     universe = enumerate_rays(cfg.h)
-    keep = np.empty(len(universe), dtype=bool)
-    _keep_mask(np.random.Philox(0), cfg.master_seed, cfg.trial_index, _keep_threshold(cfg.p), keep)
+    n = len(universe)
+    keep = np.ones(n, dtype=bool)
+    threshold = _keep_threshold(cfg.p)
+    if threshold <= UINT64_MAX:  # at p = 1 no word is read
+        words = _trial_words(np.random.Philox(0), cfg.master_seed, cfg.trial_index, n, _BLOCK_RAYS)
+        for lo, window in zip(range(0, n, _BLOCK_RAYS), words):
+            np.less(window, np.uint64(threshold), out=keep[lo : lo + _BLOCK_RAYS])
     return Fan(universe.coords[keep])
 
 

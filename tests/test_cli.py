@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from randfan import cli, experiments, lattice
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError, check_int
-from randfan.experiments import ExperimentSpec, emit, write_blocks
+from randfan.experiments import ExperimentSpec, emit, open_sink
 from randfan.fans import complete_fan
 from randfan.lattice import MAX_H, _universe_bytes, enumerate_rays
 from randfan.cli import main
@@ -634,8 +634,8 @@ def test_an_out_flag_no_file_can_have_is_refused_before_any_work(capsys, monkeyp
 @pytest.mark.parametrize("path", ["", "a\x00b.csv", b"", b"a\x00b.csv"], ids=["empty", "nul", "empty-bytes", "nul-bytes"])
 def test_write_blocks_refuses_a_path_no_file_can_have(tmp_path, monkeypatch, path):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(ValidationError, match="output path"):
-        write_blocks(path, [b"x\n"])
+    with pytest.raises(ValidationError, match="output path"), open_sink(path) as write:
+        write([b"x\n"])
     with pytest.raises(ValidationError, match="output path"):
         emit([{"a": 1}], "csv", path, columns=["a"])
     assert list(tmp_path.iterdir()) == []
@@ -779,6 +779,26 @@ def test_every_sink_gets_the_bytes_or_one_error_line(tmp_path, kind):
     assert received(RAYS_H1_CSV.encode())
     assert not [p for p in tmp_path.rglob(".emit-*.part")]
     assert {p: stat.S_IFMT(os.lstat(p).st_mode) for p in modes} == modes
+
+
+@pytest.mark.parametrize("kind", ["new-file", "existing-file", "symlink"])
+def test_a_written_file_keeps_its_mode_or_gets_the_umask_default(tmp_path, kind):
+    # the temp file is made 0600; what replaces a file gets that file's
+    # mode, through a symlink too, and a new file 0666 less the umask
+    target = tmp_path / "target.csv"
+    out = tmp_path / "out.csv" if kind == "symlink" else target
+    if kind != "new-file":
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+    if kind == "symlink":
+        out.symlink_to(target.name)
+    umask = os.umask(0o022)
+    try:
+        emit([{"a": 1}], "csv", out, columns=["a"])
+    finally:
+        os.umask(umask)
+    assert target.read_bytes() == b"a\n1\n" and out.is_symlink() == (kind == "symlink")
+    assert stat.S_IMODE(target.stat().st_mode) == (0o644 if kind == "new-file" else 0o640)
 
 
 def test_a_tampered_walk_in_a_process_is_exit_3():

@@ -75,11 +75,10 @@ def test_readme_states_the_octant_bytes_of_a_streamed_height():
 
 
 def test_readme_states_the_sweep_memory_per_thread():
-    # a block of one trial over the rays of h = 2000, streamed in windows
-    from randfan.experiments import _block_bytes, _block_shape
-    from randfan.lattice import count_geq
+    # a thread of one streamed cell, one trial per block, at any height
+    from randfan.experiments import _THREAD_BYTES, _lane_bytes
 
-    per_thread = _block_bytes(*_block_shape(count_geq(2000, 1), 1), 1, 1)
+    per_thread = _THREAD_BYTES + _lane_bytes(1, 1)
     assert f"about {per_thread / 2**20:.1f} MiB per thread" in README.read_text(encoding="utf-8")
 
 
@@ -132,6 +131,20 @@ def test_one_call_reads_philox_words():
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "random_raw":
                     called.append(where)
     assert named == called == ["sampling._trial_words"]
+
+
+def test_one_function_forms_wedges():
+    # lattice._wedge holds the rule that products of int32 coordinates are
+    # formed in int64, so no kernel can form a wedge that wraps
+    formed = []
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply"
+                        and any(k.arg == "dtype" and getattr(k.value, "attr", None) == "int64"
+                                for k in node.keywords)):
+                    formed.append(f"{path.stem}.{getattr(stmt, 'name', None)}")
+    assert formed == ["lattice._wedge", "lattice._wedge"]
 
 
 #: Public top-level functions and classes kept with no caller in src, no

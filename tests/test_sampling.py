@@ -83,6 +83,18 @@ def test_sample_is_subset_in_canonical_order():
     assert all(angular_compare(u, v) == -1 for u, v in pairs)
 
 
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_draw_across_a_word_window_equals_the_uniform_comparison(p):
+    # 70,640 rays at h = 170: the words come in two windows of the stream
+    universe = enumerate_rays(170)
+    n = len(universe)
+    assert sampling._BLOCK_RAYS < n <= 2 * sampling._BLOCK_RAYS
+    key = np.array([SEED, 7], dtype=np.uint64)
+    want = universe.coords[np.random.Generator(np.random.Philox(key=key)).random(n) < p]
+    got = sample_fan(SampleConfig(h=170, p=p, master_seed=SEED, trial_index=7)).coords
+    assert np.array_equal(got, want)
+
+
 def test_kept_fraction_tracks_p():
     cfg = SampleConfig(h=60, p=0.5, master_seed=SEED, trial_index=1)
     frac = len(sample_rays(cfg)) / len(enumerate_rays(60))

@@ -203,6 +203,12 @@ def test_octant_wedges_match_the_unfolded_circle(runs):
     assert got.tolist() == want.tolist()
 
 
+def _uniforms(seed, trial, n):
+    """The first n uniforms of trial (seed, trial)'s stream, as the
+    reproducibility contract defines them."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64))).random(n)
+
+
 def _drawn(lanes, trials, ks, first=0):
     """_draw_trials' four count arrays for the given trials (columns t -
     first) of the lanes at seed SEED."""
@@ -219,7 +225,7 @@ def test_streamed_row_at_height_300_matches_its_whole_row_layout(q):
     coords = enumerate_rays(300).coords
     threshold = sampling._keep_threshold(1.0 - q)
     keep = np.ones(len(coords) + 2, dtype=bool)
-    sampling._keep_mask(np.random.Philox(0), SEED, 5, threshold, keep[1:-1])
+    keep[1:-1] = _uniforms(SEED, 5, len(coords)) < 1.0 - q
     want = _classify(coords, keep, [1, 2, 3], {})
     got = _drawn([(len(coords), lattice._octant(300), threshold, 1)], [5], [1, 2, 3], first=5)
     assert all(np.array_equal(a[0], b) for a, b in zip(got, want))
@@ -235,9 +241,7 @@ def test_a_whole_block_of_the_paper_sweep_matches_fan_oracle_row_by_row():
     ks = [1, 2, 3, 5]
     threshold = sampling._keep_threshold(0.5)
     block = _drawn([(n, coords, threshold, rows)], range(rows), ks)
-    keep = np.empty((rows, n), dtype=bool)
-    for t, row in enumerate(keep):
-        sampling._keep_mask(np.random.Philox(0), SEED, t, threshold, row)
+    keep = np.array([_uniforms(SEED, t, n) < 0.5 for t in range(rows)])
     assert (~keep[:, 0] & ~keep[:, -1]).any()  # some row has a run across its seam
     kept, n_cones, max_index, at_least = (a[0].tolist() for a in block)
     got = list(zip(kept, n_cones, max_index, at_least))
@@ -332,12 +336,10 @@ def test_keep_threshold_decides_like_the_uniform(p):
     trial=st.integers(0, UINT64_MAX),
 )
 def test_integer_keep_mask_equals_the_uniform_comparison(p, n, chunk, seed, trial):
-    key = np.array([seed, trial], dtype=np.uint64)
-    want = np.random.Generator(np.random.Philox(key=key)).random(n) < p
-    out = np.empty(n, dtype=bool)
-    with mock.patch.object(sampling, "_MASK_CHUNK", chunk):
-        sampling._keep_mask(np.random.Philox(0), seed, trial, sampling._keep_threshold(p), out)
-    assert np.array_equal(out, want)
+    threshold = sampling._keep_threshold(p)  # 2**64 at p = 1, past every word
+    words = sampling._trial_words(np.random.Philox(0), seed, trial, n, chunk)
+    out = np.concatenate([np.empty(0, dtype=bool), *(w < threshold for w in words)])
+    assert np.array_equal(out, _uniforms(seed, trial, n) < p)
 
 
 def test_rekeyed_generator_gives_the_fresh_stream():
