@@ -187,11 +187,6 @@ class SweepRow:
     frac_delta_above_c: dict
 
 
-#: Dropped runs a streamed row collects before it classifies them: the
-#: length of its s and e buffers, less the one entry of the run across
-#: the seam.
-_EDGE_RUNS = 1 << 15
-
 #: Most worker threads a sweep may be asked for.
 MAX_WORKERS = 64
 
@@ -352,34 +347,33 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
 
 
-def _stream_row(octant: np.ndarray, ks, scratch: dict, own: dict):
-    """_classify's counts of one draw over the circle of n = 8 * (len(octant)
-    - 1) rays unfolded from octant, scanned a window at a time: a generator
-    that yields each window, a view of at most _BLOCK_RAYS positions, for
-    the caller to fill with the row's next keep decisions, scans it when the
-    next item is asked for, and yields the row's counts after the last
-    window.  The row's window and its s and e buffers are its own, in own,
-    so several rows can be scanned at once; its other buffers are shared
+def _stream_row(octant: np.ndarray, ks, scratch: dict):
+    """_classify's counts of draw after draw over the circle of n = 8 *
+    (len(octant) - 1) rays unfolded from octant, each scanned a window at a
+    time: a generator that yields each window, a view of at most _BLOCK_RAYS
+    positions, for the caller to fill with the row's next keep decisions,
+    scans it when the next item is asked for, and yields the row's counts
+    after the last window; the next item starts the next draw.  Its window
+    and its s and e run buffers are made once; its other buffers are shared
     through scratch (_lane_bytes).  The circle is never built: the runs'
     wedges are read from the octant (_octant_wedges).
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
     n, as a row of _classify's layout.  Where a window changes are the
-    starts and ends of dropped runs, in row columns; they are appended to
-    the s and e buffers, and whenever _EDGE_RUNS runs are complete, those
-    are classified and their counts added to the row's.  Two things cross
-    a window's edge: the start of a run still open, which stays in s, and
-    the end of the leading run through column 0, which is kept to the row's
-    end and closed there with the trailing run through column n - 1: the
-    one run across the seam that _classify forms.
+    starts and ends of dropped runs, in row columns, appended to s and e,
+    which hold a window's runs (at most one per two positions), the run
+    still open before it and the seam's run.  When a window's starts would
+    not fit, the complete runs held are classified, their counts added to
+    the row's, and the open run moves to the front.  The end of the leading
+    run through column 0 is kept to the row's end and closed there with the
+    trailing run through column n - 1: the one run across the seam that
+    _classify forms.
     """
     n = 8 * (len(octant) - 1)
-    keep = _buffer(own, "keep", _BLOCK_RAYS + 2, bool)
-    s = _buffer(own, "s", _EDGE_RUNS + 1, np.int64)
-    e = _buffer(own, "e", _EDGE_RUNS + 1, np.int64)
-    counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
-    dropped = runs = lead = 0
+    keep = np.empty(_BLOCK_RAYS + 2, dtype=bool)
+    s = np.empty(_BLOCK_RAYS // 2 + 3, dtype=np.int64)
+    e = np.empty_like(s)
 
     def classify(r, end):
         # add the complete runs s[:r], e[:r] to the row's counts
@@ -402,30 +396,31 @@ def _stream_row(octant: np.ndarray, ks, scratch: dict, own: dict):
             np.maximum(counts[1], top, out=counts[1])
             counts[2] += at_least
 
-    keep[0] = True
-    ns = ne = 0  # starts and ends in s and e; a run is open when ns > ne
-    for lo in range(0, n, _BLOCK_RAYS):
-        m = min(_BLOCK_RAYS, n - lo)
-        yield keep[1 : m + 1]
-        end = lo + m == n
-        keep[m + 1] = True  # the sentinel, read only at the row's end
-        change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
-        edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
-        edges += lo
-        keep[0] = keep[m]
-        i = 0
-        while i < len(edges):  # as many edges as fill the buffers, at a time
-            if ne == _EDGE_RUNS:  # and so is ns; the row's last run is never classified here
-                classify(ne, False)
-                ns = ne = 0
-            j = i + 2 * _EDGE_RUNS - ns - ne
+    while True:
+        counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
+        dropped = runs = lead = 0
+        keep[0] = True
+        ns = ne = 0  # starts and ends in s and e; a run is open when ns > ne
+        for lo in range(0, n, _BLOCK_RAYS):
+            m = min(_BLOCK_RAYS, n - lo)
+            yield keep[1 : m + 1]
+            end = lo + m == n
+            keep[m + 1] = True  # the sentinel, read only at the row's end
+            change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
+            edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
+            edges += lo
+            keep[0] = keep[m]
             odd = ns > ne  # the first edge ends the open run
-            starts, ends = edges[i + odd : j : 2], edges[i + 1 - odd : j : 2]
+            starts, ends = edges[odd::2], edges[1 - odd :: 2]
+            if ns + len(starts) >= len(s):  # one entry stays free for the seam's run
+                classify(ne, False)  # the row's last run is never classified here
+                s[0] = s[ne]  # the open run's start, if one is
+                ns, ne = ns - ne, 0
             s[ns : ns + len(starts)] = starts
             e[ne : ne + len(ends)] = ends
-            ns, ne, i = ns + len(starts), ne + len(ends), j
-    classify(ne, True)
-    yield _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
+            ns, ne = ns + len(starts), ne + len(ends)
+        classify(ne, True)
+        yield _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
 
 
 class _Bin:
@@ -469,9 +464,9 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
     with p < 1, and each window goes to every lane whose row reaches it.  A
     row of at most _BLOCK_RAYS rays is compared into its lane's _Bin, which
     is classified when full and when trials runs out; a longer row is
-    compared into its _stream_row's window, and the words are freed before
-    the windows are scanned.  A lane at p = 1 keeps every ray and reads no
-    word: it gets the full fan's counts.
+    compared into the window of its lane's one _stream_row, and the words are
+    freed before the windows are scanned.  A lane at p = 1 keeps every ray
+    and reads no word: it gets the full fan's counts.
     """
     scratch = {}
     bitgen = np.random.Philox(0)
@@ -483,7 +478,7 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
         elif n <= _BLOCK_RAYS:
             bins.append((j, _Bin(rays, threshold, rows)))
         else:
-            streams.append((j, n, rays, np.uint64(threshold), {}))
+            streams.append((j, n, np.uint64(threshold), _stream_row(rays, ks, scratch)))
     longest = max((n for n, _, threshold, _ in lanes if threshold <= UINT64_MAX), default=0)
 
     def put(j, columns, counts):
@@ -496,10 +491,8 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
             put(j, column, counts)
         if not longest:
             continue
-        rows = []  # (lane, row length, keep threshold, scan, the window it waits for)
-        for j, n, octant, threshold, own in streams:
-            scan = _stream_row(octant, ks, scratch, own)
-            rows.append((j, n, threshold, scan, next(scan)))
+        # (lane, row length, keep threshold, scan, the window it waits for)
+        rows = [(j, n, threshold, scan, next(scan)) for j, n, threshold, scan in streams]
         windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
         for lo in range(0, longest, _BLOCK_RAYS):
             words = next(windows)
@@ -520,15 +513,15 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
             put(j, *b.classify(ks, scratch))
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (99% two-sided default)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, 99% two-sided."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValidationError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z99 * _Z99
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2.0 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
+    half = _Z99 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -597,40 +590,41 @@ _THREAD_BYTES = 59 * (_BLOCK_RAYS + 2) // 2 + 8 * _BLOCK_RAYS + (1 << 16)
 
 def _lane_bytes(rows: int, n_ks: int) -> int:
     """Bytes a sweep thread holds, past _THREAD_BYTES, for one lane that
-    draws, with the given bin rows and n_ks = len(k_list): its keep layout
-    of rows * (n + 1) + 1 <= _BLOCK_RAYS + rows + 1 positions (or a streamed
-    row's window of _BLOCK_RAYS + 2), its s and e run buffers of _EDGE_RUNS
-    + 1 entries, and per row, 30 B for the row's position past
-    _THREAD_BYTES' block and 8 B for its trial and each of 16 per-row count
-    arrays and n_ks threshold counts.  A thread keeps its buffers from
-    block to block and each lane's from trial to trial, so _THREAD_BYTES
-    plus the sum over its lanes bounds it; no term grows with n once a row
-    is streamed."""
-    return _BLOCK_RAYS + rows + 1 + 16 * (_EDGE_RUNS + 1) + rows * (30 + 8 * (17 + n_ks))
+    draws, with the given bin rows and n_ks = len(k_list): its keep layout of
+    rows * (n + 1) + 1 <= _BLOCK_RAYS + rows + 1 positions (or a streamed
+    row's window of _BLOCK_RAYS + 2), its s and e run buffers of one
+    window's runs plus one (_stream_row), and per row, 30 B for the row's
+    position past _THREAD_BYTES' block and 8 B for its trial and each of 16
+    per-row count arrays and n_ks threshold counts.  A thread keeps its
+    buffers from block to block and each lane's bin or _stream_row from
+    trial to trial, so _THREAD_BYTES plus the sum over its lanes bounds it;
+    no term grows with n once a row is streamed."""
+    return _BLOCK_RAYS + rows + 1 + 16 * (_BLOCK_RAYS // 2 + 3) + rows * (30 + 8 * (17 + n_ks))
 
 
-def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int]:
+def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int, dict]:
     """The work of a sweep, by arithmetic on the exact ray counts before any
     ray is built: the cells (h, q) in grid order; their lanes (h, n, keep
     threshold, bin rows) for _draw_trials, with min(trials, max(1,
-    _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers,
-    trials), one trial being one work item; and the bytes the sweep holds:
-    the rays that the lanes that draw read (_universe_bytes of a universe of
-    at most _BLOCK_RAYS rays, or of a longer one's octant), each thread's
+    _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers, trials),
+    one trial being one work item; the bytes the sweep holds: the rays that
+    the lanes that draw read (_universe_bytes of a universe of at most
+    _BLOCK_RAYS rays, or of a longer one's octant), each thread's
     _THREAD_BYTES and _lane_bytes, and per trial, at most 16 B for each of
     the 3 + len(k_list) counts of each cell (8 B for the counts, kept to the
-    end, and 8 B for the copies made to aggregate a cell)."""
+    end, and 8 B for the copies made to aggregate a cell); and {h: built as
+    an octant?} for the heights that draw."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
     lanes = [(h, sizes[h], _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])))
              for h, q in cells]
     drawing = [(h, rows) for h, _, threshold, rows in lanes if threshold <= UINT64_MAX]
-    built = dict.fromkeys(h for h, _ in drawing)
-    streamed = [h for h in built if sizes[h] > _BLOCK_RAYS]
-    rays = _universe_bytes([h for h in built if h not in streamed], streamed)
+    octant = {h: sizes[h] > _BLOCK_RAYS for h, _ in drawing}
+    rays = _universe_bytes([h for h, o in octant.items() if not o], [h for h, o in octant.items() if o])
     per_thread = _THREAD_BYTES + sum(_lane_bytes(rows, len(spec.k_list)) for _, rows in drawing) if drawing else 0
     threads = min(workers, spec.trials)
-    return cells, lanes, threads, rays + threads * per_thread + 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
+    counts = 16 * (3 + len(spec.k_list)) * spec.trials * len(cells)
+    return cells, lanes, threads, rays + threads * per_thread + counts, octant
 
 
 def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[SweepRow]:
@@ -649,14 +643,11 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     order can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
-    cells, lanes, threads, plan_bytes = _sweep_plan(spec, workers)
+    cells, lanes, threads, plan_bytes, octant = _sweep_plan(spec, workers)
     heights = list(dict.fromkeys(spec.h_values))
     which = f"height {heights[0]} needs" if len(heights) == 1 else f"heights {', '.join(map(str, heights))} need"
     _check_bytes(plan_bytes, which, "to run the sweep")
-    rays = {}
-    for h, n, threshold, _ in lanes:
-        if threshold <= UINT64_MAX and h not in rays:
-            rays[h] = enumerate_rays(h).coords if n <= _BLOCK_RAYS else _octant(h)
+    rays = {h: _octant(h) if o else enumerate_rays(h).coords for h, o in octant.items()}
     lanes = [(n, rays.get(h), threshold, rows) for h, n, threshold, rows in lanes]
     counts = np.empty((3, len(cells), spec.trials), dtype=np.int64)
     at_least = np.empty((len(cells), spec.trials, len(spec.k_list)), dtype=np.int64)

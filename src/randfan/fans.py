@@ -54,13 +54,13 @@ class Fan:
     """An angularly sorted ray list plus the 2-cones spanned between neighbors.
 
     Build instances with complete_fan() or the sampling helpers.  The
-    constructor takes an (n, 2) integer coordinate array, checks its
-    _RAY_BYTES per ray with lattice._check_bytes, then checks in O(n) that
-    its rays are within [-MAX_H, MAX_H] (on the input's own dtype, before
-    it is narrowed to int32), primitive and distinct in strictly canonical
-    angular order (ValidationError otherwise), and freezes it.  An int32
-    array, such as a universe's, is taken without a copy.  Wedges are
-    computed in int64.
+    constructor takes an (n, 2) integer coordinate array (or an empty one),
+    checks its _RAY_BYTES per ray with lattice._check_bytes, then checks in
+    O(n) that its rays are within [-MAX_H, MAX_H] (on the input's own dtype,
+    before it is narrowed to int32), primitive and distinct in strictly
+    canonical angular order (ValidationError otherwise, as for another
+    dtype or shape), and freezes it.  An int32 array, such as a universe's,
+    is taken without a copy.  Wedges are computed in int64.
     """
 
     __slots__ = ("_coords", "_wedges")
@@ -69,7 +69,9 @@ class Fan:
         coords = np.asarray(coords)
         if coords.size and coords.dtype.kind != "i":
             raise ValidationError(f"fan coordinates must be integers, got dtype {coords.dtype}")
-        coords = coords.reshape(-1, 2)
+        if coords.size and (coords.ndim != 2 or coords.shape[1] != 2):
+            raise ValidationError(f"fan coordinates must be an (n, 2) array, got shape {coords.shape}")
+        coords = coords.reshape(-1, 2)  # an empty input is the empty fan
         n = len(coords)
         _check_bytes(_RAY_BYTES * n, f"a fan of {n} rays needs", "to build")
         # on the input's dtype: narrowing first would wrap 2**32 + 1 to 1
@@ -116,11 +118,13 @@ def complete_fan(rays) -> Fan:
     """Complete a set of rays to the maximal fan with exactly those rays.
 
     Accepts a whole RayUniverse (already sorted; its int32 coordinate array
-    is taken as-is, without a copy) or any iterable of (x, y) pairs.
-    Duplicates collapse.  A coordinate that is not an integer (bool, float,
-    str, ...) or lies outside [-MAX_H, MAX_H], the range in which
-    coordinates fit in int32 and every wedge, formed in int64, is exact, is
-    rejected before any conversion, and Fan rejects non-primitive vectors.
+    is taken as-is, without a copy) or any iterable of (x, y) pairs; the
+    first entry of a list, tuple or array that is not one is named in the
+    ValidationError.  Duplicates collapse.  A coordinate that is not an
+    integer (bool, float, str, ...) or lies outside [-MAX_H, MAX_H], the
+    range in which coordinates fit in int32 and every wedge, formed in
+    int64, is exact, is rejected before any conversion, and Fan rejects
+    non-primitive vectors.
     The rays are sorted by one stable argsort of an exact int64 key, and
     adjacent equal rows are dropped: each open quadrant is turned onto
     x, y > 0, and a ray of half-quadrant class arc is keyed
@@ -132,7 +136,14 @@ def complete_fan(rays) -> Fan:
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)
-    flat = [v for x, y in rays for v in (x, y)]
+    try:
+        flat = [v for x, y in rays for v in (x, y)]
+    except (TypeError, ValueError):  # an entry is not a pair, or rays is not iterable
+        pairs = rays if isinstance(rays, (list, tuple, np.ndarray)) else ()  # an iterator is spent
+        what = next((f"ray entry {brief(r)}" for r in pairs if not (
+            isinstance(r, (list, tuple)) and len(r) == 2 or isinstance(r, np.ndarray) and r.shape == (2,))),
+            f"rays {brief(rays)}")
+        raise ValidationError(f"malformed {what}; expected [x, y]") from None
     if (not all(issubclass(t, _INTEGERS) and t is not bool for t in set(map(type, flat)))
             or flat and not (-MAX_H <= min(flat) and max(flat) <= MAX_H)):
         for v in flat:  # the first offending coordinate raises
@@ -170,7 +181,4 @@ def fan_from_record(record) -> Fan:
     """Rebuild a fan from a record; cones are always recomputed, never trusted."""
     if not isinstance(record, dict) or not isinstance(record.get("rays"), list):
         raise ValidationError("fan record must be a mapping with a 'rays' list")
-    for r in record["rays"]:
-        if not isinstance(r, (list, tuple)) or len(r) != 2:
-            raise ValidationError(f"malformed ray entry {brief(r)}; expected [x, y]")
     return complete_fan(record["rays"])

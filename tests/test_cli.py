@@ -178,6 +178,9 @@ def test_spectrum_malformed_json_is_validation_error(tmp_path, capsys):
         bad.write_text('{"rays": %s}' % rays)
         code, out, err = run_cli(capsys, "spectrum", "--in", str(bad))
         assert code == 1 and out == "" and "error:" in err, rays
+    bad.write_text('{"rays": [[1, 0], [0, 1, 2]]}')
+    code, out, err = run_cli(capsys, "spectrum", "--in", str(bad))
+    assert (code, out, err) == (1, "", "error: malformed ray entry [0, 1, 2]; expected [x, y]\n")
 
 
 @pytest.mark.parametrize("command,flag,key", [("spectrum", "--in", "rays"), ("density", "--spec", "h_values")])

@@ -240,10 +240,6 @@ def test_wilson_interval_properties():
     flip_lo, flip_hi = wilson_interval(190, 200)
     assert lo2 == pytest.approx(1.0 - flip_hi)
     assert hi2 == pytest.approx(1.0 - flip_lo)
-    # narrower at lower confidence
-    nlo, nhi = wilson_interval(100, 200, z=1.959963984540054)
-    assert nlo > wilson_interval(100, 200)[0]
-    assert nhi < wilson_interval(100, 200)[1]
     with pytest.raises(ValidationError):
         wilson_interval(5, 0)
     with pytest.raises(ValidationError):

@@ -82,6 +82,13 @@ def test_complete_fan_refuses_coordinates_that_are_not_integers_in_range():
                 complete_fan(rays)
 
 
+def test_complete_fan_names_the_first_entry_that_is_not_a_pair():
+    for rays, entry in [([(1, 2, 3)], r"\(1, 2, 3\)"), ([1, 2], "1"), ([[1, 0], None], "None"),
+                        ([[1, 0], np.array([0, 1, 2]), [1]], r"array\(\[0, 1, 2\]\)")]:
+        with pytest.raises(ValidationError, match=rf"^malformed ray entry {entry}; expected \[x, y\]$"):
+            complete_fan(rays)
+
+
 def test_key_sort_matches_the_comparison_sort():
     # slopes of distinct rays with coordinates up to MAX_H differ by at least
     # 1/MAX_H**2, the finest gap the integer keys must resolve
@@ -292,6 +299,8 @@ def test_full_fans_have_no_singular_share():
     ([[2**40, 1], [0, 1]], rf"\({2**40}, 1\) at position 0 is outside \[-{MAX_H}, {MAX_H}\]"),
     ([[1, 1], [1, 0]], r"\(1, 1\) at position 0 does not strictly precede"),
     ([[0, 0], [1, 0]], r"\(0, 0\) at position 0 is not primitive"),
+    ([[1, 0, 0], [0, 1, 0]], r"must be an \(n, 2\) array, got shape \(2, 3\)"),
+    ([1, 0, 1], r"must be an \(n, 2\) array, got shape \(3,\)"),
 ])
 def test_fan_refuses_arrays_that_are_not_canonical(coords, message):
     with pytest.raises(ValidationError, match=message):

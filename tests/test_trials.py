@@ -125,11 +125,11 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
-def _streamed(octant, keep, ks, scratch, own):
-    """_stream_row's counts of the draw keep over the circle unfolded from
-    octant, its windows filled with the next decisions of keep in turn."""
+def _streamed(scan, keep):
+    """The counts that the _stream_row scan gives for its next draw, keep,
+    its windows filled with the next decisions of keep in turn."""
     rest = keep
-    for window in experiments._stream_row(octant, ks, scratch, own):
+    for window in scan:
         if isinstance(window, tuple):
             return window
         window[:], rest = rest[: len(window)], rest[len(window) :]
@@ -139,17 +139,16 @@ _SMALL = st.sampled_from([1, 2, 3, 5, 8])
 
 
 @settings(max_examples=400, deadline=None)
-@given(block=_blocks(), window=_SMALL, edge_runs=_SMALL, ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
-def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, edge_runs, ks):
-    # windows and edge buffers of a few positions, so the seam's runs, open
-    # runs and full buffers all fall across window edges; one scratch and
-    # one pair of run buffers serve every row, as a sweep thread's do
+@given(block=_blocks(), window=_SMALL, ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
+def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, ks):
+    # windows of a few positions, so the seam's runs, open runs and full
+    # run buffers all fall across window edges; one scan scans every row,
+    # as a sweep thread's does
     h, dropped = block
-    octant = lattice._octant(h)
-    scratch, own = {}, {}
-    with mock.patch.multiple(experiments, _BLOCK_RAYS=window, _EDGE_RUNS=edge_runs):
+    with mock.patch.object(experiments, "_BLOCK_RAYS", window):
+        scan = experiments._stream_row(lattice._octant(h), ks, {})
         for drops in dropped:
-            kept, n_cones, max_index, at_least = _streamed(octant, ~drops, ks, scratch, own)
+            kept, n_cones, max_index, at_least = _streamed(scan, ~drops)
             got = (int(kept[0]), int(n_cones[0]), int(max_index[0]), at_least[0].tolist())
             assert got == fan_counts(h, ~drops, ks), np.flatnonzero(drops)
 
@@ -419,26 +418,23 @@ def _sweep_csv(spec, workers=1):
 @pytest.mark.parametrize("budget", [1, 50, 1 << 10, 1 << 20])
 def test_sweep_bytes_do_not_depend_on_block_budget_or_workers(monkeypatch, budget):
     # a row longer than the budget is streamed through windows of that many
-    # positions, and its runs through buffers of edge_runs
+    # positions, and its runs through buffers of one window's runs
     spec = ExperimentSpec(h_values=[2, 5, 12], q_schedule=[0.3, 0.6, 0.05], trials=23,
                           k_list=[1, 2, 3], c_density=0.25, master_seed=SEED)
     want = _sweep_csv(spec)
     monkeypatch.setattr(experiments, "_BLOCK_RAYS", budget)
-    for edge_runs in (1, 3, 1 << 15):
-        monkeypatch.setattr(experiments, "_EDGE_RUNS", edge_runs)
-        for workers in (1, 2, 3):
-            assert _sweep_csv(spec, workers) == want
+    for workers in (1, 2, 3):
+        assert _sweep_csv(spec, workers) == want
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_each_row_of_a_grid_equals_the_sweep_of_its_cell_alone(monkeypatch, workers):
     # the cells of a grid share each trial's one draw; with windows of 50
-    # words and run buffers of 3, h <= 4 (48 rays) goes into bins and
+    # words (run buffers of 28), h <= 4 (48 rays) goes into bins and
     # h >= 5 (80 rays) is streamed; h = 5 and h = 12 come twice, and each
     # grid has a cell at q = 0 (no word read) and one at q = 1; the threads
     # switch often, so two taking one trial would show
     monkeypatch.setattr(experiments, "_BLOCK_RAYS", 50)
-    monkeypatch.setattr(experiments, "_EDGE_RUNS", 3)
     grids = [
         ("q-small", [2, 5, 12, 5, 4, 9, 3, 1], [0.3, 0.6, 0.05, 0.01, 0.0, 1.0, 0.5, 0.4]),
         ("q-large", [3, 12, 1, 12, 6], [0.2, 0.9, 0.0, 0.5, 1.0]),
@@ -456,6 +452,22 @@ def test_each_row_of_a_grid_equals_the_sweep_of_its_cell_alone(monkeypatch, work
                 assert run_threshold_sweep(alone, workers=workers) == [row], (h, row.q)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_sweep_thread_makes_one_scan_per_streamed_cell(monkeypatch):
+    # h = 170 (70,000 rays) is streamed: each of the two threads makes the
+    # cell's one _stream_row and scans its trials with it, not one per trial
+    made = []
+    stream_row = experiments._stream_row
+
+    def counted(*args):
+        made.append(args)
+        return stream_row(*args)
+
+    monkeypatch.setattr(experiments, "_stream_row", counted)
+    spec = ExperimentSpec(h_values=[170], q_schedule=[0.5], trials=4, k_list=[2, 3], master_seed=SEED)
+    run_threshold_sweep(spec, workers=2)
+    assert len(made) == 2
 
 
 def test_a_grid_reads_each_trial_stream_once(monkeypatch):
