@@ -35,6 +35,10 @@ Norm bands: k * |rho| <= 2h, in the sup-norm, holds exactly for every ray
 (the neighbor sum has sup-norm at most 2h), while the lower bound
 (2 - eps) / (k + 2) * h is asymptotic, with eps = epsilon_of(h) = 1/h the
 largest normalized gap between angular neighbors at height h.
+
+Reports: blowdown_array, conjecture_report and space_array give the
+tables of the blowdown, ratios and space commands as columns (or rows)
+for randfan.emission to render.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ import numpy as np
 
 from .errors import InvariantError, ValidationError, check_int
 from .lattice import (
-    _BLOCK, RayUniverse, _block_wedges, _check_bytes, _check_height, _universe_bytes, count_geq,
-    enumerate_rays,
+    _BLOCK, RayUniverse, _block_wedges, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes,
+    count_geq, enumerate_rays,
 )
 
 
@@ -187,3 +191,89 @@ def triangular(k: int) -> int:
 def conjectured_ratio(k: int) -> Fraction:
     """Conjectured limiting fraction of rays with blowdown index >= k: 2/T_k."""
     return Fraction(2, triangular(check_int(k, "limiting-ratio index", 2)))
+
+
+class _SupNorm:
+    """The sup-norm column of an (n, 2) coordinate array, computed for each
+    slice that is read, so the whole column is never held."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        c = self.coords[rows]
+        return np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
+
+
+BLOWDOWN_COLUMNS = ("x", "y", "norm", "k")
+
+
+def blowdown_array(table: BlowdownTable) -> dict:
+    """Full blowdown-table export: the columns x, y, norm and k in canonical
+    order; x, y and k are views of the table, and norm is computed per
+    slice."""
+    c = table.coords
+    return {"x": c[:, 0], "y": c[:, 1], "norm": _SupNorm(c), "k": table.k_values}
+
+
+RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
+
+#: Bytes one ratio row holds: about 360 B for the dict and its values
+#: (tracemalloc), and 48 B for its six cells in the column lists that
+#: render() transposes the rows into.
+_RATIO_ROW_BYTES = 408
+
+
+def conjecture_report(h_values, k_max: int) -> list[dict]:
+    """Long-form ratio table: measured fraction of rays with blowdown index
+    >= k next to the conjectured limit 2/T_k, for k = 2..k_max per height.
+
+    The counts come from lattice.count_geq with one Moebius sieve up to the
+    largest height, so no ray is enumerated and any h <= MAX_H takes well
+    under a second.  Rows that would exceed the share of MemAvailable that
+    lattice._check_bytes allows are refused with ValidationError before
+    the first one is made.  Heights stay capped at MAX_H, the package's one
+    rule for a valid height.  The sieve takes 17 bytes per unit of height
+    (1.7 GB at h = 10**8), so lifting the cap would take a segmented sieve
+    or a sublinear Mertens recursion, not a larger constant.
+    """
+    k_max = check_int(k_max, "k_max", 2)
+    heights = [_check_height(h) for h in h_values]
+    n_rows = len(heights) * (k_max - 1)
+    _check_bytes(_RATIO_ROW_BYTES * n_rows, f"{n_rows} ratio rows need", "to build the ratio table")
+    mertens = _mertens(max(heights, default=0))
+    rows = []
+    for h in heights:
+        n = _count_geq(h, 1, mertens)
+        for k in range(2, k_max + 1):
+            count = _count_geq(h, k, mertens)
+            rows.append({
+                "h": h, "k": k, "count_geq": count, "n_h": n,
+                "ratio": float(Fraction(count, n)),
+                "conjectured": float(conjectured_ratio(k)),
+            })
+    return rows
+
+
+SPACE_COLUMNS = ("x", "y", "k")
+
+
+def space_array(h: int) -> dict:
+    """Blowdown index of every ray in the closed first quadrant, in angular
+    order, as the columns x, y and k; the raw material for shell scatter
+    plots.  The universe starts at (1, 0) and has the symmetry of the
+    square, so the quadrant up to (0, 1) is its first quarter plus one ray,
+    and the columns are views of the table."""
+    table = blowdown_table(h)
+    quadrant = len(table) // 4 + 1
+    c, k = table.coords[:quadrant], table.k_values[:quadrant]
+    return {"x": c[:, 0], "y": c[:, 1], "k": k}
+
+
+def space_report(h: int) -> list[dict]:
+    """space_array() as one dict per ray."""
+    cols = space_array(h)
+    return [dict(zip(SPACE_COLUMNS, r)) for r in zip(*(cols[c].tolist() for c in SPACE_COLUMNS))]

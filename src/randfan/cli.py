@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 input validation failure (including bad arguments),
 2 I/O failure, 3 internal invariant violation.
+
+A command loads only the modules it runs: the table commands need the
+modules imported here, and sample, spectrum and the sweeps import sampling,
+fans and experiments in their own bodies.
 """
 
 from __future__ import annotations
@@ -14,31 +18,12 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .blowdown import blowdown_table
-from .errors import InvariantError, ValidationError
-from .experiments import (
-    BLOWDOWN_COLUMNS,
-    RATIO_COLUMNS,
-    RAY_COLUMNS,
-    SPACE_COLUMNS,
-    ExperimentSpec,
-    _read_json,
-    blowdown_array,
-    conjecture_report,
-    open_sink,
-    ray_array,
-    render,
-    render_document,
-    run_threshold_sweep,
-    space_array,
-    spec_from_dict,
-    spec_from_file,
-    sweep_columns,
-    sweep_rows_as_dicts,
+from .blowdown import (
+    BLOWDOWN_COLUMNS, RATIO_COLUMNS, SPACE_COLUMNS, blowdown_array, blowdown_table, conjecture_report, space_array,
 )
-from .fans import fan_from_record, is_smooth
-from .lattice import enumerate_rays
-from .sampling import SampleConfig, sample_fan
+from .emission import _read_json, open_sink, render, render_document
+from .errors import InvariantError, ValidationError
+from .lattice import RAY_COLUMNS, enumerate_rays, ray_array
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,12 +64,16 @@ def _cmd_complete(args):
 
 
 def _cmd_sample(args):
+    from .sampling import SampleConfig, sample_fan
+
     cfg = SampleConfig(h=args.h, p=args.p, master_seed=args.seed, trial_index=args.trial)
     doc = {"h": args.h, "p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index}
     return _record(doc, sample_fan(cfg).coords)
 
 
 def _cmd_spectrum(args):
+    from .fans import fan_from_record, is_smooth
+
     fan = fan_from_record(_read_json(args.infile))
     values, counts = np.unique(fan.cone_indices, return_counts=True)
     doc = {
@@ -109,7 +98,9 @@ def _cmd_space(args):
     return render(space_array(args.h), args.format, columns=SPACE_COLUMNS)
 
 
-def _spec_from_args(args) -> ExperimentSpec:
+def _spec_from_args(args):
+    from .experiments import spec_from_dict, spec_from_file
+
     inline = args.h or args.q or args.c is not None or args.alpha is not None
     if args.spec:
         if inline:
@@ -147,6 +138,8 @@ def _read_sweep(args) -> None:
 
 
 def _cmd_sweep(args):
+    from .experiments import run_threshold_sweep, sweep_columns, sweep_rows_as_dicts
+
     spec = args.experiment
     rows = sweep_rows_as_dicts(run_threshold_sweep(spec, workers=args.workers), spec.k_list)
     return render(rows, args.format, columns=sweep_columns(spec.k_list))

@@ -1,40 +1,29 @@
-"""Monte Carlo sweeps, report tables, and deterministic CSV/JSON emission.
+"""Monte Carlo sweeps: specs, trials, classification and aggregation.
 
 A sweep is a grid of (height, drop-probability) cells, each aggregated from
 a fixed number of seeded trials into one SweepRow: run_threshold_sweep
 plans it and _draw_trials runs its trials, and README "Sweeps" tells how.
-The report builders for the deterministic tables (ray and blowdown exports,
-ratio tables, first-quadrant shells) live here too, with the one emission
-path of every output: render() and render_document() yield a table or a
-record a block of rows at a time, and open_sink() writes the blocks (README
-"File formats").
+sweep_columns() and sweep_rows_as_dicts() lay the rows out as a table for
+randfan.emission, which renders and writes every output.  A sweep builds no
+Fan and loads neither randfan.fans nor a thread pool module: its threads
+are plain threading.Threads, and the calling thread is the first of them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import stat
-import tempfile
 import threading
-from collections.abc import Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 
 import numpy as np
 
-from .blowdown import BlowdownTable, blowdown_table, conjectured_ratio
+from .emission import FORMATS, _check_path, _read_json
 from .errors import ValidationError, brief, check_int, check_real
 from .lattice import (
-    RayUniverse, _check_bytes, _check_height, _circle_ray, _count_geq, _mertens, _octant, _universe_bytes, _wedge,
-    count_geq, enumerate_rays,
+    _check_bytes, _check_height, _circle_ray, _octant, _universe_bytes, _wedge, count_geq, enumerate_rays,
 )
 from .sampling import _BLOCK_RAYS, UINT64_MAX, _keep_threshold, _trial_words
-
-FORMATS = ("csv", "json")
 
 #: Two-sided 99% normal quantile, fixed for the Wilson interval columns.
 _Z99 = 2.5758293035489004
@@ -150,18 +139,6 @@ def spec_from_dict(doc) -> ExperimentSpec:
     elif not isinstance(sched, list):
         raise ValidationError("q_schedule must be a list or {'c', 'alpha'}")
     return ExperimentSpec(**{**doc, "q_schedule": sched})
-
-
-def _read_json(path):
-    """The JSON document in the file path; a parse error, or nesting deeper
-    than the parser can follow, becomes a ValidationError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-        except RecursionError:
-            raise ValidationError(f"{path} is nested too deeply to read") from None
 
 
 def spec_from_file(path) -> ExperimentSpec:
@@ -637,8 +614,10 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     same function.
 
     The plan's bytes (_sweep_plan) are checked before any ray is built.
-    Each height's rays are built once, and one pool of the plan's threads
-    runs _draw_trials on all cells, a trial at a time.  A trial's stream is
+    Each height's rays are built once, and the plan's threads, the calling
+    thread and threads - 1 started ones, run _draw_trials on all cells, a
+    trial at a time.  After a failure no thread takes another trial, and
+    the first failure is raised once all have ended.  A trial's stream is
     keyed by its index alone, so neither window size, scheduling nor finish
     order can leak into a row.
     """
@@ -653,16 +632,29 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     at_least = np.empty((len(cells), spec.trials, len(spec.k_list)), dtype=np.int64)
     trials = iter(range(spec.trials))
     lock = threading.Lock()
+    failures, started = [], []
 
     def next_trial():
         with lock:  # two threads may not advance one iterator at once
-            return next(trials, None)
+            return None if failures else next(trials, None)
 
-    def work(_):
-        _draw_trials(lanes, spec.master_seed, iter(next_trial, None), spec.k_list, (*counts, at_least))
+    def work():
+        try:
+            _draw_trials(lanes, spec.master_seed, iter(next_trial, None), spec.k_list, (*counts, at_least))
+        except Exception as exc:  # raised on the calling thread once every thread has ended
+            failures.append(exc)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))  # raises what a thread raised
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()  # the calling thread is the first worker
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[0]
     _, n_cones, max_index = counts
     return [_aggregate(h, q, n_cones[i], max_index[i], at_least[i], spec.k_list, spec.c_density)
             for i, (h, q) in enumerate(cells)]
@@ -698,345 +690,3 @@ def sweep_rows_as_dicts(rows, k_list) -> list[dict]:
             d[f"frac_delta_{k}_above_c"] = r.frac_delta_above_c[k]
         out.append(d)
     return out
-
-
-RAY_COLUMNS = ("x", "y")
-
-
-def ray_array(universe: RayUniverse) -> dict:
-    """Ray export: the columns x and y, views of the universe's coordinates
-    in canonical order."""
-    c = universe.coords
-    return {"x": c[:, 0], "y": c[:, 1]}
-
-
-class _SupNorm:
-    """The sup-norm column of an (n, 2) coordinate array, computed for each
-    slice that is read, so the whole column is never held."""
-
-    def __init__(self, coords: np.ndarray):
-        self.coords = coords
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        c = self.coords[rows]
-        return np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
-
-
-BLOWDOWN_COLUMNS = ("x", "y", "norm", "k")
-
-
-def blowdown_array(table: BlowdownTable) -> dict:
-    """Full blowdown-table export: the columns x, y, norm and k in canonical
-    order; x, y and k are views of the table, and norm is computed per
-    slice."""
-    c = table.coords
-    return {"x": c[:, 0], "y": c[:, 1], "norm": _SupNorm(c), "k": table.k_values}
-
-
-RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
-
-#: Bytes one ratio row holds: about 360 B for the dict and its values
-#: (tracemalloc), and 48 B for its six cells in the column lists that
-#: render() transposes the rows into.
-_RATIO_ROW_BYTES = 408
-
-
-def conjecture_report(h_values, k_max: int) -> list[dict]:
-    """Long-form ratio table: measured fraction of rays with blowdown index
-    >= k next to the conjectured limit 2/T_k, for k = 2..k_max per height.
-
-    The counts come from lattice.count_geq with one Moebius sieve up to the
-    largest height, so no ray is enumerated and any h <= MAX_H takes well
-    under a second.  Rows that would exceed the share of MemAvailable that
-    lattice._check_bytes allows are refused with ValidationError before
-    the first one is made.  Heights stay capped at MAX_H, the package's one
-    rule for a valid height.  The sieve takes 17 bytes per unit of height
-    (1.7 GB at h = 10**8), so lifting the cap would take a segmented sieve
-    or a sublinear Mertens recursion, not a larger constant.
-    """
-    k_max = check_int(k_max, "k_max", 2)
-    heights = [_check_height(h) for h in h_values]
-    n_rows = len(heights) * (k_max - 1)
-    _check_bytes(_RATIO_ROW_BYTES * n_rows, f"{n_rows} ratio rows need", "to build the ratio table")
-    mertens = _mertens(max(heights, default=0))
-    rows = []
-    for h in heights:
-        n = _count_geq(h, 1, mertens)
-        for k in range(2, k_max + 1):
-            count = _count_geq(h, k, mertens)
-            rows.append({
-                "h": h, "k": k, "count_geq": count, "n_h": n,
-                "ratio": float(Fraction(count, n)),
-                "conjectured": float(conjectured_ratio(k)),
-            })
-    return rows
-
-
-SPACE_COLUMNS = ("x", "y", "k")
-
-
-def space_array(h: int) -> dict:
-    """Blowdown index of every ray in the closed first quadrant, in angular
-    order, as the columns x, y and k; the raw material for shell scatter
-    plots.  The universe starts at (1, 0) and has the symmetry of the
-    square, so the quadrant up to (0, 1) is its first quarter plus one ray,
-    and the columns are views of the table."""
-    table = blowdown_table(h)
-    quadrant = len(table) // 4 + 1
-    c, k = table.coords[:quadrant], table.k_values[:quadrant]
-    return {"x": c[:, 0], "y": c[:, 1], "k": k}
-
-
-def space_report(h: int) -> list[dict]:
-    """space_array() as one dict per ray."""
-    cols = space_array(h)
-    return [dict(zip(SPACE_COLUMNS, r)) for r in zip(*(cols[c].tolist() for c in SPACE_COLUMNS))]
-
-
-def _json_value(value):
-    # numpy scalars and Fractions as the plain bool, int or float they stand for
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating, Fraction)):
-        return float(value)
-    return value
-
-
-def format_cell(value) -> str:
-    """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
-    'null' for missing values, integers verbatim."""
-    value = _json_value(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
-
-
-def _json_cell(value) -> str:
-    # nested containers are indented as json.dumps(rows, indent=2) would
-    # place them, two levels deep
-    return json.dumps(_json_value(value), indent=2, ensure_ascii=False).replace("\n", "\n    ")
-
-
-#: Rows rendered per block; bounds the temporaries alive at once.
-_RENDER_ROWS = 1 << 14
-
-#: Filler of every unused byte of a render field.  0xFF never occurs in
-#: UTF-8 text, so deleting it from a block leaves exactly the cells and the
-#: literals between them, whatever bytes (NUL among them) a cell holds.
-_PAD = 0xFF
-
-
-def _int_field(col: np.ndarray):
-    """The width of an integer column's field and the writer of its digits
-    into a view of that width (README "File formats"); the magnitudes come
-    from the two's complement, so -2**63 comes out exact."""
-    neg = col < 0
-    sign, q = int(neg.any()), np.abs(col).view(f"u{col.itemsize}")
-    top = int(q.max())
-    width, q = sign + len(str(top)), q.astype(np.min_scalar_type(top), copy=False)
-
-    def fill(view, q=q):
-        if sign:
-            view[:, 0] = _PAD - neg * np.uint8(_PAD - ord("-"))
-        for j in range(width - 1, sign - 1, -1):
-            rest = q // 10
-            digit = q - rest * 10
-            digit += ord("0")
-            if j < width - 1:
-                digit |= (q == 0) * q.dtype.type(_PAD)  # a leading '0' becomes the pad
-            view[:, j] = digit
-            q = rest
-    return width, fill
-
-
-def _text_field(cells: list[str]):
-    """The width of a field of str cells and the writer that lays them in, left-aligned."""
-    cells = [c.encode("utf-8", "surrogatepass") for c in cells]
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    width = int(lengths.max())
-
-    def fill(view):
-        view[np.arange(width) < lengths[:, None]] = np.frombuffer(b"".join(cells), dtype=np.uint8)
-    return width, fill
-
-
-def _byte_blocks(head: str, n: int, cols, leads, end: str, last_end: str, encode) -> Iterator[bytes]:
-    # head, then the n rows of cols a block of _RENDER_ROWS rows at a time:
-    # leads[j] before each cell of column j (a non-integer cell through
-    # encode), end after each row but the last, then last_end
-    yield head.encode("utf-8", "surrogatepass")
-    leads, end = [s.encode("utf-8", "surrogatepass") for s in leads], end.encode("utf-8", "surrogatepass")
-    for lo in range(0, n, _RENDER_ROWS):
-        m = min(_RENDER_ROWS, n - lo)
-        row, fields = bytearray(), []  # the row template; each field's start, width and writer
-        for col, lead in zip(cols, leads):
-            col = col[lo : lo + m]
-            is_int = isinstance(col, np.ndarray) and col.dtype.kind in "iu"
-            width, fill = _int_field(col) if is_int else _text_field([encode(v) for v in col])
-            row += lead
-            fields.append((len(row), width, fill))
-            row += bytes([_PAD]) * width
-        row += end
-        data = row * m
-        block = np.frombuffer(data, dtype=np.uint8).reshape(m, len(row))
-        for start, width, fill in fields:
-            fill(block[:, start : start + width])
-        del block, fields  # the fields' arrays are not held while the pad is deleted
-        data = data.translate(None, bytes([_PAD]))
-        if lo + m == n:
-            data[len(data) - len(end) :] = last_end.encode("utf-8", "surrogatepass")
-        yield data
-        del data  # the writer frees the block it wrote before the next one is made
-
-
-def render(table, format: str, *, columns) -> Iterator[bytes]:
-    """Render a table to canonical UTF-8, one block of bytes at a time: CSV
-    (header + LF lines) or a JSON list.
-
-    table is a mapping from column name to column, all of one length, or a
-    sequence of row mappings, which is transposed into columns.  A column
-    is anything that slicing turns into an array or a list: an array view,
-    a list, or a column computed per slice such as a sup norm.  The format
-    and the columns are checked when render is called (a column the table
-    lacks is a ValidationError); the blocks are made as they are read, with
-    format_cell for CSV and plain JSON values for JSON, and the row's fixed
-    literals (commas and newlines, or the JSON keys) between the cells.
-    Joined, the blocks are exactly json.dumps(list_of_row_dicts, indent=2,
-    ensure_ascii=False) for JSON.
-    """
-    if format not in FORMATS:
-        raise ValidationError(f"format must be one of {FORMATS}, got {brief(format)}")
-    columns = list(columns)
-    try:
-        if isinstance(table, Mapping):
-            cols = [table[c] for c in columns]
-            n = len(next(iter(table.values()), ()))
-            if any(len(col) != n for col in table.values()):
-                raise ValidationError(f"table columns differ in length: {[len(col) for col in table.values()]}")
-        else:
-            table = list(table)
-            cols = [[row[c] for row in table] for c in columns]
-            n = len(table)
-    except KeyError as exc:
-        raise ValidationError(f"table has no column {brief(exc.args[0])}") from None
-    if format == "csv":
-        leads = ["," if j else "" for j in range(len(columns))]
-        return _byte_blocks(",".join(columns) + "\n", n, cols, leads, "\n", "\n", format_cell)
-    keys = [json.dumps(c, ensure_ascii=False) for c in columns]
-    leads = [f"{',' if j else '  {'}\n    {k}: " for j, k in enumerate(keys)]
-    end = "\n  },\n" if keys else "  {},\n"
-    return _byte_blocks("[\n" if n else "[]\n", n, cols, leads, end, end[:-2] + "\n]\n", _json_cell)
-
-
-def render_document(doc: Mapping, key: str, columns) -> Iterator[bytes]:
-    """The bytes of json.dumps({**doc, key: rows}, ensure_ascii=False) + "\n",
-    one block at a time, where rows are the rows of the integer columns:
-    [x, y] lists for two columns, plain items for one.  key is not in doc.
-    doc is dumped with an empty list, and the rows go through render's
-    byte blocks, with no Python object per row.
-    """
-    columns = list(columns)
-    n = len(columns[0])
-    head = json.dumps({**doc, key: []}, ensure_ascii=False)
-    if not n:
-        return _byte_blocks(head + "\n", 0, (), (), "", "", _json_cell)
-    leads = ["[" if len(columns) > 1 else ""] + [", "] * (len(columns) - 1)
-    end = "], " if len(columns) > 1 else ", "
-    return _byte_blocks(head[:-2], n, columns, leads, end, end[:-2] + "]}\n", _json_cell)
-
-
-def _check_path(path) -> str:
-    """path as a str; an empty path, or one holding a NUL byte (which no
-    file system takes), is refused with ValidationError."""
-    path = os.fsdecode(path)
-    if not path or "\0" in path:
-        raise ValidationError(f"output path must be non-empty and free of NUL bytes, got {brief(path)}")
-    return path
-
-
-@contextmanager
-def _naming(path):
-    # an OSError raised in the with block, as one that names the output path
-    try:
-        yield
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-@contextmanager
-def open_sink(path):
-    """The writer of byte blocks into the file path, for a with block that
-    opens the file before any block is made; see README "File formats".
-
-    A path no file can have is a ValidationError.  A path that exists and,
-    after its symlinks are followed, is not a regular file (a FIFO or a
-    device) is opened and written in place.  Any other path gets a temp file
-    in the directory it resolves to, with the mode of the file it replaces
-    or, for a new file, 0666 less the umask, renamed onto the resolved path
-    when the with block ends without an exception (so a symlink stays a
-    symlink and its target gets the bytes atomically) and removed
-    otherwise.  Opening, writing and renaming fail with an OSError that
-    names the path.  Each block is freed once written, before the next one
-    is made.
-    """
-    path = _check_path(path)
-    fh = tmp = None
-
-    def write(blocks):
-        with _naming(path):
-            for block in blocks:
-                fh.write(block)
-                del block
-
-    try:
-        with _naming(path):
-            try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                mode = None  # a new file, or a dangling symlink's target
-            if mode is None or stat.S_ISREG(mode):
-                target = os.path.realpath(path)
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".emit-", suffix=".part")
-                fh = os.fdopen(fd, "wb")
-                if mode is None:  # what open() would create; mkstemp's is 0600
-                    umask = os.umask(0)
-                    os.umask(umask)
-                    mode = 0o666 & ~umask
-                os.fchmod(fd, stat.S_IMODE(mode))
-            else:
-                fh = open(path, "wb")
-        yield write
-        with _naming(path):
-            fh.close()
-            if tmp is not None:
-                os.replace(tmp, target)
-                tmp = None
-    finally:
-        if fh is not None:
-            with suppress(OSError):
-                fh.close()  # the with block raised, or the file could not be closed
-        if tmp is not None:
-            with suppress(OSError):
-                os.unlink(tmp)
-
-
-def emit(rows, format: str, path, *, columns) -> None:
-    """Render rows and stream the blocks atomically into path.
-
-    Equal inputs produce byte-identical files: fixed column order, canonical
-    cell formatting, LF newlines, UTF-8, and a header-only file for an empty
-    row list.  A bad format or column is refused before the temp file is
-    made.
-    """
-    blocks = render(rows, format, columns=columns)
-    with open_sink(path) as write:
-        write(blocks)

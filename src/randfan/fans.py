@@ -13,6 +13,7 @@ smooth when every index is 1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from fractions import Fraction
 
 import numpy as np
@@ -119,12 +120,12 @@ def complete_fan(rays) -> Fan:
 
     Accepts a whole RayUniverse (already sorted; its int32 coordinate array
     is taken as-is, without a copy) or any iterable of (x, y) pairs; the
-    first entry of a list, tuple or array that is not one is named in the
-    ValidationError.  Duplicates collapse.  A coordinate that is not an
-    integer (bool, float, str, ...) or lies outside [-MAX_H, MAX_H], the
-    range in which coordinates fit in int32 and every wedge, formed in
-    int64, is exact, is rejected before any conversion, and Fan rejects
-    non-primitive vectors.
+    first entry that is not one, a set or a dict among them (their order is
+    their own), is named in the ValidationError.  Duplicates collapse.  A
+    coordinate that is not an integer (bool, float, str, ...) or lies
+    outside [-MAX_H, MAX_H], the range in which coordinates fit in int32
+    and every wedge, formed in int64, is exact, is rejected before any
+    conversion, and Fan rejects non-primitive vectors.
     The rays are sorted by one stable argsort of an exact int64 key, and
     adjacent equal rows are dropped: each open quadrant is turned onto
     x, y > 0, and a ray of half-quadrant class arc is keyed
@@ -136,10 +137,17 @@ def complete_fan(rays) -> Fan:
     """
     if isinstance(rays, RayUniverse):
         return Fan(rays.coords)
+    sequence = isinstance(rays, (list, tuple, np.ndarray))
+    pairs = rays if sequence else ()
     try:
-        flat = [v for x, y in rays for v in (x, y)]
+        if not sequence:
+            pairs = list(rays)  # a set or a one-shot iterator, read once
+        # a set or a mapping unpacks in an order of its own: never a ray
+        if (not isinstance(pairs, np.ndarray) or pairs.dtype == object) and any(
+                issubclass(t, (Set, Mapping)) for t in set(map(type, pairs))):
+            raise TypeError
+        flat = [v for x, y in pairs for v in (x, y)]
     except (TypeError, ValueError):  # an entry is not a pair, or rays is not iterable
-        pairs = rays if isinstance(rays, (list, tuple, np.ndarray)) else ()  # an iterator is spent
         what = next((f"ray entry {brief(r)}" for r in pairs if not (
             isinstance(r, (list, tuple)) and len(r) == 2 or isinstance(r, np.ndarray) and r.shape == (2,))),
             f"rays {brief(rays)}")

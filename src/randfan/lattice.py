@@ -343,6 +343,16 @@ class RayUniverse:
         raise InvariantError(f"height {self.h}: the sorted universe is missing the ray ({x}, {y})")
 
 
+RAY_COLUMNS = ("x", "y")
+
+
+def ray_array(universe: RayUniverse) -> dict:
+    """Ray export: the columns x and y, views of the universe's coordinates
+    in canonical order."""
+    c = universe.coords
+    return {"x": c[:, 0], "y": c[:, 1]}
+
+
 def _check_height(h) -> int:
     return check_int(h, "height bound", 1, MAX_H)
 

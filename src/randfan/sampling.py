@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import check_int, check_real
-from .fans import Fan
 from .lattice import _check_height, count_geq, enumerate_rays
+
+if TYPE_CHECKING:
+    from .fans import Fan
 
 #: Identity of the bit generator behind sample_fan and the sweep trials.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
@@ -106,6 +109,8 @@ def sample_fan(cfg: SampleConfig) -> Fan:
     inherit the universe's canonical order, so a draw costs one pass over
     the raw Philox words plus one boolean mask even at large h.
     """
+    from .fans import Fan  # imported here, so that the sweeps, which build no Fan, never load fans
+
     universe = enumerate_rays(cfg.h)
     n = len(universe)
     keep = np.ones(n, dtype=bool)

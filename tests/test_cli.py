@@ -23,10 +23,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randfan import cli, experiments, lattice
+from randfan import cli, emission, experiments, lattice
 from randfan.blowdown import blowdown_table, conjectured_ratio
 from randfan.errors import ValidationError, check_int
-from randfan.experiments import ExperimentSpec, emit, open_sink
+from randfan.emission import emit, open_sink
+from randfan.experiments import ExperimentSpec
 from randfan.fans import complete_fan
 from randfan.lattice import MAX_H, _universe_bytes, enumerate_rays
 from randfan.cli import main
@@ -126,7 +127,7 @@ def test_records_and_spectra_equal_the_json_dumps_oracle(monkeypatch, tmp_path, 
     # complete (p None) and sample stream the bytes of one json.dumps of the
     # whole record, and spectrum of the record those of its document, in
     # blocks of 1, 2 and 3 rows
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    monkeypatch.setattr(emission, "_RENDER_ROWS", block_rows)
     if p is None:
         argv, fan, extra = ["complete", "--h", str(h)], complete_fan(enumerate_rays(h)), {}
     else:
@@ -613,7 +614,7 @@ def test_an_integer_too_long_to_print_is_a_validation_error():
 @pytest.mark.parametrize("path", ["", "a\x00b.csv"], ids=["empty", "nul"])
 def test_a_spec_output_path_no_file_can_have_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch, path):
     runs = []
-    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(experiments, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**SPEC, "output": {"path": path, "format": "csv"}}))
     code, out, err = run_cli(capsys, "density", "--spec", str(spec))
@@ -626,7 +627,7 @@ def test_a_spec_output_path_no_file_can_have_is_refused_before_the_sweep(tmp_pat
 @pytest.mark.parametrize("path", ["", "a\x00b.csv"], ids=["empty", "nul"])
 def test_an_out_flag_no_file_can_have_is_refused_before_any_work(capsys, monkeypatch, path):
     runs = []
-    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(experiments, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
     monkeypatch.setattr(cli, "enumerate_rays", lambda *args: runs.append(args))
     for argv in (["rays", "--h", "1"], ["threshold", "--h", "3", "--q", "0.5"]):
         code, out, err = run_cli(capsys, *argv, "--out", path)
@@ -648,7 +649,7 @@ def test_write_blocks_refuses_a_path_no_file_can_have(tmp_path, monkeypatch, pat
 @pytest.mark.parametrize("target", ["directory", "missing-parent"])
 def test_an_output_that_cannot_be_opened_is_refused_before_the_sweep(tmp_path, capsys, monkeypatch, where, target):
     runs = []
-    monkeypatch.setattr(cli, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
+    monkeypatch.setattr(experiments, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
     out = tmp_path if target == "directory" else tmp_path / "missing" / "sweep.csv"
     argv = ["threshold", "--h", "200", "--q", "0.5", "--trials", "300", "--out", str(out)]
     if where == "spec":

@@ -4,29 +4,32 @@ import dataclasses
 import json
 import math
 import os
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from randfan import experiments, lattice
-from randfan.blowdown import blowdown_table, conjectured_ratio
-from randfan.errors import ValidationError
-from randfan.experiments import (
+from randfan import blowdown, emission, experiments, lattice
+from randfan.blowdown import (
     BLOWDOWN_COLUMNS,
     RATIO_COLUMNS,
     SPACE_COLUMNS,
+    blowdown_array,
+    blowdown_table,
+    conjecture_report,
+    conjectured_ratio,
+    space_report,
+)
+from randfan.emission import emit, render
+from randfan.errors import ValidationError
+from randfan.experiments import (
     ExperimentSpec,
     PowerSchedule,
-    blowdown_array,
-    conjecture_report,
-    emit,
-    render,
     run_density_sweep,
     run_threshold_sweep,
-    space_report,
     spec_from_dict,
     spec_from_file,
     sweep_columns,
@@ -447,32 +450,88 @@ def test_workers_must_be_positive():
 
 
 def test_workers_above_the_bound_are_refused_before_a_pool_exists(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was made")
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep thread was made or a trial drawn")
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading, "Thread", no_work)
+    monkeypatch.setattr(experiments, "_draw_trials", no_work)
     for workers in (experiments.MAX_WORKERS + 1, 10**9):
         with pytest.raises(ValidationError, match="workers"):
             run_threshold_sweep(_spec(), workers=workers)
 
 
 def test_one_pool_starts_at_most_one_thread_per_work_item(monkeypatch):
-    pools = []
+    # a trial is a work item, and the calling thread draws trials too
+    started, drawing = [], set()
+    draw = experiments._draw_trials
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    class Counting(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 1)  # one trial per work item
+    def counting_draw(*args):
+        drawing.add(threading.get_ident())
+        draw(*args)
+
+    def sweep(spec, workers):
+        # (threads started, threads that drew trials)
+        started.clear()
+        drawing.clear()
+        run_threshold_sweep(spec, workers=workers)
+        return len(started), len(drawing)
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    monkeypatch.setattr(experiments, "_draw_trials", counting_draw)
+    monkeypatch.setattr(experiments, "_BLOCK_RAYS", 1)  # every row streamed a word at a time
     bound = experiments.MAX_WORKERS
-    run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=1), workers=bound)
-    assert pools == [1]  # one item: a pool of one thread
-    run_threshold_sweep(_spec(h_values=[3], q_schedule=[0.5], trials=2), workers=bound)
-    assert pools == [1, 2]
-    run_threshold_sweep(_spec(h_values=[3, 4], q_schedule=[0.5, 0.5], trials=2), workers=3)
-    assert pools == [1, 2, 2]  # one pool serves both cells, a trial at a time
+    assert sweep(_spec(h_values=[3], q_schedule=[0.5], trials=1), bound) == (0, 1)  # one item: no thread started
+    assert sweep(_spec(h_values=[3], q_schedule=[0.5], trials=2), bound) == (1, 2)
+    # one set of threads serves both cells, a trial at a time
+    assert sweep(_spec(h_values=[3, 4], q_schedule=[0.5, 0.5], trials=2), 3) == (1, 2)
+
+
+def test_a_failure_in_any_sweep_thread_is_raised_once_every_thread_has_ended(monkeypatch):
+    calling = threading.get_ident()
+    draw = experiments._draw_trials
+    ended = []
+
+    def failing(*args):
+        try:
+            if threading.get_ident() != calling:
+                raise RuntimeError("a started thread failed")
+            draw(*args)
+        finally:
+            ended.append(threading.get_ident())
+
+    monkeypatch.setattr(experiments, "_draw_trials", failing)
+    alive = threading.active_count()
+    with pytest.raises(RuntimeError, match="a started thread failed"):
+        run_threshold_sweep(_spec(trials=10), workers=3)
+    assert len(ended) == 3 and threading.active_count() == alive
+    monkeypatch.undo()
+    assert run_threshold_sweep(_spec(trials=10), workers=3) == run_threshold_sweep(_spec(trials=10))
+
+
+def test_after_a_failure_no_sweep_thread_takes_another_trial(monkeypatch):
+    # the calling thread fails at its first trial; each started thread
+    # waits until then, and its next request for a trial gets none
+    calling = threading.get_ident()
+    failing, taken = threading.Event(), []
+
+    def draw(lanes, master_seed, trials, ks, out, first=0):
+        for t in trials:
+            taken.append(t)
+            if threading.get_ident() == calling:
+                failing.set()
+                raise RuntimeError("the calling thread failed")
+            assert failing.wait(timeout=60)
+            time.sleep(0.2)  # the failure is recorded meanwhile
+
+    monkeypatch.setattr(experiments, "_draw_trials", draw)
+    with pytest.raises(RuntimeError, match="the calling thread failed"):
+        run_threshold_sweep(_spec(trials=100), workers=3)
+    assert sorted(taken) == [0, 1, 2]
 
 
 def test_sweep_columns_layout():
@@ -551,7 +610,7 @@ class _Unprintable:
 @pytest.mark.parametrize("existing", [False, True])
 def test_emit_failure_in_mid_stream_leaves_no_file(monkeypatch, tmp_path, existing):
     # the first block is on disk in the temp file when the second one fails
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", 1)
+    monkeypatch.setattr(emission, "_RENDER_ROWS", 1)
     target = tmp_path / "out.csv"
     if existing:
         target.write_bytes(b"old\n")
@@ -566,7 +625,7 @@ def test_emit_refuses_a_bad_format_before_making_the_temp_file(monkeypatch, tmp_
     def no_temp(*args, **kwargs):
         raise AssertionError("a temp file was made")
 
-    monkeypatch.setattr(experiments.tempfile, "mkstemp", no_temp)
+    monkeypatch.setattr(emission.tempfile, "mkstemp", no_temp)
     with pytest.raises(ValidationError, match="format must be one of"):
         emit([{"h": 1}], "tsv", tmp_path / "out.tsv", columns=["h"])
     with pytest.raises(ValidationError, match="no column 'q'"):
@@ -611,12 +670,12 @@ def test_conjecture_report_is_consistent_with_tables():
 def test_ratio_table_is_sized_before_its_first_row(monkeypatch):
     # 10**8 - 1 rows of about 400 B: refused before the sieve or any row
     monkeypatch.setattr(lattice, "_mem_available", lambda: 8 * 2**30)
-    monkeypatch.setattr(experiments, "_mertens", lambda n: pytest.fail("the sieve ran"))
+    monkeypatch.setattr(blowdown, "_mertens", lambda n: pytest.fail("the sieve ran"))
     with pytest.raises(ValidationError, match=r"^99999999 ratio rows need about 38910 MiB to build "
                        r"the ratio table, more than 50% of the 8192 MiB available$"):
         conjecture_report([5], 10**8)
     monkeypatch.undo()
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * experiments._RATIO_ROW_BYTES * 2000)
+    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * blowdown._RATIO_ROW_BYTES * 2000)
     assert len(conjecture_report([5], 2001)) == 2000
     with pytest.raises(ValidationError, match="^2001 ratio rows need"):
         conjecture_report([5], 2002)
@@ -630,7 +689,7 @@ def test_ratio_row_estimate_bounds_the_traced_rows():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= experiments._RATIO_ROW_BYTES * len(rows)
+    assert held <= blowdown._RATIO_ROW_BYTES * len(rows)
 
 
 def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
@@ -649,7 +708,7 @@ def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"conjecture_report built rays: {args}")
 
-    for module, name in [(experiments, "enumerate_rays"), (experiments, "blowdown_table"),
+    for module, name in [(blowdown, "enumerate_rays"), (blowdown, "blowdown_table"),
                          (lattice, "_farey_walk")]:
         monkeypatch.setattr(module, name, refuse)
     assert conjecture_report(heights, k_max) == want

@@ -13,7 +13,7 @@ import pytest
 from randfan import fans, lattice
 from randfan.cli import main
 from randfan.errors import ValidationError
-from randfan.experiments import render_document
+from randfan.emission import render_document
 from randfan.fans import (
     Fan,
     complete_fan,
@@ -84,9 +84,15 @@ def test_complete_fan_refuses_coordinates_that_are_not_integers_in_range():
 
 def test_complete_fan_names_the_first_entry_that_is_not_a_pair():
     for rays, entry in [([(1, 2, 3)], r"\(1, 2, 3\)"), ([1, 2], "1"), ([[1, 0], None], "None"),
-                        ([[1, 0], np.array([0, 1, 2]), [1]], r"array\(\[0, 1, 2\]\)")]:
+                        ([[1, 0], np.array([0, 1, 2]), [1]], r"array\(\[0, 1, 2\]\)"),
+                        # a set or a dict unpacks in its own order, so it is no pair
+                        ([{2, 1}], r"\{1, 2\}"), ([(1, 0), {5: 0, 1: 0}], r"\{1: 0, 5: 0\}"),
+                        ((frozenset({1, 2}),), r"frozenset\(\{1, 2\}\)"), ({frozenset({0, 1})}, r"frozenset\(\{0, 1\}\)"),
+                        (iter([(1, 0), {0, 1}]), r"\{0, 1\}"), (np.array([(1, 0), {3, 2}], dtype=object), r"\{2, 3\}")]:
         with pytest.raises(ValidationError, match=rf"^malformed ray entry {entry}; expected \[x, y\]$"):
             complete_fan(rays)
+    # the pairs themselves are taken from any iterable, a one-shot iterator too
+    assert complete_fan(iter([(0, 1), [1, 0]])).coords.tolist() == [[1, 0], [0, 1]]
 
 
 def test_key_sort_matches_the_comparison_sort():

@@ -10,7 +10,7 @@ import pytest
 from randfan import lattice
 from randfan.blowdown import blowdown_table
 from randfan.errors import InvariantError, ValidationError
-from randfan.experiments import _SupNorm
+from randfan.blowdown import _SupNorm
 from randfan.lattice import MAX_H, _block_wedges, angular_compare, enumerate_rays, is_primitive
 from randfan.cli import main
 

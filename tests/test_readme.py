@@ -94,7 +94,7 @@ def test_one_function_reads_the_available_memory():
 
 
 def test_one_module_imports_json():
-    # every output leaves through experiments' byte-block writer, so no
+    # every output leaves through emission's byte-block writer, so no
     # other module has a json.dumps to write with
     importers = set()
     for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
@@ -103,7 +103,7 @@ def test_one_module_imports_json():
                 importers.add(path.stem)
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
                 importers.add(path.stem)
-    assert importers == {"experiments"}
+    assert importers == {"emission"}
 
 
 def test_one_module_touches_the_environment():

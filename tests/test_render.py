@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randfan import blowdown_table, experiments
+from randfan import blowdown, blowdown_table, emission
 from randfan.cli import main
-from randfan.experiments import render as render_blocks
-from randfan.experiments import render_document
+from randfan.emission import render as render_blocks
+from randfan.emission import render_document
 
 from oracles import brute_rays, row_render
 
@@ -89,23 +89,23 @@ def test_render_in_small_blocks_matches_row_oracle(table, fmt, block_rows):
     # last block and several blocks all come up
     rows, columns, order = table
     expected = row_render(rows, fmt, columns=order)
-    saved, experiments._RENDER_ROWS = experiments._RENDER_ROWS, block_rows
+    saved, emission._RENDER_ROWS = emission._RENDER_ROWS, block_rows
     try:
         assert render(rows, fmt, columns=order) == expected
         assert render(columns, fmt, columns=order) == expected
         blocks = list(render_blocks(columns, fmt, columns=order))
         assert len(blocks) == 1 + -(-len(rows) // block_rows)  # the opening, then one per block
     finally:
-        experiments._RENDER_ROWS = saved
+        emission._RENDER_ROWS = saved
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_render_block_boundaries(monkeypatch, block_rows, fmt):
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    monkeypatch.setattr(emission, "_RENDER_ROWS", block_rows)
     # the export's column views, with the sup norm computed per block
     t = blowdown_table(3)
-    table = experiments.blowdown_array(t)
+    table = blowdown.blowdown_array(t)
     columns = ["x", "y", "norm", "k"]
     for n in [0, 1, block_rows, block_rows + 1, 2 * block_rows, len(t)]:
         rows = _rows(t.coords[:n], norm=np.abs(t.coords[:n]).max(axis=1), k=t.k_values[:n])
@@ -130,7 +130,7 @@ EDGE_TEXTS = ["\x00", "ÿ", "a\x00ÿ", "", "\ud800"]
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("block_rows", [1, 2, 3])
 def test_render_edge_cells(monkeypatch, block_rows, fmt):
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    monkeypatch.setattr(emission, "_RENDER_ROWS", block_rows)
     n = len(EDGE_INTS)
     rows = [
         {"i": v, "u": EDGE_UINTS[j % len(EDGE_UINTS)], "s": EDGE_TEXTS[j % len(EDGE_TEXTS)]}
@@ -153,7 +153,7 @@ def test_render_edge_cells(monkeypatch, block_rows, fmt):
 def test_render_a_block_of_zero_and_the_largest_uint64(monkeypatch, block_rows, fmt):
     # one block whose digit loop runs in uint64 over a cell of 1 digit and
     # one of 20, in every order
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", block_rows)
+    monkeypatch.setattr(emission, "_RENDER_ROWS", block_rows)
     for cells in ([0, 2**64 - 1], [2**64 - 1, 0], [0, 2**64 - 1, 0], [2**64 - 1, 0, 2**64 - 1]):
         rows = [{"u": v} for v in cells]
         expected = row_render(rows, fmt, columns=["u"])
@@ -185,11 +185,11 @@ def test_render_document_matches_json_dumps(doc, n_cols, n, dtype, block_rows, d
     key = data.draw(NAMES.filter(lambda k: k not in doc))
     rows = [list(r) for r in zip(*(c.tolist() for c in columns))] if n_cols > 1 else columns[0].tolist()
     expected = (json.dumps({**doc, key: rows}, ensure_ascii=False) + "\n").encode("utf-8", "surrogatepass")
-    saved, experiments._RENDER_ROWS = experiments._RENDER_ROWS, block_rows
+    saved, emission._RENDER_ROWS = emission._RENDER_ROWS, block_rows
     try:
         assert b"".join(render_document(doc, key, columns)) == expected
     finally:
-        experiments._RENDER_ROWS = saved
+        emission._RENDER_ROWS = saved
 
 
 def _rows(coords, **extra):
@@ -218,7 +218,7 @@ def test_table_commands_match_row_oracle(h, fmt, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["rays", "blowdown", "space"])
 def test_table_commands_write_to_a_file_what_they_print(command, fmt, tmp_path, capsysbinary, monkeypatch):
-    monkeypatch.setattr(experiments, "_RENDER_ROWS", 7)  # h = 6 has 96 rays: 14 blocks
+    monkeypatch.setattr(emission, "_RENDER_ROWS", 7)  # h = 6 has 96 rays: 14 blocks
     path = tmp_path / f"{command}.{fmt}"
     assert main([command, "--h", "6", "--format", fmt]) == 0
     printed = capsysbinary.readouterr().out

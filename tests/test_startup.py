@@ -49,3 +49,78 @@ def test_numpy_imported_first_is_left_alone(env):
     # numpy is looked up once, before randfan, with the variable as the user left it
     want = env.get("OPENBLAS_THREAD_TIMEOUT")
     assert _probe("import numpy", **env) == {"seen": [want], "environ_unchanged": True}
+
+
+# --- the module graph: a command loads only the modules it runs --------------
+
+#: Modules the table commands never need: the sweep, sampling and fan code,
+#: numpy's random package, and what a thread pool or a dataclass loads.
+_TABLE_UNUSED = ["randfan.experiments", "randfan.sampling", "randfan.fans", "numpy.random",
+                 "concurrent.futures", "dataclasses"]
+#: Modules a sweep never needs: it builds no Fan and starts plain threads.
+_SWEEP_UNUSED = ["randfan.fans", "concurrent.futures"]
+
+_GRAPH_PROBE = """
+import json, os, sys, tempfile
+import randfan.cli
+unused = {unused}
+loaded = {{"import": [m for m in unused if m in sys.modules]}}
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in {commands}:
+        assert randfan.cli.main([*argv, "--out", os.path.join(tmp, "out")]) == 0, argv
+        loaded[argv[0]] = [m for m in unused if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def _loaded_after(commands, unused) -> dict:
+    # which of unused are loaded after `import randfan.cli`, then after each command in turn
+    proc = subprocess.run([sys.executable, "-c", _GRAPH_PROBE.format(unused=unused, commands=commands)],
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_the_table_commands_load_no_sweep_sampling_or_fan_code():
+    commands = [["rays", "--h", "3"], ["blowdown", "--h", "3", "--format", "json"],
+                ["ratios", "--h", "5", "--h", "9", "--kmax", "3"], ["space", "--h", "3"],
+                ["sample", "--h", "3", "--p", "0.5"]]  # the probe sees what a command loads
+    assert _loaded_after(commands, _TABLE_UNUSED) == {
+        "import": [], "rays": [], "blowdown": [], "ratios": [], "space": [],
+        "sample": ["randfan.sampling", "randfan.fans", "numpy.random", "dataclasses"],
+    }
+
+
+def test_the_sweeps_load_no_fan_and_no_thread_pool():
+    commands = [["threshold", "--h", "5", "--q", "0.5", "--trials", "4", "--workers", "2"],
+                ["density", "--h", "5", "--c", "1", "--alpha", "1", "--trials", "3", "--k", "2", "--format", "json"]]
+    assert _loaded_after(commands, _SWEEP_UNUSED) == {"import": [], "threshold": [], "density": []}
+
+
+_EXPORT_PROBE = """
+import json, sys
+import randfan
+report = {"submodules": [m for m in sys.modules if m.startswith("randfan.")],
+          "bound": sorted(set(randfan.__all__) & set(vars(randfan))),
+          "unlisted": sorted(set(randfan.__all__) - set(dir(randfan)))}
+scope = {}
+exec("from randfan import *", scope)
+report["exported"] = sorted(set(scope) - {"__builtins__"})
+report["misbound"] = [name for name in randfan.__all__ if not
+                      scope[name] is getattr(randfan, name) is getattr(sys.modules[scope[name].__module__], name)]
+try:
+    randfan.no_such_name
+except AttributeError as exc:
+    report["unknown"] = str(exc)
+print(json.dumps(report))
+"""
+
+
+def test_exports_are_imported_from_their_modules_on_first_use():
+    proc = subprocess.run([sys.executable, "-c", _EXPORT_PROBE], capture_output=True, text=True, timeout=60,
+                          check=True)
+    import randfan
+
+    assert json.loads(proc.stdout) == {
+        "submodules": [], "bound": [], "unlisted": [], "exported": sorted(randfan.__all__), "misbound": [],
+        "unknown": "module 'randfan' has no attribute 'no_such_name'",
+    }

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from oracles import TrialRecord, aggregate_records, block_trial, fan_counts, fan_trial, wedge
 from randfan import experiments, lattice, sampling
 from randfan.blowdown import blowdown_table
+from randfan.emission import render
 from randfan.errors import InvariantError
 from randfan.experiments import (
     ExperimentSpec,
     _aggregate,
     _classify,
-    render,
     run_threshold_sweep,
     sweep_columns,
     sweep_rows_as_dicts,
