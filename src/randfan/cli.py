@@ -21,7 +21,7 @@ import numpy as np
 from .blowdown import (
     BLOWDOWN_COLUMNS, RATIO_COLUMNS, SPACE_COLUMNS, blowdown_array, blowdown_table, conjecture_report, space_array,
 )
-from .emission import _read_json, open_sink, render, render_document
+from .emission import FORMATS, _read_json, open_sink, render, render_document
 from .errors import InvariantError, ValidationError
 from .lattice import RAY_COLUMNS, enumerate_rays, ray_array
 
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rays", help="all primitive rays of sup-norm <= h, in angular order")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_rays)
 
     p = sub.add_parser("complete", help="the full fan at height h, as a JSON fan record")
@@ -171,18 +171,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowdown", help="blowdown index of every ray at height h")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_blowdown)
 
     p = sub.add_parser("ratios", help="measured vs conjectured blowdown-index ratios")
     p.add_argument("--h", type=int, action="append", required=True, help="height; repeatable")
     p.add_argument("--kmax", type=int, required=True, help="largest index threshold (>= 2)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_ratios)
 
     p = sub.add_parser("space", help="first-quadrant blowdown indices at height h")
     p.add_argument("--h", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(func=_cmd_space)
 
     for name, blurb in (
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c-density", dest="c_density", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=0, help="master seed (unsigned 64-bit)")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=FORMATS, default=None)
         p.set_defaults(func=_cmd_sweep)
 
     for p in sub.choices.values():

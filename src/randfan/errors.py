@@ -43,7 +43,8 @@ def check_int(value, name: str, lo=-math.inf, hi=math.inf) -> int:
 
 def check_real(value, name: str, lo=-math.inf, hi=math.inf, *, exclusive: bool = False) -> float:
     """value as a Python float, if it is a finite Python or numpy number in
-    [lo, hi], or in (lo, hi) when exclusive.  bool, str and None are rejected."""
+    [lo, hi], or in (lo, hi) when exclusive; -0.0 is returned as 0.0.  bool,
+    str and None are rejected."""
     if isinstance(value, bool) or not isinstance(value, _REALS):
         raise ValidationError(f"{name} must be a real number, got {brief(value)}")
     try:
@@ -54,4 +55,4 @@ def check_real(value, name: str, lo=-math.inf, hi=math.inf, *, exclusive: bool =
     if not (inside and math.isfinite(number)):
         interval = f"({lo}, {hi})" if exclusive else f"[{lo}, {hi}]"
         raise ValidationError(f"{name} must be a finite number in {interval}, got {brief(value)}")
-    return number
+    return number + 0.0  # -0.0 + 0.0 is 0.0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -97,6 +98,8 @@ class ExperimentSpec:
         ks = _nonempty_list(self.k_list, "k_list")
         object.__setattr__(self, "trials", check_int(self.trials, "trials", 1))
         object.__setattr__(self, "k_list", [check_int(k, "k_list entry", 1) for k in ks])
+        if repeated := [k for k, count in Counter(self.k_list).items() if count > 1]:
+            raise ValidationError(f"k_list must name each k once, got {brief(repeated)} more than once")
         object.__setattr__(self, "c_density", check_real(self.c_density, "c_density", 0, 1, exclusive=True))
         object.__setattr__(self, "master_seed", check_int(self.master_seed, "master_seed", 0, UINT64_MAX))
         if self.output is not None:
@@ -190,13 +193,13 @@ def _buffer(scratch: dict, name: str, size: int, dtype) -> np.ndarray:
     return scratch[name][:size]
 
 
-def _wedges(rays: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict, mode: str) -> np.ndarray:
+def _wedges(rays: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: dict) -> np.ndarray:
     """wedge(rays[s], rays[e]) of the positions s and e of the rays flanking
-    each dropped run, taken by np.take's mode, written over s; e is
+    each dropped run, taken modulo len(rays), written over s; e is
     overwritten too.  The rays are taken into int32 rows of scratch, and
     their products are formed in int64 in the index buffers, which are free
     by then."""
-    before, after = (np.take(rays, i, axis=0, mode=mode,
+    before, after = (np.take(rays, i, axis=0, mode="wrap",
                              out=_buffer(scratch, name, 2 * len(s), np.int32).reshape(-1, 2))
                      for i, name in ((s, "before"), (e, "after")))
     return _wedge(before, after, out=s, spare=e)
@@ -234,7 +237,7 @@ def _octant_wedges(octant: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: di
                 np.subtract((j + 1) * q, x, out=x)
             elif j:
                 x -= j * q
-    w = _wedges(octant, s, e, scratch, "clip")  # the mapped runs' positions may be out of range
+    w = _wedges(octant, s, e, scratch)  # only the mapped runs' positions may be out of range
     for j in range(1, 8, 2):
         np.negative(w[bounds[j] : bounds[j + 1]], out=w[bounds[j] : bounds[j + 1]])
     for i, b, f in mapped:
@@ -318,22 +321,40 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
     seam = (s[first] == 0) & (e[last] == n)
     s[first[seam]] = s[last[seam]]
     s -= 1  # the kept ray before each run
-    w = _wedges(coords, s, e, scratch, "wrap")
+    w = _wedges(coords, s, e, scratch)
     w[last[seam]] = w[r] = 0
     runs[multi[seam]] -= 1
     return _row_counts(n, dropped, runs, *_wedge_counts(w, bounds, ks, scratch), ks)
 
 
-def _stream_row(octant: np.ndarray, ks, scratch: dict):
-    """_classify's counts of draw after draw over the circle of n = 8 *
-    (len(octant) - 1) rays unfolded from octant, each scanned a window at a
-    time: a generator that yields each window, a view of at most _BLOCK_RAYS
-    positions, for the caller to fill with the row's next keep decisions,
-    scans it when the next item is asked for, and yields the row's counts
-    after the last window; the next item starts the next draw.  Its window
-    and its s and e run buffers are made once; its other buffers are shared
-    through scratch (_lane_bytes).  The circle is never built: the runs'
-    wedges are read from the octant (_octant_wedges).
+def _bin(coords: np.ndarray, threshold: np.uint64, rows: int, ks, scratch: dict):
+    """The lane of a row of at most _BLOCK_RAYS rays over coords (see
+    _draw_trials): trials are compared into the given rows of one padded
+    keep layout (see _classify), classified together when full or flushed."""
+    n = len(coords)
+    keep = np.ones(1 + rows * (n + 1), dtype=bool)  # the kept sentinels are set once
+    layout = keep[1:].reshape(rows, n + 1)[:, :n]
+    columns = np.empty(rows, dtype=np.int64)
+    filled, answer = 0, None
+    while True:
+        item, answer = (yield answer), None
+        if item is not None:
+            np.less(item[0][:n], threshold, out=layout[filled])
+            columns[filled] = item = item[1]  # no lane holds a window past its comparison (_THREAD_BYTES)
+            filled += 1
+        if filled == rows or (filled and item is None):  # full, or flushed
+            answer = columns[:filled], _classify(coords, keep[: 1 + filled * (n + 1)], ks, scratch)
+            filled = 0
+
+
+def _stream_row(octant: np.ndarray, threshold: np.uint64, ks, scratch: dict):
+    """The lane of a row of n = 8 * (len(octant) - 1) > _BLOCK_RAYS rays
+    (see _draw_trials): each window is compared into the lane's keep window
+    and scanned, and the row's counts are answered at its last window.  The
+    keep window and the s and e run buffers are made once, the other
+    buffers are shared through scratch (_lane_bytes), and the circle
+    unfolded from octant is never built: the runs' wedges are read from it
+    (_octant_wedges).
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
@@ -348,7 +369,7 @@ def _stream_row(octant: np.ndarray, ks, scratch: dict):
     _classify forms.
     """
     n = 8 * (len(octant) - 1)
-    keep = np.empty(_BLOCK_RAYS + 2, dtype=bool)
+    keep = np.ones(_BLOCK_RAYS + 2, dtype=bool)  # keep[0]: kept before column 0
     s = np.empty(_BLOCK_RAYS // 2 + 3, dtype=np.int64)
     e = np.empty_like(s)
 
@@ -373,58 +394,36 @@ def _stream_row(octant: np.ndarray, ks, scratch: dict):
             np.maximum(counts[1], top, out=counts[1])
             counts[2] += at_least
 
+    lo, answer = 0, None
     while True:
-        counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
-        dropped = runs = lead = 0
-        keep[0] = True
-        ns = ne = 0  # starts and ends in s and e; a run is open when ns > ne
-        for lo in range(0, n, _BLOCK_RAYS):
-            m = min(_BLOCK_RAYS, n - lo)
-            yield keep[1 : m + 1]
-            end = lo + m == n
-            keep[m + 1] = True  # the sentinel, read only at the row's end
-            change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
-            edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
-            edges += lo
-            keep[0] = keep[m]
-            odd = ns > ne  # the first edge ends the open run
-            starts, ends = edges[odd::2], edges[1 - odd :: 2]
-            if ns + len(starts) >= len(s):  # one entry stays free for the seam's run
-                classify(ne, False)  # the row's last run is never classified here
-                s[0] = s[ne]  # the open run's start, if one is
-                ns, ne = ns - ne, 0
-            s[ns : ns + len(starts)] = starts
-            e[ne : ne + len(ends)] = ends
-            ns, ne = ns + len(starts), ne + len(ends)
-        classify(ne, True)
-        yield _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)
-
-
-class _Bin:
-    """Draws of at most _BLOCK_RAYS rays over coords, compared a row at a
-    time into one padded keep layout of the given rows (see _classify),
-    with the column of each row's trial, to be classified together."""
-
-    def __init__(self, coords: np.ndarray, threshold: int, rows: int):
-        n = len(coords)
-        self.coords, self.threshold = coords, np.uint64(threshold)
-        self.keep = np.ones(1 + rows * (n + 1), dtype=bool)  # the kept sentinels are set once
-        self.rows = self.keep[1:].reshape(rows, n + 1)[:, :n]
-        self.columns = np.empty(rows, dtype=np.int64)
-        self.filled = 0
-
-    def add(self, words: np.ndarray, column: int) -> bool:
-        """Compare the first n words into the next row; True once the bin is full."""
-        np.less(words[: self.rows.shape[1]], self.threshold, out=self.rows[self.filled])
-        self.columns[self.filled] = column
-        self.filled += 1
-        return self.filled == len(self.columns)
-
-    def classify(self, ks, scratch: dict) -> tuple[np.ndarray, tuple]:
-        """The filled rows' columns and _classify counts, emptying the bin."""
-        end = 1 + self.filled * (self.rows.shape[1] + 1)
-        columns, self.filled = self.columns[: self.filled], 0
-        return columns, _classify(self.coords, self.keep[:end], ks, scratch)
+        item, answer = (yield answer), None
+        if item is None:  # a flush: no row is open between trials
+            continue
+        if not lo:  # the row's first window
+            counts = [np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros((1, len(ks)), dtype=np.int64)]
+            dropped = runs = lead = ns = ne = 0  # ns starts and ne ends in s and e; a run is open when ns > ne
+        m = min(_BLOCK_RAYS, n - lo)
+        np.less(item[0][:m], threshold, out=keep[1 : m + 1])
+        column, item = item[1], None  # no lane holds a window past its comparison (_THREAD_BYTES)
+        end = lo + m == n
+        keep[m + 1] = True  # the sentinel, read only at the row's end
+        change = _buffer(scratch, "change", _BLOCK_RAYS + 1, bool)
+        edges = np.flatnonzero(np.not_equal(keep[1 : m + 1 + end], keep[: m + end], out=change[: m + end]))
+        edges += lo
+        keep[0] = keep[m + end]  # the window's last decision, or the sentinel before the next row
+        odd = ns > ne  # the first edge ends the open run
+        starts, ends = edges[odd::2], edges[1 - odd :: 2]
+        if ns + len(starts) >= len(s):  # one entry stays free for the seam's run
+            classify(ne, False)  # the row's last run is never classified here
+            s[0] = s[ne]  # the open run's start, if one is
+            ns, ne = ns - ne, 0
+        s[ns : ns + len(starts)] = starts
+        e[ne : ne + len(ends)] = ends
+        ns, ne = ns + len(starts), ne + len(ends)
+        lo += m
+        if end:
+            classify(ne, True)
+            answer, lo = ([column], _row_counts(n, np.array([dropped]), np.array([runs]), *counts, ks)), 0
 
 
 def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> None:
@@ -438,56 +437,42 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
     Every cell's trial t reads the stream keyed (master_seed, t), so one
     Philox, re-keyed once per trial, serves them all: the trial's words are
     read once, in windows of _BLOCK_RAYS up to the longest row of any lane
-    with p < 1, and each window goes to every lane whose row reaches it.  A
-    row of at most _BLOCK_RAYS rays is compared into its lane's _Bin, which
-    is classified when full and when trials runs out; a longer row is
-    compared into the window of its lane's one _stream_row, and the words are
-    freed before the windows are scanned.  A lane at p = 1 keeps every ray
-    and reads no word: it gets the full fan's counts.
+    with p < 1, and each window goes to every lane whose row reaches it: a
+    started generator, a _bin or a _stream_row, whose send((words, column))
+    compares its share of the window into its own buffer, scans it and
+    answers None, or (columns, counts) once a bin fills or a streamed row
+    ends; send(None) flushes a part-filled bin.  A lane at p = 1 reads no
+    word: it gets the full fan's counts.
     """
     scratch = {}
     bitgen = np.random.Philox(0)
-    full, bins, streams = [], [], []
+    full, drawing = [], []
     for j, (n, rays, threshold, rows) in enumerate(lanes):
         if threshold > UINT64_MAX:
             zero = np.zeros(1, dtype=np.int64)
             full.append((j, _row_counts(n, zero, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
-        elif n <= _BLOCK_RAYS:
-            bins.append((j, _Bin(rays, threshold, rows)))
         else:
-            streams.append((j, n, np.uint64(threshold), _stream_row(rays, ks, scratch)))
-    longest = max((n for n, _, threshold, _ in lanes if threshold <= UINT64_MAX), default=0)
+            lane = (_bin(rays, np.uint64(threshold), rows, ks, scratch) if n <= _BLOCK_RAYS
+                    else _stream_row(rays, np.uint64(threshold), ks, scratch))
+            next(lane)  # started: its first send is a window
+            drawing.append((j, n, lane))
+    longest = max((n for _, n, _ in drawing), default=0)
 
     def put(j, columns, counts):
         for a, c in zip(out, counts):
             a[j, columns] = c
 
     for t in trials:
-        column = [t - first]
         for j, counts in full:
-            put(j, column, counts)
-        if not longest:
-            continue
-        # (lane, row length, keep threshold, scan, the window it waits for)
-        rows = [(j, n, threshold, scan, next(scan)) for j, n, threshold, scan in streams]
+            put(j, [t - first], counts)
         windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
-        for lo in range(0, longest, _BLOCK_RAYS):
-            words = next(windows)
-            if not lo:
-                for j, b in bins:
-                    if b.add(words, t - first):
-                        put(j, *b.classify(ks, scratch))
-            rows = [row for row in rows if lo < row[1]]
-            for *_, threshold, _, window in rows:
-                np.less(words[: len(window)], threshold, out=window)
-            del words  # freed before the rows are scanned and the next window is drawn
-            rows = [(j, n, threshold, scan, next(scan)) for j, n, threshold, scan, _ in rows]
-            for j, n, *_, counts in rows:
-                if lo + _BLOCK_RAYS >= n:  # the row's last window: next(scan) gave its counts
-                    put(j, column, counts)
-    for j, b in bins:
-        if b.filled:
-            put(j, *b.classify(ks, scratch))
+        for lo, words in zip(range(0, longest, _BLOCK_RAYS), windows):  # none, and no re-key, when no lane draws
+            for j, n, lane in drawing:
+                if lo < n and (answer := lane.send((words, t - first))):
+                    put(j, *answer)
+    for j, _, lane in drawing:
+        if answer := lane.send(None):
+            put(j, *answer)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -558,10 +543,10 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
 #: Bytes a sweep thread holds, past its lanes' (_lane_bytes), for a block of
 #: up to _BLOCK_RAYS + 2 keep positions (a streamed row's window, or a bin's
 #: layout less its rows' extra positions): per position, 1 B of change mask
-#: and 8 B of the edges found at once, and per dropped run, at most one per
-#: two positions, 41 B (s and e in int64, 8 B of row offset, the int32 rows
-#: of its two flanking rays and one bool), so 29.5 B in all; one window of
-#: raw Philox words; and 64 KiB of array headers and scalars.
+#: and 8 B of the edges found at once, and per dropped run (at most one per
+#: two positions) 41 B: s and e in int64, 8 B of row offset, the int32 rows
+#: of its two flanking rays and one bool; a window of raw Philox words (two
+#: while the next is drawn, when no edges are held); 64 KiB of headers.
 _THREAD_BYTES = 59 * (_BLOCK_RAYS + 2) // 2 + 8 * _BLOCK_RAYS + (1 << 16)
 
 

@@ -528,6 +528,7 @@ SPEC_EDITS = st.one_of(
     _edit(SPEC, ("trials",), bad_int(1)),
     _edit(SPEC, ("k_list",), NOT_A_LIST),
     _edit(SPEC, ("k_list", 0), bad_int(1)),
+    _edit(SPEC, ("k_list", 0), st.just(3)),  # k_list [3, 3]: a repeated k
     _edit(SPEC, ("c_density",), JUNK | NON_FINITE | st.floats(max_value=0) | st.floats(min_value=1) | st.integers()),
     _edit(SPEC, ("master_seed",), bad_int(0, UINT64_MAX)),
     _edit(SPEC, ("output",), JUNK.filter(lambda v: v is not None) | st.fixed_dictionaries(
@@ -575,6 +576,35 @@ def test_malformed_specs_and_records_exit_1(edit, capsys):
     assert code == 1, (path, value)
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_a_repeated_k_is_refused_before_any_ray_is_built(tmp_path, capsys, monkeypatch, where):
+    # a repeated k would repeat its two columns in the header and its keys
+    # in each JSON object; a repeated height is a repeated cell and stays
+    walks = []
+    monkeypatch.setattr(lattice, "_farey_walk", walks.append)
+    lattice.enumerate_rays.cache_clear()
+    argv = ["threshold", "--h", "5", "--q", "0.5", "--trials", "3", "--k", "2", "--k", "3", "--k", "2"]
+    if where == "spec":
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**SPEC, "k_list": [2, 3, 2]}))
+        argv = ["threshold", "--spec", str(spec)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: k_list must name each k once, got [2] more than once\n")
+    assert walks == []
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "threshold", "--h", "5", "--q", "0.5", "--h", "5", "--q", "0.5", "--trials", "3")
+    assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_negative_zero_is_read_as_zero(capsys):
+    # the numeric rule returns -0.0 as 0.0, so no output shows a -0
+    code, out, _ = run_cli(capsys, "threshold", "--h", "5", "--q", "-0.0", "--trials", "2")
+    header = ",".join(experiments.sweep_columns([2]))
+    assert (code, out) == (0, f"{header}\n5,0,2,1,0,0.231618,1,0,1,1,0,0\n")
+    code, out, _ = run_cli(capsys, "sample", "--h", "2", "--p", "-0.0")
+    assert (code, out) == (0, '{"h": 2, "p": 0.0, "master_seed": 0, "trial_index": 0, "rays": []}\n')
 
 
 # --- bounded error lines and output paths --------------------------------------

@@ -59,6 +59,7 @@ def test_spec_validation_rejects_bad_fields():
         dict(trials=0),
         dict(k_list=[]),
         dict(k_list=[0]),
+        dict(k_list=[2, 3, 2]),  # each k names two columns, which may not repeat
         dict(c_density=0.0),
         dict(c_density=1.0),
         dict(master_seed=-1),

@@ -125,14 +125,16 @@ def test_block_classifier_matches_fan_oracle_row_by_row(block, ks):
     assert rows == [_classified(h, d[None], ks, scratch)[0] for d in dropped]
 
 
-def _streamed(scan, keep):
-    """The counts that the _stream_row scan gives for its next draw, keep,
-    its windows filled with the next decisions of keep in turn."""
-    rest = keep
-    for window in scan:
-        if isinstance(window, tuple):
-            return window
-        window[:], rest = rest[: len(window)], rest[len(window) :]
+def _streamed(lane, keep, column):
+    """The answer of the started _stream_row lane, of keep threshold 1, to
+    the draw keep sent as trial column's windows of words, 0 where a ray is
+    kept and 1 where it is dropped; the lane answers None to every window
+    but the last."""
+    words = (~keep).astype(np.uint64)
+    answers = [lane.send((words[lo : lo + experiments._BLOCK_RAYS], column))
+               for lo in range(0, len(keep), experiments._BLOCK_RAYS)]
+    assert answers[:-1] == [None] * (len(answers) - 1)
+    return answers[-1]
 
 
 _SMALL = st.sampled_from([1, 2, 3, 5, 8])
@@ -142,15 +144,19 @@ _SMALL = st.sampled_from([1, 2, 3, 5, 8])
 @given(block=_blocks(), window=_SMALL, ks=st.lists(_INDEX_THRESHOLDS, min_size=1, max_size=4))
 def test_streamed_row_matches_fan_oracle_across_window_edges(block, window, ks):
     # windows of a few positions, so the seam's runs, open runs and full
-    # run buffers all fall across window edges; one scan scans every row,
-    # as a sweep thread's does
+    # run buffers all fall across window edges; one lane takes every row of
+    # the block through send, as a sweep thread's does, and a flush after
+    # the last row answers nothing
     h, dropped = block
     with mock.patch.object(experiments, "_BLOCK_RAYS", window):
-        scan = experiments._stream_row(lattice._octant(h), ks, {})
-        for drops in dropped:
-            kept, n_cones, max_index, at_least = _streamed(scan, ~drops)
+        lane = experiments._stream_row(lattice._octant(h), np.uint64(1), ks, {})
+        next(lane)
+        for column, drops in enumerate(dropped):
+            columns, (kept, n_cones, max_index, at_least) = _streamed(lane, ~drops, column)
             got = (int(kept[0]), int(n_cones[0]), int(max_index[0]), at_least[0].tolist())
+            assert columns == [column]
             assert got == fan_counts(h, ~drops, ks), np.flatnonzero(drops)
+        assert lane.send(None) is None
 
 
 @functools.lru_cache(maxsize=None)
