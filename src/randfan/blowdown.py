@@ -2,39 +2,11 @@
 
 Removing one ray rho from the complete fan on all rays of sup-norm <= h
 merges its two flanking cones into one, and the merged cone's singularity
-index is the blowdown index of rho.  Both flanking cones of the full fan are
-smooth, so that index is the unique integer k >= 1 with
-
-    k * u_rho = u_tau + u_omega
-
-for the angular neighbors tau, omega of rho.  enumerate_rays has checked
-that every pair of angular neighbours has wedge exactly 1, and two unit
-wedges wedge(tau, u) = wedge(u, omega) = 1 give tau + omega = k * u with
-k = wedge(tau, omega) (Fulton, Introduction to Toric Varieties, 2.5).  So
-the table reads every index off its neighbours' wedge in one blocked pass,
-then checks k >= 1 and the band k * |u| <= 2h on every ray.  All of it is
-exact integer arithmetic.
-
-Counting: the table's counts and ratios, and the ratio report, come from
-lattice.count_geq, which counts without enumerating.  The octant ray after
-consecutive Farey denominators (b, d) of order h has index (h + b) // d, and
-those pairs are the coprime b, d <= h with b + d > h, so
-
-    count_geq(h, k) = 8 * (P - [2h >= k]) + 4 * [2h >= k] + 4 * [2h - 1 >= k],
-    P = sum over e >= 1 of mu(e) * L(h // e, k),
-    L(N, k) = #{1 <= b, d <= N : b + d > N, N + b >= k * d}
-            = D1(D1 + 1)/2 + sum_{d = D1+1}^{D2} (2N + 1 - k * d),
-
-with D1 = min(N, (2N + 1) // (k + 1)) and D2 = min(N, (2N + 1) // k).  This
-is why the fraction of rays with index >= k tends to 2/T_k = 4/(k(k + 1)):
-L(N, k)/N^2 tends to 2/(k(k + 1)), the area of {b + d > 1, b + 1 >= k * d}
-in the unit square, while L(N, 1)/N^2 tends to 1/2, and the same Moebius
-weights sum both, so they cancel in the ratio.
-
-Norm bands: k * |rho| <= 2h, in the sup-norm, holds exactly for every ray
-(the neighbor sum has sup-norm at most 2h), while the lower bound
-(2 - eps) / (k + 2) * h is asymptotic, with eps = epsilon_of(h) = 1/h the
-largest normalized gap between angular neighbors at height h.
+index is the blowdown index of rho.  blowdown_table reads every index off
+the wedge of the ray's two neighbours, and its docstring gives the
+identity behind that; the counts and ratios come from lattice.count_geq,
+whose docstring gives the closed form and its limit 2/T_k; band_bounds
+gives the norm band of an index.
 
 Reports: blowdown_array, conjecture_report and space_array give the
 tables of the blowdown, ratios and space commands as columns (or rows)
@@ -79,9 +51,8 @@ class BlowdownTable:
         # k >= 1 and the upper band hold exactly for every ray: enforce them, never measure them
         h, coords, n = universe.h, universe.coords, len(universe)
         for lo in range(0, n, _BLOCK):
-            c = coords[lo : lo + _BLOCK]
             k = k_values[lo : lo + _BLOCK]
-            norms = np.maximum(np.abs(c[:, 0]), np.abs(c[:, 1]))
+            norms = _SupNorm(coords)[lo : lo + _BLOCK]
             bad = (k < 1) | (k * norms > 2 * h)
             if bad.any():
                 i = lo + int(np.argmax(bad))
@@ -137,10 +108,14 @@ class BlowdownTable:
 def blowdown_table(h: int) -> BlowdownTable:
     """Blowdown index of every ray at height h.
 
-    enumerate_rays has checked that the full fan is smooth, so each ray's
-    index is the wedge of its two neighbours, read in blocks of rows; the
-    table checks k >= 1 and k * |u| <= 2h on every ray, and raises
-    InvariantError naming the height, position, ray, neighbours and values.
+    Both flanking cones of a ray u are smooth, so its index is the integer
+    k >= 1 with tau + omega = k * u for its neighbours tau, omega: the two
+    unit wedges wedge(tau, u) = wedge(u, omega) = 1, which enumerate_rays
+    has checked, give it with k = wedge(tau, omega) (Fulton, Introduction to
+    Toric Varieties, 2.5).  So each index is read off the wedge of its ray's
+    neighbours, in blocks of rows; the table checks k >= 1 and k * |u| <= 2h
+    on every ray, and raises InvariantError naming the height, position,
+    ray, neighbours and values.
     A height whose universe and index column together would exceed half of
     MemAvailable is refused with ValidationError before either is built.
     Results are cached.
@@ -172,10 +147,11 @@ def epsilon_of(h: int) -> float:
 def band_bounds(h: int, k: int) -> tuple[float, Fraction]:
     """Norm band (lower, upper) for rays of blowdown index k at height h.
 
-    The upper bound 2h/k is exact (equivalently k * |u| <= 2h in integers);
-    the lower bound (2 - eps)/(k + 2) * h is asymptotic and carries the gap
-    bound eps = epsilon_of(h) = 1/h, so callers should allow integer
-    rounding slack against it.
+    The upper bound 2h/k is exact: k * |u| <= 2h in integers, as the
+    neighbour sum k * u has sup-norm at most 2h.  The lower bound
+    (2 - eps)/(k + 2) * h is asymptotic and carries the gap bound
+    eps = epsilon_of(h) = 1/h, so callers should allow integer rounding
+    slack against it.
     """
     eps = epsilon_of(h)
     k = check_int(k, "blowdown index", 1)

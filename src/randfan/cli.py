@@ -1,11 +1,8 @@
 """Command-line front end: ray universes, fans, blowdown reports, seeded sweeps.
 
-Exit codes: 0 success, 1 input validation failure (including bad arguments),
-2 I/O failure, 3 internal invariant violation.
-
-A command loads only the modules it runs: the table commands need the
-modules imported here, and sample, spectrum and the sweeps import sampling,
-fans and experiments in their own bodies.
+Exit codes are the EXIT_ constants below.  A command loads only the modules
+it runs: sample, spectrum and the sweeps import sampling, fans and
+experiments in their own bodies.
 """
 
 from __future__ import annotations

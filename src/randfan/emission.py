@@ -1,12 +1,11 @@
 """Deterministic CSV/JSON emission: the one path every output leaves by.
 
-render() and render_document() yield a table or a record a block of rows
-at a time, as canonical UTF-8 bytes; open_sink() opens the output before
-any work and writes the blocks, atomically into a regular file; emit()
-does both.  _read_json() is the one reader of JSON input (specs and fan
-records).  README "File formats" tells how the bytes are laid out.  This
-is the one module that imports json, and it imports no randfan module but
-errors, so a command that writes a table loads no sweep code.
+render() and render_document() make an output's bytes a block at a time,
+open_sink() writes them, and emit() does both; _read_json() is the one
+reader of JSON input (specs and fan records).  README "File formats" tells
+how the bytes are laid out.  This is the one module that imports json, and
+it imports no randfan module but errors, so a command that writes a table
+loads no sweep code.
 """
 
 from __future__ import annotations

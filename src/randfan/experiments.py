@@ -1,12 +1,10 @@
 """Monte Carlo sweeps: specs, trials, classification and aggregation.
 
 A sweep is a grid of (height, drop-probability) cells, each aggregated from
-a fixed number of seeded trials into one SweepRow: run_threshold_sweep
-plans it and _draw_trials runs its trials, and README "Sweeps" tells how.
-sweep_columns() and sweep_rows_as_dicts() lay the rows out as a table for
-randfan.emission, which renders and writes every output.  A sweep builds no
-Fan and loads neither randfan.fans nor a thread pool module: its threads
-are plain threading.Threads, and the calling thread is the first of them.
+a fixed number of seeded trials into one SweepRow; README "Sweeps" tells
+how.  sweep_columns() and sweep_rows_as_dicts() lay the rows out as a table
+for randfan.emission.  A sweep builds no Fan and loads neither randfan.fans
+nor a thread pool module.
 """
 
 from __future__ import annotations
@@ -212,15 +210,13 @@ def _octant_wedges(octant: np.ndarray, s: np.ndarray, e: np.ndarray, scratch: di
     row order, save that the last may be the run across the seam, which
     ends before it starts.
 
-    Sector j of the circle, positions jq to jq + q - 1, is the octant turned
-    by j // 2 quarter turns, and in odd sectors first reflected across
-    y = x, so that its t-th ray is octant[q - t] (lattice._circle_ray).  One
-    searchsorted on e splits the runs by the sector of their end.  A run in
-    sector j takes its flanking rays from the octant at t = s - 1 - jq and
-    t = e - jq, at q - t in an odd sector, whose reflection (of determinant
-    -1) negates the wedge; the turns keep it.  Only the first run of a
-    sector can start in an earlier one, and only the seam run wraps: those
-    few are mapped ray by ray."""
+    Sector j of the circle, positions jq to jq + q - 1, holds the octant as
+    lattice._circle_ray maps it.  One searchsorted on e splits the runs by
+    the sector of their end.  A run in sector j takes its flanking rays
+    from the octant at t = s - 1 - jq and t = e - jq, at q - t in an odd
+    sector, whose reflection (of determinant -1) negates the wedge; the
+    turns keep it.  Only the first run of a sector can start in an earlier
+    one, and only the seam run wraps: those few are mapped ray by ray."""
     q = len(octant) - 1
     s -= 1
     r = len(s)
@@ -283,16 +279,11 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
 
     keep holds 1 + B * (n + 1) decisions: True (kept) at position 0, then
     each draw's n keep decisions followed by True, so no run of dropped
-    rays crosses into the next draw.  Returns, per draw: the kept ray
-    count, the cone count, the largest cone index (0 with no cone), and the
-    count of cones of index >= k for each k in ks, as a (B, len(ks))
-    matrix.  Kept neighbours with nothing dropped between them give unit
-    cones (_row_counts); across each maximal run of dropped rays the two
-    flanking kept rays span one cone of index wedge(before, after), or
-    none when the gap is at least a half turn (wedge <= 0).
+    rays crosses into the next draw.  Returns _row_counts' counts per
+    draw, from the wedge across each maximal run of dropped rays.
 
-    The per-position and per-run arrays are views of the buffers in
-    scratch, which the caller keeps from block to block (_THREAD_BYTES).
+    Its per-position and per-run arrays are views of the buffers in scratch
+    (_THREAD_BYTES).
     """
     n = len(coords)
     p = len(keep) - 1
@@ -328,9 +319,13 @@ def _classify(coords: np.ndarray, keep: np.ndarray, ks, scratch: dict) -> tuple[
 
 
 def _bin(coords: np.ndarray, threshold: np.uint64, rows: int, ks, scratch: dict):
-    """The lane of a row of at most _BLOCK_RAYS rays over coords (see
-    _draw_trials): trials are compared into the given rows of one padded
-    keep layout (see _classify), classified together when full or flushed."""
+    """A lane of _draw_trials for a row of at most _BLOCK_RAYS rays over
+    coords.  A lane is a started generator: send((words, column)) compares
+    its row's share of a window of words, of the trial whose counts go to
+    column, into its own buffer, scans it and answers None or (columns,
+    counts) of the trials it has finished; send(None) flushes it.  A bin
+    compares its trials into the given rows of one padded keep layout (see
+    _classify) and classifies them together when they are full or flushed."""
     n = len(coords)
     keep = np.ones(1 + rows * (n + 1), dtype=bool)  # the kept sentinels are set once
     layout = keep[1:].reshape(rows, n + 1)[:, :n]
@@ -348,13 +343,11 @@ def _bin(coords: np.ndarray, threshold: np.uint64, rows: int, ks, scratch: dict)
 
 
 def _stream_row(octant: np.ndarray, threshold: np.uint64, ks, scratch: dict):
-    """The lane of a row of n = 8 * (len(octant) - 1) > _BLOCK_RAYS rays
-    (see _draw_trials): each window is compared into the lane's keep window
+    """The lane (see _bin) of a row of n = 8 * (len(octant) - 1) >
+    _BLOCK_RAYS rays: each window is compared into the lane's keep window
     and scanned, and the row's counts are answered at its last window.  The
-    keep window and the s and e run buffers are made once, the other
-    buffers are shared through scratch (_lane_bytes), and the circle
-    unfolded from octant is never built: the runs' wedges are read from it
-    (_octant_wedges).
+    circle unfolded from octant is never built: the runs' wedges are read
+    from it (_octant_wedges).
 
     A window holds the previous window's last decision (a kept one before
     column 0), then its own, and at the row's end a kept sentinel at column
@@ -433,16 +426,10 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
     rays, its first octant (lattice._octant) for a longer one, and None at
     p = 1, and lane j's counts of trial t (kept, cones, largest index,
     cones of index >= k) go into out[j, t - first] of out's four arrays.
-
-    Every cell's trial t reads the stream keyed (master_seed, t), so one
-    Philox, re-keyed once per trial, serves them all: the trial's words are
-    read once, in windows of _BLOCK_RAYS up to the longest row of any lane
-    with p < 1, and each window goes to every lane whose row reaches it: a
-    started generator, a _bin or a _stream_row, whose send((words, column))
-    compares its share of the window into its own buffer, scans it and
-    answers None, or (columns, counts) once a bin fills or a streamed row
-    ends; send(None) flushes a part-filled bin.  A lane at p = 1 reads no
-    word: it gets the full fan's counts.
+    One Philox serves every cell (README "Sweeps"): each window of a trial's
+    words goes to every lane whose row reaches it, through the protocol
+    that _bin states, and a lane at p = 1 reads no word and gets the full
+    fan's counts.
     """
     scratch = {}
     bitgen = np.random.Philox(0)
@@ -565,17 +552,14 @@ def _lane_bytes(rows: int, n_ks: int) -> int:
 
 
 def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, int, dict]:
-    """The work of a sweep, by arithmetic on the exact ray counts before any
-    ray is built: the cells (h, q) in grid order; their lanes (h, n, keep
-    threshold, bin rows) for _draw_trials, with min(trials, max(1,
-    _BLOCK_RAYS // n)) rows in a bin; the thread count, min(workers, trials),
-    one trial being one work item; the bytes the sweep holds: the rays that
-    the lanes that draw read (_universe_bytes of a universe of at most
-    _BLOCK_RAYS rays, or of a longer one's octant), each thread's
-    _THREAD_BYTES and _lane_bytes, and per trial, at most 16 B for each of
-    the 3 + len(k_list) counts of each cell (8 B for the counts, kept to the
-    end, and 8 B for the copies made to aggregate a cell); and {h: built as
-    an octant?} for the heights that draw."""
+    """The work of a sweep, from the exact ray counts before any ray is
+    built: the cells (h, q) in grid order; their lanes (h, n, keep
+    threshold, bin rows) for _draw_trials; the thread count, one trial
+    being one work item; the bytes the sweep holds: the rays the drawing
+    lanes read, each thread's _THREAD_BYTES and _lane_bytes, and per trial
+    16 B for each of the 3 + len(k_list) counts of each cell (8 B for the
+    counts, kept to the end, and 8 B for the copies made to aggregate a
+    cell); and {h: built as an octant?} for the heights that draw."""
     sizes = {h: count_geq(h, 1) for h in spec.h_values}
     cells = list(zip(spec.h_values, spec.q_values()))
     lanes = [(h, sizes[h], _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])))
@@ -599,12 +583,11 @@ def run_threshold_sweep(spec: ExperimentSpec, *, workers: int = 1) -> list[Sweep
     same function.
 
     The plan's bytes (_sweep_plan) are checked before any ray is built.
-    Each height's rays are built once, and the plan's threads, the calling
-    thread and threads - 1 started ones, run _draw_trials on all cells, a
-    trial at a time.  After a failure no thread takes another trial, and
-    the first failure is raised once all have ended.  A trial's stream is
-    keyed by its index alone, so neither window size, scheduling nor finish
-    order can leak into a row.
+    min(workers, trials) plain threads, the calling thread among them, run
+    the trials.  After a failure no thread takes another trial, and the
+    first failure is raised once all have ended.  A trial's stream is keyed
+    by its index alone, so neither window size, scheduling nor finish order
+    can leak into a row.
     """
     workers = check_int(workers, "workers", 1, MAX_WORKERS)
     cells, lanes, threads, plan_bytes, octant = _sweep_plan(spec, workers)
@@ -666,12 +649,11 @@ def sweep_columns(k_list) -> list[str]:
 
 def sweep_rows_as_dicts(rows, k_list) -> list[dict]:
     """Flatten SweepRows into emit()-ready dicts matching sweep_columns()."""
+    columns = sweep_columns(k_list)
     out = []
     for r in rows:
-        d = {c: getattr(r, c) for c in SWEEP_BASE_COLUMNS}
-        for k in k_list:
-            k = int(k)
-            d[f"mean_delta_{k}"] = r.mean_delta[k]
-            d[f"frac_delta_{k}_above_c"] = r.frac_delta_above_c[k]
-        out.append(d)
+        values = [getattr(r, c) for c in SWEEP_BASE_COLUMNS]
+        for k in map(int, k_list):
+            values += [r.mean_delta[k], r.frac_delta_above_c[k]]
+        out.append(dict(zip(columns, values)))
     return out

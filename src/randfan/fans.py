@@ -123,8 +123,7 @@ def complete_fan(rays) -> Fan:
     first entry that is not one, a set or a dict among them (their order is
     their own), is named in the ValidationError.  Duplicates collapse.  A
     coordinate that is not an integer (bool, float, str, ...) or lies
-    outside [-MAX_H, MAX_H], the range in which coordinates fit in int32
-    and every wedge, formed in int64, is exact, is rejected before any
+    outside [-MAX_H, MAX_H] (see lattice.MAX_H) is rejected before any
     conversion, and Fan rejects non-primitive vectors.
     The rays are sorted by one stable argsort of an exact int64 key, and
     adjacent equal rows are dropped: each open quadrant is turned onto

@@ -6,19 +6,10 @@ decides anything here is exact integer arithmetic: primitivity, the sup-norm,
 the wedge determinant, and the counter-clockwise angular order starting at
 (1, 0).  Floating point appears nowhere in this module.
 
-The rays are enumerated by a Farey walk over the first octant, run as
-numpy lanes in lock step, and unfolded to the circle by symmetry.  The
-octant is checked first (_octant): it runs from (1, 0) to (1, 1), its
-neighbours have wedge exactly 1 and 8 * (len - 1) = count_geq(h, 1), so the
-circle unfolded from it is smooth and complete, and a caller that reads the
-circle only through its symmetries need not build it.  Before a universe is
-cached it is checked once more, in blocks: every pair of cyclic neighbours
-has wedge exactly 1 (the full fan is smooth), and the ray count is
-count_geq(h, 1).  Two unit wedges wedge(tau, u) = wedge(u, omega) = 1
-give tau + omega = k * u with k = wedge(tau, omega), so the blowdown module
-reads each index off the wedge of a ray's two neighbours.  count_geq counts
-the rays of index >= k without the walk, from the coprime pairs of
-denominators that the walk steps through.  _check_bytes is the package's
+enumerate_rays walks the first octant (_farey_walk), checks it (_octant,
+which argues why that check carries to the circle) and unfolds it to the
+circle by symmetry.  count_geq counts the rays of index >= k without the
+walk; its docstring states the closed form.  _check_bytes is the package's
 one memory rule: each build sizes itself and calls it before allocating.
 """
 
@@ -219,12 +210,7 @@ def _mertens(n: int) -> np.ndarray:
 
 
 def _count_geq(h: int, k: int, mertens: np.ndarray) -> int:
-    # count_geq with the Mertens table M(0..m), m >= h, passed in.  P counts
-    # the pairs of index >= k: one per interior octant ray, and the pair
-    # (h, 1) before 1/1, whose formula index 2h is that of (1, 0).  The pairs
-    # with common factor e are e times those of L(h // e, k), so P sums
-    # mu(e) * L(h // e, k) in blocks of equal h // e.  Column d of L holds
-    # d pairs up to D1 and 2N + 1 - k*d from there to D2.
+    # count_geq with the Mertens table M(0..m), m >= h, passed in
     k = min(k, 2 * h + 1)  # no index exceeds 2h; keeps every sum in int64
     s = math.isqrt(h)
     e = np.arange(1, s + 1)  # e <= s one by one, then e > s in blocks h // e == v
@@ -245,10 +231,24 @@ def count_geq(h: int, k: int) -> int:
     exactly without enumerating a ray; count_geq(h, 1) is the number of rays.
 
     The walk gives the octant ray after consecutive Farey denominators
-    (b, d) the index (h + b) // d, and these pairs are the coprime ones
-    with b, d <= h and b + d > h, so the count is a Moebius sum of a closed
-    form (stated in the randfan.blowdown docstring): one sieve up to h and
-    O(sqrt(h)) blocks of integer arithmetic, with no floating point.
+    (b, d) the index (h + b) // d, and these pairs are the coprime b, d <= h
+    with b + d > h.  P counts the pairs of index >= k: one per interior
+    octant ray, and the pair (h, 1) before 1/1, whose formula index 2h is
+    that of (1, 0).  The pairs with common factor e are e times those of
+    L(h // e, k), so
+
+        count_geq(h, k) = 8 * (P - [2h >= k]) + 4 * [2h >= k] + 4 * [2h - 1 >= k],
+        P = sum over e >= 1 of mu(e) * L(h // e, k),
+        L(N, k) = #{1 <= b, d <= N : b + d > N, N + b >= k * d}
+                = D1(D1 + 1)/2 + sum_{d = D1+1}^{D2} (2N + 1 - k * d),
+
+    D1 = min(N, (2N + 1) // (k + 1)) and D2 = min(N, (2N + 1) // k): column
+    d of L holds d pairs up to D1 and 2N + 1 - k * d from there to D2.  mu is
+    the Moebius function, and P is summed in blocks of equal h // e: one
+    sieve up to h and O(sqrt(h)) blocks of integer arithmetic.  The ratio to
+    count_geq(h, 1) tends to 2/T_k because L(N, k)/N^2 tends to
+    2/(k(k + 1)), the area of {b + d > 1, b + 1 >= k * d} in the unit
+    square, L(N, 1)/N^2 to 1/2, and the same weights mu(e) sum both.
     """
     h = _check_height(h)
     k = check_int(k, "index threshold", 1)
@@ -429,15 +429,14 @@ def _octant(h: int) -> np.ndarray:
 def enumerate_rays(h: int) -> RayUniverse:
     """All primitive vectors of sup-norm <= h, sorted by angular_compare.
 
-    The first octant comes out of a lock-step Farey walk already in
-    ascending order (checked by _octant) and the rest of the circle is
-    unfolded from it by symmetry, so the result is exactly sorted with no
-    comparisons and no floating point.  Before it is cached, the universe
-    is checked to be the smooth full fan: every pair of cyclic neighbours
-    has wedge exactly 1, and there are count_geq(h, 1) rays; InvariantError
-    otherwise, naming the first bad pair or the first missing ray.  Heights
-    whose estimated build exceeds half of MemAvailable are refused with
-    ValidationError before anything is allocated.
+    The circle is unfolded from the checked octant (_octant, which gives the
+    symmetry argument), so it is exactly sorted with no comparison and no
+    float.  Before it is cached, it is checked again to be the smooth full
+    fan: every pair of cyclic neighbours has wedge exactly 1, and there are
+    count_geq(h, 1) rays; InvariantError otherwise, naming the first bad
+    pair or the first missing ray.  Heights whose estimated build exceeds
+    half of MemAvailable are refused with ValidationError before anything
+    is allocated.
     """
     h = _check_height(h)
     _check_bytes(_universe_bytes((h,)), f"height {h} needs", "to enumerate the rays")

@@ -1,13 +1,10 @@
 """Seeded sampling of random fans: keep each ray independently, then complete.
 
-Reproducibility contract: the per-ray keep/drop decisions come from a
-counter-based generator -- numpy's Philox4x64-10, keyed by the pair
-(master_seed, trial_index) -- consumed as one uniform per ray in canonical
-angular order.  The same configuration therefore produces the same fan on
-any platform, in any process, under any thread schedule, and distinct trial
-indices give statistically independent streams with no sequential state to
-hand around.  Golden samples pinned in the test suite only change if this
-generator choice is deliberately revised together with the documentation.
+The keep decisions read one uniform per ray, in canonical angular order,
+from numpy's Philox4x64-10 keyed (master_seed, trial_index): README
+"Reproducibility" gives the contract, which the golden draws pinned in the
+test suite hold.  _keep_threshold turns a uniform comparison into an
+integer one on the raw words, and _trial_words is the one reader of them.
 """
 
 from __future__ import annotations

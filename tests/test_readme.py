@@ -147,6 +147,29 @@ def test_one_function_forms_wedges():
     assert formed == ["lattice._wedge", "lattice._wedge"]
 
 
+#: Each derivation, and the definition whose docstring is its one home in src.
+DERIVATIONS = {
+    "count_geq(h, k) = 8 * (P": "lattice.count_geq",
+    "tau + omega = k * u": "blowdown.blowdown_table",
+    "ceil(p * 2**53)": "sampling._keep_threshold",
+}
+
+
+def test_each_derivation_is_stated_once_in_src():
+    # a derivation is stated at the code that uses it, and other docstrings
+    # point there, so no second copy in src can drift from it
+    files, docstrings = {}, {}
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        files[path.stem] = " ".join(text.split())
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                docstrings[f"{path.stem}.{stmt.name}"] = " ".join((ast.get_docstring(stmt) or "").split())
+    for derivation, home in DERIVATIONS.items():
+        assert [m for m, text in files.items() if derivation in text] == [home.split(".")[0]], derivation
+        assert derivation in docstrings[home], (derivation, home)
+
+
 #: Public top-level functions and classes kept with no caller in src, no
 #: mention in the README and no use in the acceptance tests, with the reason.
 UNREFERENCED = {
