@@ -4,13 +4,13 @@ Removing one ray rho from the complete fan on all rays of sup-norm <= h
 merges its two flanking cones into one, and the merged cone's singularity
 index is the blowdown index of rho.  blowdown_table reads every index off
 the wedge of the ray's two neighbours, and its docstring gives the
-identity behind that; the counts and ratios come from lattice.count_geq,
+identity behind that; the counts and ratios come from counting.count_geq,
 whose docstring gives the closed form and its limit 2/T_k; band_bounds
 gives the norm band of an index.
 
-Reports: blowdown_array, conjecture_report and space_array give the
-tables of the blowdown, ratios and space commands as columns (or rows)
-for randfan.emission to render.
+Reports: blowdown_array and space_array give the tables of the blowdown
+and space commands as columns for randfan.emission to render (the ratios
+command's table is counting.conjecture_report).
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
 
-import numpy as np
-
+from ._numpy import np
+from .counting import _check_bytes, _check_height, count_geq
 from .errors import InvariantError, ValidationError, check_int
-from .lattice import (
-    _BLOCK, RayUniverse, _block_wedges, _check_bytes, _check_height, _count_geq, _mertens, _universe_bytes,
-    count_geq, enumerate_rays,
-)
+from .lattice import _BLOCK, RayUniverse, _block_wedges, _universe_bytes, enumerate_rays
 
 
 def _fail(h: int, i: int, ray, tau, omega, what: str) -> NoReturn:
@@ -96,7 +93,7 @@ class BlowdownTable:
         return f"BlowdownTable(h={self.h}, n_rays={len(self)})"
 
     def count_geq(self, k: int) -> int:
-        """Number of rays with blowdown index >= k, by lattice.count_geq."""
+        """Number of rays with blowdown index >= k, by counting.count_geq."""
         return count_geq(self.h, k)
 
     def ratio_geq(self, k: int) -> Fraction:
@@ -158,17 +155,6 @@ def band_bounds(h: int, k: int) -> tuple[float, Fraction]:
     return (2.0 - eps) / (k + 2) * h, Fraction(2 * h, k)
 
 
-def triangular(k: int) -> int:
-    """k-th triangular number k(k+1)/2."""
-    k = check_int(k, "triangular number index", 1)
-    return k * (k + 1) // 2
-
-
-def conjectured_ratio(k: int) -> Fraction:
-    """Conjectured limiting fraction of rays with blowdown index >= k: 2/T_k."""
-    return Fraction(2, triangular(check_int(k, "limiting-ratio index", 2)))
-
-
 class _SupNorm:
     """The sup-norm column of an (n, 2) coordinate array, computed for each
     slice that is read, so the whole column is never held."""
@@ -193,45 +179,6 @@ def blowdown_array(table: BlowdownTable) -> dict:
     slice."""
     c = table.coords
     return {"x": c[:, 0], "y": c[:, 1], "norm": _SupNorm(c), "k": table.k_values}
-
-
-RATIO_COLUMNS = ("h", "k", "count_geq", "n_h", "ratio", "conjectured")
-
-#: Bytes one ratio row holds: about 360 B for the dict and its values
-#: (tracemalloc), and 48 B for its six cells in the column lists that
-#: render() transposes the rows into.
-_RATIO_ROW_BYTES = 408
-
-
-def conjecture_report(h_values, k_max: int) -> list[dict]:
-    """Long-form ratio table: measured fraction of rays with blowdown index
-    >= k next to the conjectured limit 2/T_k, for k = 2..k_max per height.
-
-    The counts come from lattice.count_geq with one Moebius sieve up to the
-    largest height, so no ray is enumerated and any h <= MAX_H takes well
-    under a second.  Rows that would exceed the share of MemAvailable that
-    lattice._check_bytes allows are refused with ValidationError before
-    the first one is made.  Heights stay capped at MAX_H, the package's one
-    rule for a valid height.  The sieve takes 17 bytes per unit of height
-    (1.7 GB at h = 10**8), so lifting the cap would take a segmented sieve
-    or a sublinear Mertens recursion, not a larger constant.
-    """
-    k_max = check_int(k_max, "k_max", 2)
-    heights = [_check_height(h) for h in h_values]
-    n_rows = len(heights) * (k_max - 1)
-    _check_bytes(_RATIO_ROW_BYTES * n_rows, f"{n_rows} ratio rows need", "to build the ratio table")
-    mertens = _mertens(max(heights, default=0))
-    rows = []
-    for h in heights:
-        n = _count_geq(h, 1, mertens)
-        for k in range(2, k_max + 1):
-            count = _count_geq(h, k, mertens)
-            rows.append({
-                "h": h, "k": k, "count_geq": count, "n_h": n,
-                "ratio": float(Fraction(count, n)),
-                "conjectured": float(conjectured_ratio(k)),
-            })
-    return rows
 
 
 SPACE_COLUMNS = ("x", "y", "k")

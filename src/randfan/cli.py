@@ -1,8 +1,9 @@
 """Command-line front end: ray universes, fans, blowdown reports, seeded sweeps.
 
 Exit codes are the EXIT_ constants below.  A command loads only the modules
-it runs: sample, spectrum and the sweeps import sampling, fans and
-experiments in their own bodies.
+it runs: each imports lattice, blowdown, sampling, fans or experiments in
+its own body.  What is imported here loads no numpy, so the ratios
+command, which counts in plain integers, never loads it.
 """
 
 from __future__ import annotations
@@ -13,14 +14,9 @@ import sys
 import threading
 from contextlib import nullcontext
 
-import numpy as np
-
-from .blowdown import (
-    BLOWDOWN_COLUMNS, RATIO_COLUMNS, SPACE_COLUMNS, blowdown_array, blowdown_table, conjecture_report, space_array,
-)
+from .counting import RATIO_COLUMNS, conjecture_report
 from .emission import FORMATS, _read_json, open_sink, render, render_document
 from .errors import InvariantError, ValidationError
-from .lattice import RAY_COLUMNS, enumerate_rays, ray_array
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,10 +48,14 @@ def _record(doc, coords):
 
 
 def _cmd_rays(args):
+    from .lattice import RAY_COLUMNS, enumerate_rays, ray_array
+
     return render(ray_array(enumerate_rays(args.h)), args.format, columns=RAY_COLUMNS)
 
 
 def _cmd_complete(args):
+    from .lattice import enumerate_rays
+
     # the universe is the full fan's ray list, checked and in fan order
     return _record({"h": args.h}, enumerate_rays(args.h).coords)
 
@@ -69,6 +69,7 @@ def _cmd_sample(args):
 
 
 def _cmd_spectrum(args):
+    from ._numpy import np
     from .fans import fan_from_record, is_smooth
 
     fan = fan_from_record(_read_json(args.infile))
@@ -84,6 +85,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_blowdown(args):
+    from .blowdown import BLOWDOWN_COLUMNS, blowdown_array, blowdown_table
+
     return render(blowdown_array(blowdown_table(args.h)), args.format, columns=BLOWDOWN_COLUMNS)
 
 
@@ -92,6 +95,8 @@ def _cmd_ratios(args):
 
 
 def _cmd_space(args):
+    from .blowdown import SPACE_COLUMNS, space_array
+
     return render(space_array(args.h), args.format, columns=SPACE_COLUMNS)
 
 

@@ -5,7 +5,8 @@ open_sink() writes them, and emit() does both; _read_json() is the one
 reader of JSON input (specs and fan records).  README "File formats" tells
 how the bytes are laid out.  This is the one module that imports json, and
 it imports no randfan module but errors, so a command that writes a table
-loads no sweep code.
+loads no sweep code; numpy is loaded only to lay out integer arrays, which
+exist only once it is.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager, suppress
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import ValidationError, brief
+from .errors import ValidationError, _numpy_types, brief
 
 FORMATS = ("csv", "json")
 
@@ -39,11 +38,12 @@ def _read_json(path):
 
 def _json_value(value):
     # numpy scalars and Fractions as the plain bool, int or float they stand for
-    if isinstance(value, (bool, np.bool_)):
+    bool_, integer, floating = _numpy_types("bool_", "integer", "floating")
+    if isinstance(value, (bool, bool_)):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, integer)):
         return int(value)
-    if isinstance(value, (float, np.floating, Fraction)):
+    if isinstance(value, (float, floating, Fraction)):
         return float(value)
     return value
 
@@ -70,16 +70,18 @@ def _json_cell(value) -> str:
 #: Rows rendered per block; bounds the temporaries alive at once.
 _RENDER_ROWS = 1 << 14
 
-#: Filler of every unused byte of a render field.  0xFF never occurs in
-#: UTF-8 text, so deleting it from a block leaves exactly the cells and the
-#: literals between them, whatever bytes (NUL among them) a cell holds.
+#: Filler of every unused byte of an integer field.  0xFF never occurs in
+#: UTF-8 text, so deleting it from a block leaves exactly the digits and
+#: the literals between them.
 _PAD = 0xFF
 
 
-def _int_field(col: np.ndarray):
-    """The width of an integer column's field and the writer of its digits
-    into a view of that width (README "File formats"); the magnitudes come
-    from the two's complement, so -2**63 comes out exact."""
+def _int_field(col):
+    """The width of an integer array column's field and the writer of its
+    digits into a view of that width (README "File formats"); the
+    magnitudes come from the two's complement, so -2**63 comes out exact."""
+    from ._numpy import np
+
     neg = col < 0
     sign, q = int(neg.any()), np.abs(col).view(f"u{col.itemsize}")
     top = int(q.max())
@@ -99,42 +101,47 @@ def _int_field(col: np.ndarray):
     return width, fill
 
 
-def _text_field(cells: list[str]):
-    """The width of a field of str cells and the writer that lays them in, left-aligned."""
-    cells = [c.encode("utf-8", "surrogatepass") for c in cells]
-    lengths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-    width = int(lengths.max())
+def _int_rows(cols, leads, end: bytes) -> bytearray:
+    """The rows of the integer arrays cols, leads[j] before each cell of
+    column j and end after each row: one row template, its fields padded,
+    repeated into a bytearray; each column's digits are written into its
+    field's strided view, and the pad is deleted."""
+    from ._numpy import np
 
-    def fill(view):
-        view[np.arange(width) < lengths[:, None]] = np.frombuffer(b"".join(cells), dtype=np.uint8)
-    return width, fill
+    row, fields = bytearray(), []  # the row template; each field's start, width and writer
+    for col, lead in zip(cols, leads):
+        width, fill = _int_field(col)
+        row += lead
+        fields.append((len(row), width, fill))
+        row += bytes([_PAD]) * width
+    row += end
+    data = row * len(cols[0])
+    block = np.frombuffer(data, dtype=np.uint8).reshape(len(cols[0]), len(row))
+    for start, width, fill in fields:
+        fill(block[:, start : start + width])
+    del block, fields  # the fields' arrays are not held while the pad is deleted
+    return data.translate(None, bytes([_PAD]))
 
 
 def _byte_blocks(head: str, n: int, cols, leads, end: str, last_end: str, encode) -> Iterator[bytes]:
     # head, then the n rows of cols a block of _RENDER_ROWS rows at a time:
-    # leads[j] before each cell of column j (a non-integer cell through
-    # encode), end after each row but the last, then last_end
+    # leads[j] before each cell of column j, end after each row but the
+    # last, then last_end.  A block of integer arrays is laid out by
+    # _int_rows; any other block is encoded cell by cell and joined.
     yield head.encode("utf-8", "surrogatepass")
-    leads, end = [s.encode("utf-8", "surrogatepass") for s in leads], end.encode("utf-8", "surrogatepass")
+    ndarray, = _numpy_types("ndarray")
+    fmt = "".join(lead.replace("%", "%%") + "%s" for lead in leads)  # a row, less its end
+    byte_leads, byte_end = [s.encode("utf-8", "surrogatepass") for s in leads], end.encode("utf-8", "surrogatepass")
     for lo in range(0, n, _RENDER_ROWS):
         m = min(_RENDER_ROWS, n - lo)
-        row, fields = bytearray(), []  # the row template; each field's start, width and writer
-        for col, lead in zip(cols, leads):
-            col = col[lo : lo + m]
-            is_int = isinstance(col, np.ndarray) and col.dtype.kind in "iu"
-            width, fill = _int_field(col) if is_int else _text_field([encode(v) for v in col])
-            row += lead
-            fields.append((len(row), width, fill))
-            row += bytes([_PAD]) * width
-        row += end
-        data = row * m
-        block = np.frombuffer(data, dtype=np.uint8).reshape(m, len(row))
-        for start, width, fill in fields:
-            fill(block[:, start : start + width])
-        del block, fields  # the fields' arrays are not held while the pad is deleted
-        data = data.translate(None, bytes([_PAD]))
-        if lo + m == n:
-            data[len(data) - len(end) :] = last_end.encode("utf-8", "surrogatepass")
+        block = [col[lo : lo + m] for col in cols]
+        tail = last_end if lo + m == n else end
+        if block and all(isinstance(col, ndarray) and col.dtype.kind in "iu" for col in block):
+            data = _int_rows(block, byte_leads, byte_end)
+            data[len(data) - len(byte_end) :] = tail.encode("utf-8", "surrogatepass")
+        else:
+            cells = zip(*([encode(v) for v in col] for col in block)) if block else [()] * m
+            data = (end.join(map(fmt.__mod__, cells)) + tail).encode("utf-8", "surrogatepass")
         yield data
         del data  # the writer frees the block it wrote before the next one is made
 

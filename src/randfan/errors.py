@@ -2,11 +2,7 @@
 
 import math
 import reprlib
-
-import numpy as np
-
-_INTEGERS = (int, np.integer)
-_REALS = (int, float, np.integer, np.floating)
+import sys
 
 
 class _Brief(reprlib.Repr):
@@ -22,6 +18,13 @@ class _Brief(reprlib.Repr):
 brief = _Brief().repr
 
 
+def _numpy_types(*names) -> tuple:
+    """numpy's types of these names, each () while numpy is not loaded: no
+    numpy value exists until it is, so an isinstance check needs no import."""
+    numpy = sys.modules.get("numpy")
+    return tuple(getattr(numpy, name) if numpy else () for name in names)
+
+
 class ValidationError(ValueError):
     """Caller-supplied input violates a documented precondition."""
 
@@ -33,7 +36,7 @@ class InvariantError(RuntimeError):
 def check_int(value, name: str, lo=-math.inf, hi=math.inf) -> int:
     """value as a Python int, if it is a Python or numpy integer in [lo, hi].
     bool, float, str, None and all else are rejected, never truncated or parsed."""
-    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+    if isinstance(value, bool) or not isinstance(value, (int, *_numpy_types("integer"))):
         raise ValidationError(f"{name} must be an integer, got {brief(value)}")
     value = int(value)
     if not lo <= value <= hi:
@@ -45,7 +48,7 @@ def check_real(value, name: str, lo=-math.inf, hi=math.inf, *, exclusive: bool =
     """value as a Python float, if it is a finite Python or numpy number in
     [lo, hi], or in (lo, hi) when exclusive; -0.0 is returned as 0.0.  bool,
     str and None are rejected."""
-    if isinstance(value, bool) or not isinstance(value, _REALS):
+    if isinstance(value, bool) or not isinstance(value, (int, float, *_numpy_types("integer", "floating"))):
         raise ValidationError(f"{name} must be a real number, got {brief(value)}")
     try:
         number = float(value)

@@ -15,13 +15,11 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
+from ._numpy import np
+from .counting import _check_bytes, _check_height, count_geq
 from .emission import FORMATS, _check_path, _read_json
 from .errors import ValidationError, brief, check_int, check_real
-from .lattice import (
-    _check_bytes, _check_height, _circle_ray, _octant, _universe_bytes, _wedge, count_geq, enumerate_rays,
-)
+from .lattice import _circle_ray, _octant, _universe_bytes, _wedge, enumerate_rays
 from .sampling import _BLOCK_RAYS, UINT64_MAX, _keep_threshold, _trial_words
 
 #: Two-sided 99% normal quantile, fixed for the Wilson interval columns.
@@ -453,10 +451,12 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
         for j, counts in full:
             put(j, [t - first], counts)
         windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
-        for lo, words in zip(range(0, longest, _BLOCK_RAYS), windows):  # none, and no re-key, when no lane draws
+        for lo in range(0, longest, _BLOCK_RAYS):  # none, and no re-key, when no lane draws
+            words = next(windows)
             for j, n, lane in drawing:
                 if lo < n and (answer := lane.send((words, t - first))):
                     put(j, *answer)
+            del words  # freed before the next window is drawn (_THREAD_BYTES)
     for j, _, lane in drawing:
         if answer := lane.send(None):
             put(j, *answer)
@@ -532,8 +532,8 @@ def _aggregate(h, q, n_cones, max_index, at_least, k_list, c_density) -> SweepRo
 #: layout less its rows' extra positions): per position, 1 B of change mask
 #: and 8 B of the edges found at once, and per dropped run (at most one per
 #: two positions) 41 B: s and e in int64, 8 B of row offset, the int32 rows
-#: of its two flanking rays and one bool; a window of raw Philox words (two
-#: while the next is drawn, when no edges are held); 64 KiB of headers.
+#: of its two flanking rays and one bool; one window of raw Philox words,
+#: freed before the next is drawn; 64 KiB of headers.
 _THREAD_BYTES = 59 * (_BLOCK_RAYS + 2) // 2 + 8 * _BLOCK_RAYS + (1 << 16)
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from collections.abc import Mapping, Set
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import _INTEGERS, ValidationError, brief, check_int
-from .lattice import MAX_H, RayUniverse, _check_bytes, _wedge
+from ._numpy import np
+from .counting import MAX_H, _check_bytes
+from .errors import ValidationError, brief, check_int
+from .lattice import RayUniverse, _wedge
 
 #: Bytes Fan holds per input ray at its peak: the int32 copy of an input of
 #: another dtype (8 B), the int64 wedge it keeps (8 B) and the temporaries
@@ -56,7 +56,7 @@ class Fan:
 
     Build instances with complete_fan() or the sampling helpers.  The
     constructor takes an (n, 2) integer coordinate array (or an empty one),
-    checks its _RAY_BYTES per ray with lattice._check_bytes, then checks in
+    checks its _RAY_BYTES per ray with counting._check_bytes, then checks in
     O(n) that its rays are within [-MAX_H, MAX_H] (on the input's own dtype,
     before it is narrowed to int32), primitive and distinct in strictly
     canonical angular order (ValidationError otherwise, as for another
@@ -123,7 +123,7 @@ def complete_fan(rays) -> Fan:
     first entry that is not one, a set or a dict among them (their order is
     their own), is named in the ValidationError.  Duplicates collapse.  A
     coordinate that is not an integer (bool, float, str, ...) or lies
-    outside [-MAX_H, MAX_H] (see lattice.MAX_H) is rejected before any
+    outside [-MAX_H, MAX_H] (see counting.MAX_H) is rejected before any
     conversion, and Fan rejects non-primitive vectors.
     The rays are sorted by one stable argsort of an exact int64 key, and
     adjacent equal rows are dropped: each open quadrant is turned onto
@@ -151,7 +151,7 @@ def complete_fan(rays) -> Fan:
             isinstance(r, (list, tuple)) and len(r) == 2 or isinstance(r, np.ndarray) and r.shape == (2,))),
             f"rays {brief(rays)}")
         raise ValidationError(f"malformed {what}; expected [x, y]") from None
-    if (not all(issubclass(t, _INTEGERS) and t is not bool for t in set(map(type, flat)))
+    if (not all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat)))
             or flat and not (-MAX_H <= min(flat) and max(flat) <= MAX_H)):
         for v in flat:  # the first offending coordinate raises
             check_int(v, "ray coordinate", -MAX_H, MAX_H)

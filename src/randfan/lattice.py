@@ -8,9 +8,9 @@ the wedge determinant, and the counter-clockwise angular order starting at
 
 enumerate_rays walks the first octant (_farey_walk), checks it (_octant,
 which argues why that check carries to the circle) and unfolds it to the
-circle by symmetry.  count_geq counts the rays of index >= k without the
-walk; its docstring states the closed form.  _check_bytes is the package's
-one memory rule: each build sizes itself and calls it before allocating.
+circle by symmetry.  Its count check is counting.count_geq, which counts
+the rays of index >= k without the walk, and every build sizes itself with
+_universe_bytes for counting._check_bytes before allocating.
 """
 
 from __future__ import annotations
@@ -19,16 +19,9 @@ import math
 from functools import lru_cache
 from typing import NoReturn
 
-import numpy as np
-
+from ._numpy import np
+from .counting import _check_bytes, _check_height, count_geq
 from .errors import InvariantError, ValidationError, check_int
-
-#: Largest supported height bound.  Bulk kernels hold coordinates as int32
-#: (MAX_H < 2**31) and form every product of two coordinates in int64: the
-#: largest is a wedge determinant, bounded by 2*h**2, which for h <= MAX_H
-#: stays far below 2**63.  Scalar paths use Python integers and are exact
-#: regardless of magnitude.
-MAX_H = 1_000_000
 
 
 def is_primitive(x: int, y: int) -> bool:
@@ -84,27 +77,12 @@ def angular_compare(u, v) -> int:
 #: Lanes of the octant walk; each lane walks one slice of the Farey sequence.
 _LANES = 1024
 
-#: Refuse a universe whose estimated build exceeds this share of MemAvailable.
-_MEMORY_SHARE = 0.5
-
 
 def _lane_rows(h: int, lanes: int) -> int:
     # Bound on the fractions of order h in [i/L, (i+1)/L): at most
     # ceil(q/L) of them have denominator q, summed over q = 1..h.
     m, r = divmod(h, lanes)
     return lanes * m * (m + 1) // 2 + r * (m + 1)
-
-
-def _mem_available() -> int | None:
-    """MemAvailable in bytes from /proc/meminfo, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
 
 
 def _universe_bytes(heights, octants=()) -> int:
@@ -123,17 +101,6 @@ def _universe_bytes(heights, octants=()) -> int:
     walk = max(8 * min(_LANES, h) * _lane_rows(h, min(_LANES, h)) for h in built)
     return (walk + 32 * _BLOCK + sum(8 * count_geq(h, 1) for h in heights)
             + sum(count_geq(h, 1) + 8 for h in octants))
-
-
-def _check_bytes(need: int, which: str, purpose: str) -> None:
-    """Refuse with ValidationError when need bytes exceed _MEMORY_SHARE of
-    MemAvailable; which and purpose go before and after the size."""
-    available = _mem_available()
-    if available is not None and need > _MEMORY_SHARE * available:
-        raise ValidationError(
-            f"{which} about {need / 2**20:.0f} MiB {purpose}, "
-            f"more than {_MEMORY_SHARE:.0%} of the {available / 2**20:.0f} MiB available"
-        )
 
 
 def _farey_walk(h: int) -> np.ndarray:
@@ -189,70 +156,6 @@ def _farey_walk(h: int) -> np.ndarray:
         lo = hi
     octant[-1] = 1
     return octant
-
-
-def _mertens(n: int) -> np.ndarray:
-    """The Mertens function M(0..n), prefix sums of the Moebius function, as
-    an int64 array.  Each prime p <= sqrt(n) flips the sign of mu at its
-    multiples, zeroes it at the multiples of p*p and is divided out of its
-    multiples once; a squarefree number left above 1 has one more prime
-    factor, above sqrt(n)."""
-    mu = np.ones(n + 1, dtype=np.int8)
-    rest = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if rest[p] == p:  # no smaller prime divides p
-            mu[::p] *= -1
-            mu[:: p * p] = 0
-            rest[::p] //= p
-    mu[rest > 1] *= -1
-    mu[0] = 0
-    return np.cumsum(mu, dtype=np.int64)
-
-
-def _count_geq(h: int, k: int, mertens: np.ndarray) -> int:
-    # count_geq with the Mertens table M(0..m), m >= h, passed in
-    k = min(k, 2 * h + 1)  # no index exceeds 2h; keeps every sum in int64
-    s = math.isqrt(h)
-    e = np.arange(1, s + 1)  # e <= s one by one, then e > s in blocks h // e == v
-    v = np.arange(1, h // (s + 1) + 1)
-    n = np.concatenate((h // e, v))
-    weight = np.concatenate((mertens[e] - mertens[e - 1],
-                             mertens[h // v] - mertens[np.maximum(h // (v + 1), s)]))
-    d1 = np.minimum(n, (2 * n + 1) // (k + 1))
-    d2 = np.minimum(n, (2 * n + 1) // k)
-    pairs = d1 * (d1 + 1) // 2 + (d2 - d1) * (2 * n + 1) - k * (d2 * (d2 + 1) - d1 * (d1 + 1)) // 2
-    p = int((weight * pairs).sum())
-    axis, diagonal = 2 * h >= k, 2 * h - 1 >= k
-    return 8 * (p - axis) + 4 * axis + 4 * diagonal
-
-
-def count_geq(h: int, k: int) -> int:
-    """Number of rays of sup-norm <= h whose blowdown index is >= k, counted
-    exactly without enumerating a ray; count_geq(h, 1) is the number of rays.
-
-    The walk gives the octant ray after consecutive Farey denominators
-    (b, d) the index (h + b) // d, and these pairs are the coprime b, d <= h
-    with b + d > h.  P counts the pairs of index >= k: one per interior
-    octant ray, and the pair (h, 1) before 1/1, whose formula index 2h is
-    that of (1, 0).  The pairs with common factor e are e times those of
-    L(h // e, k), so
-
-        count_geq(h, k) = 8 * (P - [2h >= k]) + 4 * [2h >= k] + 4 * [2h - 1 >= k],
-        P = sum over e >= 1 of mu(e) * L(h // e, k),
-        L(N, k) = #{1 <= b, d <= N : b + d > N, N + b >= k * d}
-                = D1(D1 + 1)/2 + sum_{d = D1+1}^{D2} (2N + 1 - k * d),
-
-    D1 = min(N, (2N + 1) // (k + 1)) and D2 = min(N, (2N + 1) // k): column
-    d of L holds d pairs up to D1 and 2N + 1 - k * d from there to D2.  mu is
-    the Moebius function, and P is summed in blocks of equal h // e: one
-    sieve up to h and O(sqrt(h)) blocks of integer arithmetic.  The ratio to
-    count_geq(h, 1) tends to 2/T_k because L(N, k)/N^2 tends to
-    2/(k(k + 1)), the area of {b + d > 1, b + 1 >= k * d} in the unit
-    square, L(N, 1)/N^2 to 1/2, and the same weights mu(e) sum both.
-    """
-    h = _check_height(h)
-    k = check_int(k, "index threshold", 1)
-    return _count_geq(h, k, _mertens(h))
 
 
 def _unfold_full_circle(octant: np.ndarray) -> np.ndarray:
@@ -351,10 +254,6 @@ def ray_array(universe: RayUniverse) -> dict:
     in canonical order."""
     c = universe.coords
     return {"x": c[:, 0], "y": c[:, 1]}
-
-
-def _check_height(h) -> int:
-    return check_int(h, "height bound", 1, MAX_H)
 
 
 def _wedge(u: np.ndarray, v: np.ndarray, out=None, spare=None) -> np.ndarray:

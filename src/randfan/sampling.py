@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
+from .counting import _check_height, count_geq
 from .errors import check_int, check_real
-from .lattice import _check_height, count_geq, enumerate_rays
+from .lattice import enumerate_rays
 
 if TYPE_CHECKING:
     from .fans import Fan

@@ -130,6 +130,43 @@ def farey_pair_count_geq(h, k):
     return 8 * interior + 4 * (2 * h >= k) + 4 * (2 * h - 1 >= k)
 
 
+def mertens_sieve(n):
+    """The Mertens function M(0..n), prefix sums of the Moebius function, as
+    an int64 array.  Each prime p <= sqrt(n) flips the sign of mu at its
+    multiples, zeroes it at the multiples of p*p and is divided out of its
+    multiples once; a squarefree number left above 1 has one more prime
+    factor, above sqrt(n)."""
+    mu = np.ones(n + 1, dtype=np.int8)
+    rest = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if rest[p] == p:  # no smaller prime divides p
+            mu[::p] *= -1
+            mu[:: p * p] = 0
+            rest[::p] //= p
+    mu[rest > 1] *= -1
+    mu[0] = 0
+    return np.cumsum(mu, dtype=np.int64)
+
+
+def sieved_count_geq(h, k, mertens):
+    """count_geq(h, k) by its closed form, vectorised over the O(sqrt(h))
+    blocks of equal h // e, with the weights read off the Mertens table
+    M(0..m), m >= h, that mertens_sieve gives."""
+    k = min(k, 2 * h + 1)  # no index exceeds 2h; keeps every sum in int64
+    s = math.isqrt(h)
+    e = np.arange(1, s + 1)  # e <= s one by one, then e > s in blocks h // e == v
+    v = np.arange(1, h // (s + 1) + 1)
+    n = np.concatenate((h // e, v))
+    weight = np.concatenate((mertens[e] - mertens[e - 1],
+                             mertens[h // v] - mertens[np.maximum(h // (v + 1), s)]))
+    d1 = np.minimum(n, (2 * n + 1) // (k + 1))
+    d2 = np.minimum(n, (2 * n + 1) // k)
+    pairs = d1 * (d1 + 1) // 2 + (d2 - d1) * (2 * n + 1) - k * (d2 * (d2 + 1) - d1 * (d1 + 1)) // 2
+    p = int((weight * pairs).sum())
+    axis, diagonal = 2 * h >= k, 2 * h - 1 >= k
+    return 8 * (p - axis) + 4 * axis + 4 * diagonal
+
+
 def format_cell(value) -> str:
     """Canonical CSV cell: floats at 6 significant digits, lowercase booleans,
     'null' for missing values, integers verbatim."""

@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from randfan import blowdown
-from randfan.blowdown import (
-    band_bounds,
-    blowdown_table,
-    conjectured_ratio,
-    epsilon_of,
-    triangular,
-)
+from randfan.blowdown import band_bounds, blowdown_table, epsilon_of
+from randfan.counting import conjectured_ratio, triangular
 from randfan.errors import InvariantError, ValidationError
 from randfan.fans import complete_fan
 from randfan.lattice import RayUniverse, enumerate_rays

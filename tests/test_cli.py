@@ -24,12 +24,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from randfan import cli, emission, experiments, lattice
-from randfan.blowdown import blowdown_table, conjectured_ratio
+from randfan.blowdown import blowdown_table
+from randfan.counting import MAX_H, conjectured_ratio
 from randfan.errors import ValidationError, check_int
 from randfan.emission import emit, open_sink
 from randfan.experiments import ExperimentSpec
 from randfan.fans import complete_fan
-from randfan.lattice import MAX_H, _universe_bytes, enumerate_rays
+from randfan.lattice import _universe_bytes, enumerate_rays
 from randfan.cli import main
 from randfan.sampling import UINT64_MAX, SampleConfig, sample_fan
 
@@ -658,7 +659,7 @@ def test_a_spec_output_path_no_file_can_have_is_refused_before_the_sweep(tmp_pat
 def test_an_out_flag_no_file_can_have_is_refused_before_any_work(capsys, monkeypatch, path):
     runs = []
     monkeypatch.setattr(experiments, "run_threshold_sweep", lambda *args, **kwargs: runs.append(args))
-    monkeypatch.setattr(cli, "enumerate_rays", lambda *args: runs.append(args))
+    monkeypatch.setattr(lattice, "enumerate_rays", lambda *args: runs.append(args))
     for argv in (["rays", "--h", "1"], ["threshold", "--h", "3", "--q", "0.5"]):
         code, out, err = run_cli(capsys, *argv, "--out", path)
         assert code == 1 and out == "" and err.startswith("error: output path must be non-empty"), argv

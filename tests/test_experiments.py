@@ -7,22 +7,15 @@ import os
 import threading
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from randfan import blowdown, emission, experiments, lattice
-from randfan.blowdown import (
-    BLOWDOWN_COLUMNS,
-    RATIO_COLUMNS,
-    SPACE_COLUMNS,
-    blowdown_array,
-    blowdown_table,
-    conjecture_report,
-    conjectured_ratio,
-    space_report,
-)
+from randfan import blowdown, counting, emission, experiments, lattice
+from randfan.blowdown import BLOWDOWN_COLUMNS, SPACE_COLUMNS, blowdown_array, blowdown_table, space_report
+from randfan.counting import RATIO_COLUMNS, conjecture_report, conjectured_ratio
 from randfan.emission import emit, render
 from randfan.errors import ValidationError
 from randfan.experiments import (
@@ -314,9 +307,9 @@ def test_sweep_checks_the_memory_of_all_its_heights_together(monkeypatch):
     heights = [800, 801, 802, 803]
     alone = [experiments._sweep_plan(_spec(h_values=[h], q_schedule=[0.5], trials=1), 1)[3] for h in heights]
     available = 2 * max(alone)
-    monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+    monkeypatch.setattr(counting, "_mem_available", lambda: available)
     for h, need in zip(heights, alone):
-        lattice._check_bytes(need, f"height {h} needs", "to run the sweep")
+        counting._check_bytes(need, f"height {h} needs", "to run the sweep")
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)
     lattice.enumerate_rays.cache_clear()
@@ -399,7 +392,7 @@ def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)
     one, two = (experiments._sweep_plan(spec, w)[3] for w in (1, 2))
     assert one < two and experiments._sweep_plan(spec, 64)[2:] == experiments._sweep_plan(spec, 4)[2:]  # 4 blocks
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 2 * one)
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)
     lattice.enumerate_rays.cache_clear()
@@ -408,8 +401,30 @@ def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     assert walks == []
     monkeypatch.undo()
     lattice.enumerate_rays.cache_clear()
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * one)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 2 * one)
     assert len(run_threshold_sweep(spec, workers=1)) == 1
+
+
+@pytest.mark.parametrize("h", [6, 170])  # one window per trial, and two
+def test_a_window_of_words_is_freed_before_the_next_is_drawn(monkeypatch, h):
+    # _THREAD_BYTES holds one window of raw words per thread, not two
+    draw, held, last = experiments._trial_words, [], lambda: None
+
+    def watched(*args):
+        nonlocal last
+        windows = draw(*args)
+        while True:
+            held.append(last() is not None)  # the window drawn before is still alive
+            words = next(windows, None)
+            if words is None:
+                return
+            last = weakref.ref(words)
+            yield words
+            del words
+
+    monkeypatch.setattr(experiments, "_trial_words", watched)
+    run_threshold_sweep(_spec(h_values=[h], q_schedule=[0.5], trials=3))
+    assert held == [False] * 3 * -(-lattice.count_geq(h, 1) // experiments._BLOCK_RAYS)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -430,7 +445,7 @@ def test_sweep_memory_estimate_bounds_the_traced_peak_of_many_one_trial_blocks(w
 
 def test_sweep_of_more_trials_than_fit_is_refused_before_its_blocks_are_made(monkeypatch):
     # a billion one-trial blocks are counted, not listed, before the refusal
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 8 * 2**30)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 8 * 2**30)
     walks = []
     monkeypatch.setattr(lattice, "_farey_walk", walks.append)
     lattice.enumerate_rays.cache_clear()
@@ -669,14 +684,14 @@ def test_conjecture_report_is_consistent_with_tables():
 
 
 def test_ratio_table_is_sized_before_its_first_row(monkeypatch):
-    # 10**8 - 1 rows of about 400 B: refused before the sieve or any row
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 8 * 2**30)
-    monkeypatch.setattr(blowdown, "_mertens", lambda n: pytest.fail("the sieve ran"))
+    # 10**8 - 1 rows of about 400 B: refused before the count or any row
+    monkeypatch.setattr(counting, "_mem_available", lambda: 8 * 2**30)
+    monkeypatch.setattr(counting, "_mertens", lambda h: pytest.fail("the count ran"))
     with pytest.raises(ValidationError, match=r"^99999999 ratio rows need about 38910 MiB to build "
                        r"the ratio table, more than 50% of the 8192 MiB available$"):
         conjecture_report([5], 10**8)
     monkeypatch.undo()
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * blowdown._RATIO_ROW_BYTES * 2000)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 2 * counting._RATIO_ROW_BYTES * 2000)
     assert len(conjecture_report([5], 2001)) == 2000
     with pytest.raises(ValidationError, match="^2001 ratio rows need"):
         conjecture_report([5], 2002)
@@ -690,7 +705,7 @@ def test_ratio_row_estimate_bounds_the_traced_rows():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= blowdown._RATIO_ROW_BYTES * len(rows)
+    assert held <= counting._RATIO_ROW_BYTES * len(rows)
 
 
 def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
@@ -713,7 +728,7 @@ def test_conjecture_report_counts_without_building_a_ray(monkeypatch):
                          (lattice, "_farey_walk")]:
         monkeypatch.setattr(module, name, refuse)
     assert conjecture_report(heights, k_max) == want
-    for bad in [[0], [lattice.MAX_H + 1], [5.0], [True]]:
+    for bad in [[0], [counting.MAX_H + 1], [5.0], [True]]:
         with pytest.raises(ValidationError):
             conjecture_report(bad, 3)
 

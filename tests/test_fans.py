@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from randfan import fans, lattice
+from randfan import counting, fans
 from randfan.cli import main
 from randfan.errors import ValidationError
 from randfan.emission import render_document
@@ -21,7 +21,8 @@ from randfan.fans import (
     fan_from_record,
     is_smooth,
 )
-from randfan.lattice import MAX_H, enumerate_rays
+from randfan.counting import MAX_H
+from randfan.lattice import enumerate_rays
 
 from oracles import comparison_order, cone_rays, fan_to_record, naive_completion, spectrum_document, wedge
 
@@ -343,9 +344,9 @@ def test_fan_of_a_universe_stays_within_its_memory_estimate(dtype):
 def test_fan_too_large_for_the_host_is_refused_before_its_checks(monkeypatch):
     # the memory check comes first: these rays would fail the range check
     coords = np.full((1000, 2), MAX_H + 1, dtype=np.int64)
-    monkeypatch.setattr(lattice, "_mem_available", lambda: fans._RAY_BYTES * 1000)
+    monkeypatch.setattr(counting, "_mem_available", lambda: fans._RAY_BYTES * 1000)
     with pytest.raises(ValidationError, match="^a fan of 1000 rays needs about 0 MiB to build"):
         Fan(coords)
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * fans._RAY_BYTES * 1000)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 2 * fans._RAY_BYTES * 1000)
     with pytest.raises(ValidationError, match="is outside"):
         Fan(coords)

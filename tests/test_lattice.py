@@ -7,11 +7,12 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
-from randfan import lattice
+from randfan import counting, lattice
 from randfan.blowdown import blowdown_table
 from randfan.errors import InvariantError, ValidationError
 from randfan.blowdown import _SupNorm
-from randfan.lattice import MAX_H, _block_wedges, angular_compare, enumerate_rays, is_primitive
+from randfan.counting import MAX_H
+from randfan.lattice import _block_wedges, angular_compare, enumerate_rays, is_primitive
 from randfan.cli import main
 
 from oracles import (
@@ -226,7 +227,7 @@ def _fresh_height():
 @pytest.mark.parametrize("available", [10**6, 64 * 2**30])
 def test_memory_guard_refuses_before_allocating(monkeypatch, available):
     # the estimate is checked before the walk allocates; never test it by allocating
-    monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+    monkeypatch.setattr(counting, "_mem_available", lambda: available)
     _fresh_height()
     try:
         h = 500 if available < 2**30 else MAX_H
@@ -238,7 +239,7 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, available):
 
 
 def test_memory_guard_is_an_exit_1_on_the_command_line(monkeypatch, capsys):
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 10**6)
+    monkeypatch.setattr(counting, "_mem_available", lambda: 10**6)
     _fresh_height()
     try:
         assert main(["rays", "--h", "300"]) == 1
@@ -249,10 +250,10 @@ def test_memory_guard_is_an_exit_1_on_the_command_line(monkeypatch, capsys):
 
 
 def test_memory_guard_passes_what_fits_and_skips_without_meminfo(monkeypatch):
-    available = lattice._mem_available()
+    available = counting._mem_available()
     assert available is None or available > 0
     for available in [2**30, None]:  # None: /proc/meminfo could not be read
-        monkeypatch.setattr(lattice, "_mem_available", lambda: available)
+        monkeypatch.setattr(counting, "_mem_available", lambda: available)
         _fresh_height()
         try:
             assert len(enumerate_rays(300)) == 8 * (len(first_octant(300)) - 1)
@@ -306,7 +307,7 @@ def test_table_memory_is_checked_before_the_universe_is_built(monkeypatch, capsy
     h = 300
     table = lattice._universe_bytes((h,)) + 8 * lattice.count_geq(h, 1)
     assert table > lattice._universe_bytes((h,))
-    monkeypatch.setattr(lattice, "_mem_available", lambda: 2 * lattice._universe_bytes((h,)))
+    monkeypatch.setattr(counting, "_mem_available", lambda: 2 * lattice._universe_bytes((h,)))
     _fresh_height()
     blowdown_table.cache_clear()
     try:

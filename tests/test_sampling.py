@@ -8,7 +8,8 @@ import pytest
 from randfan import sampling
 from randfan.errors import ValidationError
 from randfan.fans import complete_fan
-from randfan.lattice import MAX_H, angular_compare, enumerate_rays
+from randfan.counting import MAX_H
+from randfan.lattice import angular_compare, enumerate_rays
 from randfan.sampling import SampleConfig, prob_complete, sample_fan
 
 SEED = 20260816

@@ -1,12 +1,15 @@
-"""`import randfan` loads numpy with OpenBLAS's shortest idle-thread timeout
-and leaves the environment as it found it.  Each case runs in a fresh
-interpreter, where a sys.meta_path finder records the variable at the
-moment numpy is looked up."""
+"""The first randfan import that loads numpy loads it with OpenBLAS's
+shortest idle-thread timeout and leaves the environment as it found it;
+`import randfan`, the command line and the ratio table load no numpy.  Each
+case runs in a fresh interpreter, where a sys.meta_path finder records the
+variable at the moment numpy is looked up."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,8 @@ class Watch(importlib.abc.MetaPathFinder):
 sys.meta_path.insert(0, Watch())
 before = dict(os.environ)
 {first}
-import randfan
+import randfan, randfan.cli  # load no numpy: only the next import looks it up
+import randfan.lattice
 print(json.dumps({{"seen": seen, "environ_unchanged": dict(os.environ) == before}}))
 """
 
@@ -49,6 +53,23 @@ def test_numpy_imported_first_is_left_alone(env):
     # numpy is looked up once, before randfan, with the variable as the user left it
     want = env.get("OPENBLAS_THREAD_TIMEOUT")
     assert _probe("import numpy", **env) == {"seen": [want], "environ_unchanged": True}
+
+
+def test_one_module_imports_numpy():
+    # every other module takes np from randfan._numpy, so no module can load
+    # numpy before the timeout is set
+    importers = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "randfan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # not a randfan module
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"_numpy"}
 
 
 # --- the module graph: a command loads only the modules it runs --------------
@@ -88,6 +109,14 @@ def test_the_table_commands_load_no_sweep_sampling_or_fan_code():
         "import": [], "rays": [], "blowdown": [], "ratios": [], "space": [],
         "sample": ["randfan.sampling", "randfan.fans", "numpy.random", "dataclasses"],
     }
+
+
+def test_the_command_line_and_the_ratio_table_load_no_numpy():
+    # `import randfan.cli` (so `import randfan` too) and the ratio table in
+    # both formats count in plain integers
+    commands = [["ratios", "--h", "5", "--h", "2000", "--kmax", "7"],
+                ["ratios", "--h", "5", "--kmax", "3", "--format", "json"]]
+    assert _loaded_after(commands, ["numpy"]) == {"import": [], "ratios": []}
 
 
 def test_the_sweeps_load_no_fan_and_no_thread_pool():

@@ -23,7 +23,8 @@ from randfan.blowdown import BlowdownTable, blowdown_table
 from randfan.errors import InvariantError, ValidationError
 from randfan.experiments import _classify
 from randfan.fans import Fan, complete_fan
-from randfan.lattice import MAX_H, RayUniverse, _arc_class, _block_wedges, enumerate_rays
+from randfan.counting import MAX_H
+from randfan.lattice import RayUniverse, _arc_class, _block_wedges, enumerate_rays
 
 from oracles import wedge
 
