@@ -38,6 +38,8 @@ def _read_json(path):
 
 def _json_value(value):
     # numpy scalars and Fractions as the plain bool, int or float they stand for
+    if value is None or type(value) in (int, float, str):  # most cells: no numpy type to look up
+        return value
     bool_, integer, floating = _numpy_types("bool_", "integer", "floating")
     if isinstance(value, (bool, bool_)):
         return bool(value)
