@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import threading
 from contextlib import nullcontext
@@ -25,8 +26,13 @@ EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # route argument errors through the normal validation exit path; argparse
-    # echoes an offending argument whole, so a long message keeps its ends
+    # "-" before a digit, or "." and a digit, starts a number ("--alpha -1e-3");
+    # argument errors take the normal validation exit path, and as argparse
+    # echoes an offending argument whole, a long message keeps its ends
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ValidationError(message if len(message) <= 400 else f"{message[:200]}...{message[-200:]}")
 
@@ -61,11 +67,11 @@ def _cmd_complete(args):
 
 
 def _cmd_sample(args):
-    from .sampling import SampleConfig, sample_fan
+    from .sampling import SampleConfig, sample_rays
 
     cfg = SampleConfig(h=args.h, p=args.p, master_seed=args.seed, trial_index=args.trial)
     doc = {"h": args.h, "p": cfg.p, "master_seed": cfg.master_seed, "trial_index": cfg.trial_index}
-    return _record(doc, sample_fan(cfg).coords)
+    return _record(doc, sample_rays(cfg))
 
 
 def _cmd_spectrum(args):

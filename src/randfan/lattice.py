@@ -6,10 +6,10 @@ decides anything here is exact integer arithmetic: primitivity, the sup-norm,
 the wedge determinant, and the counter-clockwise angular order starting at
 (1, 0).  Floating point appears nowhere in this module.
 
-enumerate_rays walks the first octant (_farey_walk), checks it (_octant,
-which argues why that check carries to the circle) and unfolds it to the
-circle by symmetry.  Its count check is counting.count_geq, which counts
-the rays of index >= k without the walk, and every build sizes itself with
+enumerate_rays walks the first octant (_farey_walk), checks it once
+(_octant argues why that check carries to the circle) and unfolds it by
+symmetry.  Its count check is counting.count_geq, which counts the rays
+of index >= k without the walk, and every build sizes itself with
 _universe_bytes for counting._check_bytes before allocating.
 """
 
@@ -279,48 +279,46 @@ def _block_wedges(c: np.ndarray, lo: int, hi: int, a: int, b: int) -> np.ndarray
 _BLOCK = 1 << 16
 
 
-def _check_wedges(h: int, c: np.ndarray, pairs: int, n: int) -> None:
-    """Raise for the first i < pairs whose neighbours c[i], c[i + 1] (taken
-    cyclically) do not have wedge 1, naming them as rays of a circle of n,
-    in blocks of _BLOCK pairs."""
-    for lo in range(0, pairs, _BLOCK):
-        w = _block_wedges(c, lo, min(lo + _BLOCK, pairs), 0, 1)
+def _check_wedges(h: int, octant: np.ndarray) -> None:
+    """Raise for the first pair of octant neighbours whose wedge is not 1,
+    in blocks of _BLOCK pairs; their positions are also the circle's."""
+    q = len(octant) - 1
+    for lo in range(0, q, _BLOCK):
+        w = _block_wedges(octant, lo, min(lo + _BLOCK, q), 0, 1)
         if not (w == 1).all():
             i = lo + int(np.argmax(w != 1))
-            u, v = tuple(c[i].tolist()), tuple(c[(i + 1) % len(c)].tolist())
+            u, v = (tuple(ray) for ray in octant[i : i + 2].tolist())
             raise InvariantError(
                 f"height {h}: neighbouring rays {u} at position {i} and {v} at "
-                f"position {(i + 1) % n} have wedge {int(w[i - lo])}, not 1"
+                f"position {i + 1} have wedge {int(w[i - lo])}, not 1"
             )
 
 
 def _octant(h: int) -> np.ndarray:
     """The first octant of the universe of height h, as _farey_walk gives
-    it, checked as enumerate_rays checks the circle that
-    _unfold_full_circle makes of it.  It runs from (1, 0) to (1, 1), so
-    every sector of that circle is the octant under a symmetry of the
-    square (_circle_ray): a pair of neighbours within a sector is the image
-    of an octant pair, and a pair across a sector start is the image of
-    the octant's first or last pair, the turns keeping a wedge and the
-    reflection negating it while it swaps the pair.  So the circle is
-    smooth when every pair of octant neighbours has wedge exactly 1, and
-    it holds count_geq(h, 1) rays when 8 * (len - 1) does.  InvariantError
-    otherwise, naming the height and the octant's ends, or the first bad
-    pair's positions and rays, or the first missing ray.  Nothing caches
-    the octant, and its callers check its bytes (_universe_bytes)."""
+    it, checked once for the whole circle that _unfold_full_circle makes
+    of it.  It runs from (1, 0) to (1, 1), so every sector of that circle
+    is the octant under a symmetry of the square (_circle_ray): a pair of
+    neighbours within a sector is the image of an octant pair, and a pair
+    across a sector start is the image of the octant's first or last pair,
+    the turns keeping a wedge and the reflection negating it while it
+    swaps the pair.  So the circle is smooth when every pair of octant
+    neighbours has wedge exactly 1, and it holds count_geq(h, 1) rays when
+    8 * (len - 1) does.  InvariantError otherwise, naming the height and
+    the octant's ends, or the first bad pair's positions and rays, or the
+    first missing ray.  Nothing caches the octant, and its callers check
+    its bytes (_universe_bytes)."""
     octant = _farey_walk(h)
     q = len(octant) - 1
-    n = 8 * q
     ends = tuple(octant[0].tolist()), tuple(octant[-1].tolist())
     if ends != ((1, 0), (1, 1)):
         raise InvariantError(
             f"height {h}: the octant runs from {ends[0]} at position 0 to {ends[1]} at "
             f"position {q}, not from (1, 0) to (1, 1)"
         )
-    _check_wedges(h, octant, q, n)
-    want = count_geq(h, 1)
-    if n != want:
-        _fail_count(h, octant, q, n, want)
+    _check_wedges(h, octant)
+    if 8 * q != count_geq(h, 1):
+        _fail_count(h, octant)
     return octant
 
 
@@ -330,43 +328,35 @@ def enumerate_rays(h: int) -> RayUniverse:
 
     The circle is unfolded from the checked octant (_octant, which gives the
     symmetry argument), so it is exactly sorted with no comparison and no
-    float.  Before it is cached, it is checked again to be the smooth full
-    fan: every pair of cyclic neighbours has wedge exactly 1, and there are
-    count_geq(h, 1) rays; InvariantError otherwise, naming the first bad
-    pair or the first missing ray.  Heights whose estimated build exceeds
-    half of MemAvailable are refused with ValidationError before anything
-    is allocated.
+    float, and it is the smooth full fan: every pair of cyclic neighbours
+    has wedge exactly 1, and there are count_geq(h, 1) rays.  Heights whose
+    estimated build exceeds half of MemAvailable are refused with
+    ValidationError before anything is allocated.
     """
     h = _check_height(h)
     _check_bytes(_universe_bytes((h,)), f"height {h} needs", "to enumerate the rays")
-    c = _unfold_full_circle(_octant(h))
-    n = len(c)
-    _check_wedges(h, c, n, n)
-    want = count_geq(h, 1)
-    if n != want:
-        _fail_count(h, c, n, n, want)
-    return RayUniverse(h, c)
+    return RayUniverse(h, _unfold_full_circle(_octant(h)))
 
 
-def _fail_count(h: int, c: np.ndarray, pairs: int, n: int, want: int) -> NoReturn:
-    """Raise for a smooth walk of n rays where want have sup-norm <= h,
-    naming the first gap among the first pairs neighbour pairs of c (the
-    circle, its last pair wrapping, or its first octant).
+def _fail_count(h: int, octant: np.ndarray) -> NoReturn:
+    """Raise for a smooth octant whose circle does not hold the
+    count_geq(h, 1) rays of sup-norm <= h, naming the first gap between
+    octant neighbours.
 
     Every wedge is 1, so the sum of two neighbours is a primitive ray
     between them; where that sum has sup-norm <= h, it is a ray the walk
     missed.
     """
-    message = f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}"
-    for lo in range(0, pairs, _BLOCK):
-        hi = min(lo + _BLOCK, pairs)
-        pair_sum = c[lo:hi] + np.take(c, np.arange(lo + 1, hi + 1), axis=0, mode="wrap")
+    q = len(octant) - 1
+    message = f"height {h}: the walk gave {8 * q} rays, but {count_geq(h, 1)} have sup-norm <= {h}"
+    for lo in range(0, q, _BLOCK):
+        hi = min(lo + _BLOCK, q)
+        pair_sum = octant[lo:hi] + octant[lo + 1 : hi + 1]
         inside = np.abs(pair_sum).max(axis=1) <= h
         if inside.any():
             i = lo + int(np.argmax(inside))
-            j = (i + 1) % n
-            u, v, s = (tuple(a.tolist()) for a in (c[i], c[(i + 1) % len(c)], pair_sum[i - lo]))
+            u, v, s = (tuple(a.tolist()) for a in (octant[i], octant[i + 1], pair_sum[i - lo]))
             raise InvariantError(
-                f"{message}; the ray {s} between {u} at position {i} and {v} at position {j} is missing"
+                f"{message}; the ray {s} between {u} at position {i} and {v} at position {i + 1} is missing"
             )
     raise InvariantError(message)

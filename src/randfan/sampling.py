@@ -22,7 +22,7 @@ from .lattice import enumerate_rays
 if TYPE_CHECKING:
     from .fans import Fan
 
-#: Identity of the bit generator behind sample_fan and the sweep trials.
+#: Identity of the bit generator behind sample_rays and the sweep trials.
 RNG_ALGORITHM = "numpy Philox4x64-10, keyed (master_seed, trial_index)"
 
 #: Largest master seed or trial index: each keys Philox as one uint64 word.
@@ -90,7 +90,7 @@ def _trial_words(bitgen: np.random.Philox, master_seed: int, trial_index: int, n
     as arrays of window words (the last one may be shorter), read from
     bitgen, which is re-keyed once, when the first is taken.
 
-    This is the one reader of Philox words: sample_fan and the sweeps,
+    This is the one reader of Philox words: sample_rays and the sweeps,
     whose cells all read trial t's stream, go through it.
     """
     _rekey(bitgen, master_seed, trial_index)
@@ -98,16 +98,10 @@ def _trial_words(bitgen: np.random.Philox, master_seed: int, trial_index: int, n
         yield bitgen.random_raw(min(window, n - lo))
 
 
-def sample_fan(cfg: SampleConfig) -> Fan:
-    """Draw a ray subset, one Bernoulli(p) decision per universe ray, and
-    complete it to a fan.
-
-    Agrees with complete_fan of the kept rays but skips re-sorting: they
-    inherit the universe's canonical order, so a draw costs one pass over
-    the raw Philox words plus one boolean mask even at large h.
-    """
-    from .fans import Fan  # imported here, so that the sweeps, which build no Fan, never load fans
-
+def sample_rays(cfg: SampleConfig) -> np.ndarray:
+    """The rays one draw keeps, one Bernoulli(p) decision per universe ray,
+    in its canonical order: one pass over the raw Philox words plus one
+    boolean mask, even at large h."""
     universe = enumerate_rays(cfg.h)
     n = len(universe)
     keep = np.ones(n, dtype=bool)
@@ -116,7 +110,15 @@ def sample_fan(cfg: SampleConfig) -> Fan:
         words = _trial_words(np.random.Philox(0), cfg.master_seed, cfg.trial_index, n, _BLOCK_RAYS)
         for lo, window in zip(range(0, n, _BLOCK_RAYS), words):
             np.less(window, np.uint64(threshold), out=keep[lo : lo + _BLOCK_RAYS])
-    return Fan(universe.coords[keep])
+    return universe.coords[keep]
+
+
+def sample_fan(cfg: SampleConfig) -> Fan:
+    """The fan of sample_rays(cfg), whose rays inherit the universe's
+    order: complete_fan of them, without the sort."""
+    from .fans import Fan  # imported here: neither the sweeps nor the sample command load fans
+
+    return Fan(sample_rays(cfg))
 
 
 def prob_complete(h: int, q: float) -> tuple[float, float]:

@@ -386,6 +386,30 @@ def concat_unfold(octant: np.ndarray) -> np.ndarray:
     return np.concatenate([half[:-1], -half[:-1]])  # antipodes: (pi, 2*pi)
 
 
+def circle_error(h, octant):
+    """The InvariantError message for the circle that concat_unfold makes of
+    octant, as the package names a universe that is not the smooth full fan
+    of height h, or None when it is: the first cyclic pair of neighbours
+    whose wedge is not 1; else, when the circle does not hold the rays of
+    brute_rays(h), the first pair whose sum has sup-norm <= h."""
+    c = [tuple(map(int, ray)) for ray in concat_unfold(octant)]
+    n = len(c)
+    pairs = [(i, c[i], (i + 1) % n, c[(i + 1) % n]) for i in range(n)]
+    for i, u, j, v in pairs:
+        if wedge(u, v) != 1:
+            return (f"height {h}: neighbouring rays {u} at position {i} and {v} at "
+                    f"position {j} have wedge {wedge(u, v)}, not 1")
+    want = len(brute_rays(h))
+    if n == want:
+        return None
+    message = f"height {h}: the walk gave {n} rays, but {want} have sup-norm <= {h}"
+    for i, u, j, v in pairs:
+        s = (u[0] + v[0], u[1] + v[1])
+        if max(abs(s[0]), abs(s[1])) <= h:
+            return f"{message}; the ray {s} between {u} at position {i} and {v} at position {j} is missing"
+    return message
+
+
 def division_blowdown(c: np.ndarray) -> np.ndarray:
     """Blowdown index of every ray of a sorted full circle c, solved from
     k * u = u_tau + u_omega by division and checked against the wedge.

@@ -608,6 +608,16 @@ def test_negative_zero_is_read_as_zero(capsys):
     assert (code, out) == (0, '{"h": 2, "p": 0.0, "master_seed": 0, "trial_index": 0, "rays": []}\n')
 
 
+def test_a_negative_number_in_exponent_form_is_a_value(capsys):
+    # a "-" before a digit starts a number, so "-1e-3" is not taken for a
+    # flag, and the value meets the numeric rule as "--alpha=-1e-3" does
+    spaced = run_cli(capsys, "threshold", "--h", "5", "--c", "1", "--alpha", "-1e-3", "--trials", "2")
+    joined = run_cli(capsys, "threshold", "--h", "5", "--c", "1", "--alpha=-1e-3", "--trials", "2")
+    assert spaced == joined and spaced[0] == 0 and spaced[2] == ""
+    assert run_cli(capsys, "threshold", "--h", "5", "--q", "-1e-3", "--trials", "2") == (
+        1, "", "error: schedule value must be a finite number in [0, inf], got -0.001\n")
+
+
 # --- bounded error lines and output paths --------------------------------------
 
 LONG = "x" * 100_000

@@ -16,7 +16,7 @@ from randfan.lattice import _block_wedges, angular_compare, enumerate_rays, is_p
 from randfan.cli import main
 
 from oracles import (
-    brute_rays, concat_unfold, division_blowdown, farey_pair_count_geq, first_octant, totients, wedge,
+    brute_rays, circle_error, concat_unfold, division_blowdown, farey_pair_count_geq, first_octant, totients, wedge,
 )
 
 R1_ORDER = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
@@ -413,17 +413,6 @@ def test_circle_ray_is_the_unfolded_ray_at_every_position():
         assert got == [tuple(circle[p % n].tolist()) for p in range(-n, 2 * n)], h
 
 
-def _full_circle_error(h, octant) -> str:
-    """The message of enumerate_rays' own checks of the circle unfolded from
-    a tampered octant."""
-    c = lattice._unfold_full_circle(octant)
-    n = len(c)
-    with pytest.raises(InvariantError) as exc:
-        lattice._check_wedges(h, c, n, n)
-        lattice._fail_count(h, c, n, n, lattice.count_geq(h, 1))
-    return str(exc.value)
-
-
 _OCTANT_EDITS = {  # each keeps the ends (1, 0) and (1, 1)
     "swap": lambda o: o[[0, 1, 3, 2, *range(4, len(o))]],
     "ray of index 1 dropped": lambda o: np.delete(o, 2, axis=0),
@@ -438,8 +427,9 @@ def test_tampered_octant_is_named_as_the_full_circle_check_names_it(monkeypatch,
     # the octant's pairs and its count find the first bad pair or missing
     # ray of the unfolded circle, by the circle's positions
     walk = lattice._farey_walk
+    assert circle_error(h, walk(h)) is None
     monkeypatch.setattr(lattice, "_farey_walk", lambda h: _OCTANT_EDITS[edit](walk(h)))
-    want = _full_circle_error(h, lattice._farey_walk(h))
+    want = circle_error(h, lattice._farey_walk(h))
     assert want.startswith(f"height {h}: ")
     with pytest.raises(InvariantError) as exc:
         lattice._octant(h)

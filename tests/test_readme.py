@@ -133,6 +133,20 @@ def test_one_call_reads_philox_words():
     assert named == called == ["sampling._trial_words"]
 
 
+def test_the_octant_is_the_one_check_of_a_universe():
+    # lattice._octant's check carries to the whole circle by the symmetries
+    # of the square, so no second pass over an unfolded circle can return
+    called = []
+    for path in sorted((ROOT / "src" / "randfan").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in {"_check_wedges", "_fail_count"}:
+                        called.append(f"{path.stem}.{getattr(stmt, 'name', None)}.{name}")
+    assert called == ["lattice._octant._check_wedges", "lattice._octant._fail_count"]
+
+
 def test_one_function_forms_wedges():
     # lattice._wedge holds the rule that products of int32 coordinates are
     # formed in int64, so no kernel can form a wedge that wraps

@@ -107,7 +107,7 @@ def test_the_table_commands_load_no_sweep_sampling_or_fan_code():
                 ["sample", "--h", "3", "--p", "0.5"]]  # the probe sees what a command loads
     assert _loaded_after(commands, _TABLE_UNUSED) == {
         "import": [], "rays": [], "blowdown": [], "ratios": [], "space": [],
-        "sample": ["randfan.sampling", "randfan.fans", "numpy.random", "dataclasses"],
+        "sample": ["randfan.sampling", "numpy.random", "dataclasses"],
     }
 
 

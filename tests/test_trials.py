@@ -513,17 +513,17 @@ def test_a_grid_reads_each_trial_stream_once(monkeypatch):
 
 @pytest.fixture
 def tamper(monkeypatch):
-    """tamper(edit) makes every universe built from then on the unfolded
-    circle passed through edit; the universe caches are empty before and
-    after the test."""
-    unfold = lattice._unfold_full_circle
+    """tamper(edit) makes every universe built from then on the circle
+    unfolded from the octant walk passed through edit; the universe caches
+    are empty before and after the test."""
+    walk = lattice._farey_walk
 
     def clear():
         enumerate_rays.cache_clear()
         blowdown_table.cache_clear()
 
     def tamper(edit):
-        monkeypatch.setattr(lattice, "_unfold_full_circle", lambda octant: edit(unfold(octant)))
+        monkeypatch.setattr(lattice, "_farey_walk", lambda h: edit(walk(h)))
         clear()
 
     clear()
@@ -551,25 +551,24 @@ _CALLERS = [
 
 
 def test_tampered_universe_is_refused(tamper):
-    good = enumerate_rays(4).coords
+    good = lattice._farey_walk(4)  # (1, 0), (4, 1), (3, 1), (2, 1), (3, 2), (4, 3), (1, 1)
     # a swapped pair is named by the wedge check
-    first, u, v = _first_bad_pair(_swapped(good.copy(), 5))
-    tamper(lambda c: _swapped(c, 5))
+    first, u, v = _first_bad_pair(_swapped(good.copy(), 3))
+    tamper(lambda c: _swapped(c, 3))
     for call in _CALLERS:
         with pytest.raises(InvariantError) as exc:
             call()
         assert str(exc.value) == (f"height 4: neighbouring rays {u} at position {first} and {v} "
                                   f"at position {first + 1} have wedge {wedge(u, v)}, not 1")
-    # a dropped ray of index 1 leaves every wedge 1; the count check finds it
-    # and names it from the pair around the hole
-    i = int(np.flatnonzero((good == (4, 3)).all(axis=1))[0])
-    tamper(lambda c: np.delete(c, i, axis=0))
+    # a dropped ray of index 1 leaves every wedge 1 and drops its 8 images;
+    # the count check finds it and names it from the pair around the hole
+    tamper(lambda c: np.delete(c, 5, axis=0))
     for call in _CALLERS:
         with pytest.raises(InvariantError) as exc:
             call()
         assert str(exc.value) == (
-            f"height 4: the walk gave 47 rays, but 48 have sup-norm <= 4; the ray (4, 3) "
-            f"between (3, 2) at position {i - 1} and (1, 1) at position {i} is missing"
+            "height 4: the walk gave 40 rays, but 48 have sup-norm <= 4; the ray (4, 3) "
+            "between (3, 2) at position 4 and (1, 1) at position 5 is missing"
         )
 
 
@@ -588,43 +587,39 @@ def test_tampered_walk_is_named_by_a_streamed_sweep(monkeypatch, workers):
 
 
 def test_count_check_in_blocks_names_the_missing_ray(monkeypatch, tamper):
-    # 47 rays checked 7 rows at a time; every ray of index 1 can be dropped
-    # without breaking a wedge, the last one's gap wraps to position 0
-    good = enumerate_rays(4).coords
-    dropped = np.flatnonzero(blowdown_table(4).k_values == 1)
-    assert dropped[-1] == len(good) - 1
-    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    # the 6 pairs of the octant of h = 4 checked 3 at a time; each octant
+    # ray of index 1 can be dropped without breaking a wedge
+    good = lattice._farey_walk(4)
+    dropped = [i for i in range(1, len(good) - 1) if blowdown_table(4).k_values[i] == 1]
+    assert dropped == [1, 5]  # a gap in the first block and one in the last
+    monkeypatch.setattr(lattice, "_BLOCK", 3)
     for i in dropped:
         tamper(lambda c, i=i: np.delete(c, i, axis=0))
-        u, v = tuple(good[i - 1].tolist()), tuple(good[(i + 1) % 48].tolist())
+        u, v = tuple(good[i - 1].tolist()), tuple(good[i + 1].tolist())
         with pytest.raises(InvariantError) as exc:
             enumerate_rays(4)
         assert str(exc.value) == (
-            f"height 4: the walk gave 47 rays, but 48 have sup-norm <= 4; the ray "
-            f"{tuple(good[i].tolist())} between {u} at position {i - 1} and {v} at position {i % 47} is missing"
+            f"height 4: the walk gave 40 rays, but 48 have sup-norm <= 4; the ray "
+            f"{tuple(good[i].tolist())} between {u} at position {i - 1} and {v} at position {i} is missing"
         )
     # a ray too many is beyond every gap and named by the counts alone
     tamper(lambda c: np.insert(c, 1, (5, 1), axis=0))
-    with pytest.raises(InvariantError, match=r"^height 4: the walk gave 49 rays, but 48 have sup-norm <= 4$"):
+    with pytest.raises(InvariantError, match=r"^height 4: the walk gave 56 rays, but 48 have sup-norm <= 4$"):
         enumerate_rays(4)
 
 
-@pytest.mark.parametrize("swap", [0, 6, 13, 45, 46])
+@pytest.mark.parametrize("swap", [1, 2, 3, 4])
 def test_smoothness_check_in_blocks_names_the_first_bad_pair(monkeypatch, tamper, swap):
-    # 48 rays checked 7 rows at a time: swaps inside a block, across a block
-    # edge, and in the last block, whose last ray's neighbour is the first
-    good = enumerate_rays(4).coords
-    n = len(good)
+    # the 6 pairs of the octant of h = 4 checked 3 at a time: every swap
+    # that keeps the ends (1, 0) and (1, 1), whose first bad pair is inside
+    # the first block, across its edge or in the last block
+    good = lattice._farey_walk(4)
     first, u, v = _first_bad_pair(_swapped(good.copy(), swap))
-    monkeypatch.setattr(lattice, "_BLOCK", 7)
+    monkeypatch.setattr(lattice, "_BLOCK", 3)
     tamper(lambda c: _swapped(c, swap))
     with pytest.raises(InvariantError) as exc:
         enumerate_rays(4)
     assert str(exc.value) == (
         f"height 4: neighbouring rays {u} at position {first} and {v} at "
-        f"position {(first + 1) % n} have wedge {wedge(u, v)}, not 1"
+        f"position {first + 1} have wedge {wedge(u, v)}, not 1"
     )
-    # the smooth universe turned by any number of places passes
-    for shift in (1, 20):
-        tamper(lambda c: np.roll(c, shift, axis=0))
-        assert np.array_equal(enumerate_rays(4).coords, np.roll(good, shift, axis=0))
