@@ -17,28 +17,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NoReturn
 
 from ._numpy import np
 from .counting import _check_bytes, _check_height, count_geq
 from .errors import InvariantError, ValidationError, check_int
-from .lattice import _BLOCK, RayUniverse, _block_wedges, _universe_bytes, enumerate_rays
+from .lattice import _BLOCK, RayUniverse, _block_wedges, _universe_bytes, enumerate_rays, ray_array
 
 
-def _fail(h: int, i: int, ray, tau, omega, what: str) -> NoReturn:
-    ray, tau, omega = (tuple(np.asarray(v).tolist()) for v in (ray, tau, omega))
-    raise InvariantError(f"height {h}: ray {ray} at position {i}, between {tau} and {omega}: {what}")
+class BlowdownTable(RayUniverse):
+    """Blowdown index of every ray of the height-h complete fan: the rays of
+    its universe, sharing its coordinate array, plus one read-only int64
+    index per ray (k_values) in the same canonical order.
 
-
-class BlowdownTable:
-    """Blowdown index of every ray of the height-h complete fan.
-
-    table[ray] -> k, ray in table, and len(table) is the number of rays.
-    Bulk data is exposed as read-only arrays (coords, k_values) aligned
-    with the canonical angular order, plus the gap bound epsilon = 1/h.
+    table[ray] -> k; all else (h, coords, len, in, iteration, n_rays,
+    index_of) is the universe's.  epsilon is the gap bound 1/h.
     """
 
-    __slots__ = ("_universe", "_k")
+    __slots__ = ("_k",)
 
     def __init__(self, universe: RayUniverse, k_values: np.ndarray):
         if len(k_values) != len(universe):
@@ -55,18 +50,11 @@ class BlowdownTable:
                 i = lo + int(np.argmax(bad))
                 what = (f"index {k_values[i]} is below 1" if k_values[i] < 1 else
                         f"index {k_values[i]} times sup-norm {norms[i - lo]} exceeds 2h = {2 * h}")
-                _fail(h, i, coords[i], coords[i - 1], coords[(i + 1) % n], what)
+                ray, tau, omega = (tuple(coords[j].tolist()) for j in (i, i - 1, (i + 1) % n))
+                raise InvariantError(f"height {h}: ray {ray} at position {i}, between {tau} and {omega}: {what}")
         k_values.flags.writeable = False  # only once accepted: a refused array stays the caller's
-        self._universe = universe
+        super().__init__(h, coords)
         self._k = k_values
-
-    @property
-    def h(self) -> int:
-        return self._universe.h
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._universe.coords
 
     @property
     def k_values(self) -> np.ndarray:
@@ -76,21 +64,11 @@ class BlowdownTable:
     def epsilon(self) -> float:
         return epsilon_of(self.h)
 
-    def __len__(self) -> int:
-        return len(self._k)
-
-    def __contains__(self, ray) -> bool:
-        return ray in self._universe
-
     def __getitem__(self, ray) -> int:
         try:
-            i = self._universe.index_of(ray)
+            return int(self._k[self.index_of(ray)])
         except ValidationError:
             raise KeyError(ray) from None
-        return int(self._k[i])
-
-    def __repr__(self) -> str:
-        return f"BlowdownTable(h={self.h}, n_rays={len(self)})"
 
     def count_geq(self, k: int) -> int:
         """Number of rays with blowdown index >= k, by counting.count_geq."""
@@ -177,8 +155,7 @@ def blowdown_array(table: BlowdownTable) -> dict:
     """Full blowdown-table export: the columns x, y, norm and k in canonical
     order; x, y and k are views of the table, and norm is computed per
     slice."""
-    c = table.coords
-    return {"x": c[:, 0], "y": c[:, 1], "norm": _SupNorm(c), "k": table.k_values}
+    return {**ray_array(table), "norm": _SupNorm(table.coords), "k": table.k_values}
 
 
 SPACE_COLUMNS = ("x", "y", "k")
@@ -191,9 +168,8 @@ def space_array(h: int) -> dict:
     square, so the quadrant up to (0, 1) is its first quarter plus one ray,
     and the columns are views of the table."""
     table = blowdown_table(h)
-    quadrant = len(table) // 4 + 1
-    c, k = table.coords[:quadrant], table.k_values[:quadrant]
-    return {"x": c[:, 0], "y": c[:, 1], "k": k}
+    columns = {**ray_array(table), "k": table.k_values}
+    return {name: column[: len(table) // 4 + 1] for name, column in columns.items()}
 
 
 def space_report(h: int) -> list[dict]:

@@ -15,7 +15,7 @@ import sys
 import threading
 from contextlib import nullcontext
 
-from .counting import RATIO_COLUMNS, conjecture_report
+from .counting import RATIO_COLUMNS, _check_bytes, conjecture_report
 from .emission import FORMATS, _read_json, open_sink, render, render_document
 from .errors import InvariantError, ValidationError
 
@@ -76,8 +76,10 @@ def _cmd_sample(args):
 
 def _cmd_spectrum(args):
     from ._numpy import np
-    from .fans import fan_from_record, is_smooth
+    from .fans import _RECORD_BYTES, fan_from_record, is_smooth
 
+    size = os.stat(args.infile).st_size  # the memory rule, before json.load
+    _check_bytes(_RECORD_BYTES * size, f"a fan record of {size:,} bytes needs", "to read")
     fan = fan_from_record(_read_json(args.infile))
     values, counts = np.unique(fan.cone_indices, return_counts=True)
     doc = {

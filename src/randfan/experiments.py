@@ -20,7 +20,7 @@ from .counting import _check_bytes, _check_height, count_geq
 from .emission import FORMATS, _check_path, _read_json
 from .errors import ValidationError, brief, check_int, check_real
 from .lattice import _circle_ray, _octant, _universe_bytes, _wedge, enumerate_rays
-from .sampling import _BLOCK_RAYS, UINT64_MAX, _keep_threshold, _trial_words
+from .sampling import _BLOCK_RAYS, UINT64_MAX, _decided, _keep_threshold, _trial_words
 
 #: Two-sided 99% normal quantile, fixed for the Wilson interval columns.
 _Z99 = 2.5758293035489004
@@ -422,20 +422,21 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
     lane: lanes holds one (n, rays, keep threshold, bin rows) per cell, the
     rays being the universe's coordinates for a row of at most _BLOCK_RAYS
     rays, its first octant (lattice._octant) for a longer one, and None at
-    p = 1, and lane j's counts of trial t (kept, cones, largest index,
+    p = 0 or 1, and lane j's counts of trial t (kept, cones, largest index,
     cones of index >= k) go into out[j, t - first] of out's four arrays.
     One Philox serves every cell (README "Sweeps"): each window of a trial's
     words goes to every lane whose row reaches it, through the protocol
-    that _bin states, and a lane at p = 1 reads no word and gets the full
-    fan's counts.
+    that _bin states; a lane that sampling._decided decides reads no word,
+    and gets the full fan's counts or the empty draw's.
     """
     scratch = {}
     bitgen = np.random.Philox(0)
-    full, drawing = [], []
+    known, drawing = [], []
     for j, (n, rays, threshold, rows) in enumerate(lanes):
-        if threshold > UINT64_MAX:
+        if (decided := _decided(threshold)) is not None:
             zero = np.zeros(1, dtype=np.int64)
-            full.append((j, _row_counts(n, zero, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
+            dropped = np.array([0 if decided else n])
+            known.append((j, _row_counts(n, dropped, zero, zero, zero, np.zeros((1, len(ks)), np.int64), ks)))
         else:
             lane = (_bin(rays, np.uint64(threshold), rows, ks, scratch) if n <= _BLOCK_RAYS
                     else _stream_row(rays, np.uint64(threshold), ks, scratch))
@@ -448,7 +449,7 @@ def _draw_trials(lanes, master_seed: int, trials, ks, out, first: int = 0) -> No
             a[j, columns] = c
 
     for t in trials:
-        for j, counts in full:
+        for j, counts in known:
             put(j, [t - first], counts)
         windows = _trial_words(bitgen, master_seed, t, longest, _BLOCK_RAYS)
         for lo in range(0, longest, _BLOCK_RAYS):  # none, and no re-key, when no lane draws
@@ -564,7 +565,7 @@ def _sweep_plan(spec: ExperimentSpec, workers: int) -> tuple[list, list, int, in
     cells = list(zip(spec.h_values, spec.q_values()))
     lanes = [(h, sizes[h], _keep_threshold(1.0 - q), min(spec.trials, max(1, _BLOCK_RAYS // sizes[h])))
              for h, q in cells]
-    drawing = [(h, rows) for h, _, threshold, rows in lanes if threshold <= UINT64_MAX]
+    drawing = [(h, rows) for h, _, threshold, rows in lanes if _decided(threshold) is None]
     octant = {h: sizes[h] > _BLOCK_RAYS for h, _ in drawing}
     rays = _universe_bytes([h for h, o in octant.items() if not o], [h for h, o in octant.items() if o])
     per_thread = _THREAD_BYTES + sum(_lane_bytes(rows, len(spec.k_list)) for _, rows in drawing) if drawing else 0

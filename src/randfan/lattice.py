@@ -223,7 +223,7 @@ class RayUniverse:
         return is_primitive(x, y) and max(abs(x), abs(y)) <= self.h
 
     def __repr__(self) -> str:
-        return f"RayUniverse(h={self.h}, n_rays={len(self)})"
+        return f"{type(self).__name__}(h={self.h}, n_rays={len(self)})"
 
     def index_of(self, ray) -> int:
         """Position of a ray in canonical order, by exact binary search."""

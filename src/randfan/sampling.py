@@ -69,9 +69,16 @@ def _keep_threshold(p: float) -> int:
 
     Generator.random() is (raw >> 11) * 2**-53, so u < p exactly when
     raw >> 11 < ceil(p * 2**53), that is raw < ceil(p * 2**53) * 2**11.
-    At p = 1 this is 2**64, past every uint64: every ray is kept.
+    At p = 1 this is 2**64, past every uint64, and at p = 0 it is 0.
     """
     return math.ceil(Fraction(p) * 2**53) << 11
+
+
+def _decided(threshold: int) -> bool | None:
+    """Every ray's keep decision when threshold makes it whatever the word:
+    no word is below 0 (p = 0) and every word is below 2**64 (p = 1).  None
+    when the words decide: only then does a draw read them."""
+    return None if 0 < threshold <= UINT64_MAX else threshold > 0
 
 
 def _rekey(bitgen: np.random.Philox, master_seed: int, trial_index: int) -> None:
@@ -104,9 +111,10 @@ def sample_rays(cfg: SampleConfig) -> np.ndarray:
     boolean mask, even at large h."""
     universe = enumerate_rays(cfg.h)
     n = len(universe)
-    keep = np.ones(n, dtype=bool)
     threshold = _keep_threshold(cfg.p)
-    if threshold <= UINT64_MAX:  # at p = 1 no word is read
+    decided = _decided(threshold)
+    keep = np.full(n, bool(decided))
+    if decided is None:
         words = _trial_words(np.random.Philox(0), cfg.master_seed, cfg.trial_index, n, _BLOCK_RAYS)
         for lo, window in zip(range(0, n, _BLOCK_RAYS), words):
             np.less(window, np.uint64(threshold), out=keep[lo : lo + _BLOCK_RAYS])

@@ -222,6 +222,19 @@ def test_tampered_table_raises_invariant_error():
     assert not BlowdownTable(u, k).k_values.flags.writeable
 
 
+def test_a_table_is_its_universe_plus_an_index_column():
+    from randfan.blowdown import BlowdownTable
+
+    # the rays are the universe's own, inherited, not forwarded
+    assert issubclass(BlowdownTable, RayUniverse)
+    assert not {"h", "coords", "__len__", "__contains__", "_universe"} & set(vars(BlowdownTable))
+    u, t = enumerate_rays(3), blowdown_table(3)
+    assert t.coords is u.coords and t.h == 3 and len(t) == t.n_rays == len(u)
+    assert list(t) == list(u) and t.index_of((2, 1)) == u.index_of((2, 1))
+    assert np.shares_memory(complete_fan(t).coords, u.coords)
+    assert [t[r] for r in t] == t.k_values.tolist()
+
+
 def _neighbours(h):
     """{ray: (predecessor, successor)} over the height-h universe."""
     c = enumerate_rays(h).coords.tolist()

@@ -164,6 +164,43 @@ def test_spectrum_missing_file_is_io_error(tmp_path, capsys):
     assert code == 2 and "i/o error:" in err
 
 
+def test_spectrum_sizes_its_parse_before_json_load(monkeypatch, tmp_path, capsys):
+    # the file's bytes times the per-byte constant are checked before it is parsed
+    from randfan import counting, fans
+
+    record = tmp_path / "fan.json"
+    assert main(["complete", "--h", "30", "--out", str(record)]) == 0
+    size = record.stat().st_size
+
+    def refuse(fh, **kwargs):
+        raise AssertionError("json.load ran")
+
+    need = fans._RECORD_BYTES * size / 2**20
+    monkeypatch.setattr(emission.json, "load", refuse)
+    monkeypatch.setattr(counting, "_mem_available", lambda: fans._RECORD_BYTES * size)
+    code, out, err = run_cli(capsys, "spectrum", "--in", str(record))
+    assert (code, out) == (1, "")
+    assert err == (f"error: a fan record of {size:,} bytes needs about {need:.0f} MiB to read, "
+                   f"more than 50% of the {need:.0f} MiB available\n")
+
+
+def test_spectrum_read_peak_is_below_the_record_estimate(tmp_path):
+    # json.load and fan_from_record of the h = 300 record, as spectrum reads
+    # it, stay within _RECORD_BYTES per byte of the file
+    from randfan.fans import _RECORD_BYTES, fan_from_record
+
+    record = tmp_path / "fan.json"
+    assert main(["complete", "--h", "300", "--out", str(record)]) == 0
+    tracemalloc.start()
+    try:
+        fan = fan_from_record(emission._read_json(record))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fan.n_rays == lattice.count_geq(300, 1)
+    assert peak <= _RECORD_BYTES * record.stat().st_size, (peak, record.stat().st_size)
+
+
 def test_spectrum_malformed_json_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")

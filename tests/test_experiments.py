@@ -387,6 +387,29 @@ def test_sweep_of_cells_that_keep_every_ray_builds_no_ray(monkeypatch):
     assert experiments._sweep_plan(mixed, 2)[3] - counts == experiments._sweep_plan(alone, 2)[3]
 
 
+def test_sweep_of_cells_that_drop_every_ray_builds_no_ray(monkeypatch):
+    # a cell at q = 1 reads no word and gets the empty draw's counts: no
+    # walk, and no thread buffer in the memory check
+    walk = lattice._farey_walk
+
+    def refuse(h):
+        raise AssertionError(f"the walk of height {h} ran")
+
+    monkeypatch.setattr(lattice, "_farey_walk", refuse)
+    lattice.enumerate_rays.cache_clear()
+    spec = _spec(h_values=[300, 2000, 300], q_schedule=[1.0, 1.0, 1.0], trials=4, k_list=[1, 2])
+    assert experiments._sweep_plan(spec, 2)[3] == 16 * (3 + 2) * 4 * 3
+    for row in run_threshold_sweep(spec, workers=2):
+        assert (row.frac_smooth, row.n_no_cones, row.max_index_p50, row.max_index_p90) == (1.0, 4, 0, 0)
+        assert row.mean_delta == {1: None, 2: None} and row.frac_delta_above_c == {1: 0.0, 2: 0.0}
+    # the rows the words give, when every one is read and compared
+    monkeypatch.setattr(lattice, "_farey_walk", walk)
+    small = _spec(h_values=[40, 300], q_schedule=[1.0, 1.0], trials=3, k_list=[1, 2])
+    skipped = run_threshold_sweep(small)
+    monkeypatch.setattr(experiments, "_decided", lambda threshold: None)
+    assert run_threshold_sweep(small) == skipped
+
+
 def test_sweep_memory_check_counts_the_blocks_of_every_thread(monkeypatch):
     # room for the universe and one thread's blocks is not room for two threads
     spec = _spec(h_values=[300], q_schedule=[0.5], trials=4)

@@ -84,7 +84,16 @@ def test_sample_is_subset_in_canonical_order():
     assert all(angular_compare(u, v) == -1 for u, v in pairs)
 
 
-@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_a_draw_at_p_0_or_1_reads_no_word(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a word was read")
+
+    monkeypatch.setattr(sampling, "_trial_words", refuse)
+    for p, kept in [(0.0, 0), (1.0, 48)]:
+        assert len(sampling.sample_rays(SampleConfig(h=4, p=p, master_seed=1, trial_index=0))) == kept
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_draw_across_a_word_window_equals_the_uniform_comparison(p):
     # 70,640 rays at h = 170: the words come in two windows of the stream
     universe = enumerate_rays(170)
